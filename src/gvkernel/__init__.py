@@ -19,7 +19,7 @@ from .duality import (NoCompanion, StarCompanion, VolumeContext, VolumeError,
                       phi, phi_inv, psi, star, volume_context)
 from .expr import (Chart, DomainError, ExprError, Point, Sampler, ScalarExpr,
                    ZeroVerdict, cos_, diff, eval_at, evaluate, exp_, is_zero,
-                   ln_, simplify, sin_)
+                   ln_, sin_)
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
 from .jacobi import (AxiomViolation, CheckResult, CodimOutOfRange,
                      DefiningPair, InvariantFailure, JacobiError,
@@ -34,7 +34,7 @@ __all__ = [
     # expr
     "Chart", "DomainError", "ExprError", "Point", "Sampler", "ScalarExpr",
     "ZeroVerdict", "cos_", "diff", "eval_at", "evaluate", "exp_", "is_zero",
-    "ln_", "simplify", "sin_",
+    "ln_", "sin_",
     # alg
     "AlgebraError", "DiffForm", "GradedElement", "MultiVector",
     "contract_form_into_mv", "contract_mv_into_form", "power", "sharp",

@@ -132,6 +132,9 @@ class _Session:
                     f"{name}.error", "numeric", False, witness,
                     f"{type(e).__name__}: {e}"))
                 break  # hard error: later commands depend on this one
+            except ExprError as e:  # the input is beyond what the kernel handles
+                self.report.input_error = f"{name}: {e}"
+                break
         return self.report
 
     def cmd_verify(self, arg):

@@ -9,13 +9,16 @@ exponents encode reciprocals (there is no division node), e.g. 1/t is the
 monomial t^-1.
 
 Because construction normalizes eagerly, two structurally equal expressions
-are the same normal form and print identically; `simplify` is the identity.
+are the same normal form and print identically.  Atoms are interned
+(hash-consed), so equal atoms are one object and compare by identity.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
@@ -84,20 +87,54 @@ class Chart:
 _FUNC_KINDS = ("exp", "sin", "cos", "ln")
 
 
-@dataclass(frozen=True)
 class Atom:
-    """A multiplicative indivisible: variable, function call, or wrapped poly."""
+    """A multiplicative indivisible: variable, function call, or wrapped poly.
+
+    Atoms are hash-consed: the constructor returns the live atom with the
+    same (kind, name, arg) if there is one, so equal atoms are the same
+    object.  `==` is identity, and the hash and the sort key `key` are
+    computed once, at construction.  The table holds atoms weakly; an atom
+    no expression refers to any more is dropped from it."""
+
+    __slots__ = ("kind", "name", "arg", "key", "_hash", "__weakref__")
 
     kind: str  # "var" | "exp" | "sin" | "cos" | "ln" | "poly"
-    name: str = ""
-    arg: Optional["ScalarExpr"] = None
+    name: str
+    arg: Optional["ScalarExpr"]
+    key: tuple
 
-    def sort_key(self):
-        if self.kind == "var":
-            return (0, self.name, "")
-        if self.kind in _FUNC_KINDS:
-            return (1, self.kind, str(self.arg))
-        return (2, str(self.arg), "")
+    def __new__(cls, kind: str, name: str = "", arg: Optional["ScalarExpr"] = None):
+        ident = (kind, name, arg)
+        atom = _ATOMS.get(ident)
+        if atom is not None:
+            return atom
+        if kind == "var":
+            key = (0, name, "")
+        elif kind in _FUNC_KINDS:
+            key = (1, kind, str(arg))
+        else:
+            key = (2, str(arg), "")
+        with _ATOMS_LOCK:  # two live copies of one atom would never compare equal
+            atom = _ATOMS.get(ident)
+            if atom is None:
+                atom = object.__new__(cls)
+                for slot, value in (("kind", kind), ("name", name), ("arg", arg),
+                                    ("key", key), ("_hash", hash(ident))):
+                    object.__setattr__(atom, slot, value)
+                _ATOMS[ident] = atom
+        return atom
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Atom is immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Atom, (self.kind, self.name, self.arg))
+
+    def __repr__(self) -> str:
+        return f"Atom({self.kind!r}, {self.name!r}, {self.arg!r})"
 
     def __str__(self) -> str:
         if self.kind == "var":
@@ -107,14 +144,18 @@ class Atom:
         return f"({self.arg})"
 
 
-# Monomial: tuple of (Atom, exponent) pairs sorted by Atom.sort_key, exp != 0.
+_ATOMS: "weakref.WeakValueDictionary[tuple, Atom]" = weakref.WeakValueDictionary()
+_ATOMS_LOCK = threading.Lock()
+
+
+# Monomial: tuple of (Atom, exponent) pairs sorted by Atom.key, exp != 0.
 Monomial = Tuple[Tuple[Atom, int], ...]
 
 _EMPTY_MONO: Monomial = ()
 
 
 def _mono_key(m: Monomial):
-    return (sum(e for _, e in m), tuple((a.sort_key(), e) for a, e in m))
+    return (sum(e for _, e in m), tuple((a.key, e) for a, e in m))
 
 
 def _merge_exponents(*monos: Monomial) -> dict:
@@ -127,7 +168,7 @@ def _merge_exponents(*monos: Monomial) -> dict:
 
 def _freeze(exps: Mapping[Atom, int]) -> Monomial:
     return tuple(sorted(((a, e) for a, e in exps.items() if e != 0),
-                        key=lambda p: p[0].sort_key()))
+                        key=lambda p: p[0].key))
 
 
 # --- raw term-dict arithmetic (monomial -> Fraction) ---------------------
@@ -257,7 +298,7 @@ def _cancel_denominators(terms: dict) -> dict:
 class ScalarExpr:
     """Immutable normal-form scalar expression."""
 
-    __slots__ = ("_terms", "_hash", "_str")
+    __slots__ = ("_terms", "_hash", "_str", "_diff", "__weakref__")
 
     def __init__(self, terms: Mapping[Monomial, Fraction], _normalized: bool = False):
         items = {m: c for m, c in terms.items() if c}
@@ -274,6 +315,7 @@ class ScalarExpr:
                            tuple(sorted(items.items(), key=lambda p: _mono_key(p[0]))))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_str", None)
+        object.__setattr__(self, "_diff", None)  # {var: derivative}, see diff
 
     # construction helpers
     @staticmethod
@@ -400,6 +442,11 @@ class ScalarExpr:
 
     __repr__ = __str__
 
+    def __reduce__(self):
+        # rebuild through the constructor: atoms re-intern, the hash and the
+        # memo are recomputed in the receiving process
+        return (ScalarExpr, (dict(self._terms), True))
+
 
 _ZERO = ScalarExpr({})
 _ONE = ScalarExpr({_EMPTY_MONO: _ONE_FRAC})
@@ -490,18 +537,27 @@ def is_syntactically_positive(e: ScalarExpr, positive_vars: frozenset = frozense
     return True
 
 
-_DIFF_CACHE: dict = {}
+# Live differentiated expressions -> their memo.  Weakly keyed, so an entry
+# goes when its expression does; it lets an equal expression built
+# elsewhere (the same coefficient in two slots) share the memo.
+_DIFF_MEMOS: "weakref.WeakKeyDictionary[ScalarExpr, dict]" = weakref.WeakKeyDictionary()
 
 
 def diff(e: ScalarExpr, var: str, chart: Optional[Chart] = None) -> ScalarExpr:
     """Symbolic partial derivative with respect to the named variable.
 
     Expressions do not carry a chart; pass one to reject unknown variable
-    names (otherwise absent names differentiate to zero as constants)."""
+    names (otherwise absent names differentiate to zero as constants).
+    Derivatives are memoised on the expression itself (`_diff`), so a memo
+    dies with the expressions that share it; atom arguments are shared
+    through interning, so the chain rule reuses their memos."""
     if chart is not None and var not in chart.vars:
         raise ExprError(f"unknown variable {var!r} on chart {chart.vars}")
-    key = (e, var)
-    hit = _DIFF_CACHE.get(key)
+    memo = e._diff
+    if memo is None:
+        memo = _DIFF_MEMOS.setdefault(e, {})
+        object.__setattr__(e, "_diff", memo)
+    hit = memo.get(var)
     if hit is not None:
         return hit
     total = _ZERO
@@ -519,7 +575,7 @@ def diff(e: ScalarExpr, var: str, chart: Optional[Chart] = None) -> ScalarExpr:
             else:
                 powpart = ScalarExpr(_expand_mono({a: k - 1}, _ONE_FRAC))
             total = total + rest_expr * powpart * da
-    _DIFF_CACHE[key] = total
+    memo[var] = total
     return total
 
 
@@ -542,11 +598,6 @@ def _diff_atom(a: Atom, var: str) -> Optional[ScalarExpr]:
     if a.kind == "ln":
         return a.arg.recip() * inner
     return inner  # poly atom: chain rule, caller supplies k * atom^(k-1)
-
-
-def simplify(e: ScalarExpr) -> ScalarExpr:
-    """Expressions are always held in normal form; provided for API symmetry."""
-    return e
 
 
 # --- numeric evaluation ----------------------------------------------------

@@ -35,8 +35,8 @@ from .alg import (AlgebraError, DiffForm, GradedElement, MultiVector,
 from .calculus import exterior_derivative, schouten
 from .duality import (StarCompanion, VolumeContext, phi, phi_inv, psi, star,
                       volume_context)
-from .expr import (Chart, Sampler, ScalarExpr, ZeroVerdict, evaluate,
-                   is_nonvanishing)
+from .expr import (MAX_DIM, Chart, ExprError, Sampler, ScalarExpr, ZeroVerdict,
+                   evaluate, is_nonvanishing)
 
 
 class JacobiError(ValueError):
@@ -482,6 +482,9 @@ def lift_to(chart_ext: Chart, el: GradedElement) -> GradedElement:
 
 def poissonize(j: JacobiStructure, sampler: Sampler) -> Poissonization:
     """Poisson bivector t^-1 pi + E ^ d/dt on chart x (0, inf)."""
+    if j.chart.n + 1 > MAX_DIM:
+        raise ExprError(f"the Poisson lift needs {j.chart.n + 1} variables, "
+                        f"over the chart cap of {MAX_DIM}")
     t = _fresh_t(j.chart)
     ext = j.chart.extend(t, positive=True)
     t_inv = ScalarExpr.var(t) ** -1

@@ -1,13 +1,20 @@
+import copy
+import gc
 import math
+import pickle
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvkernel.expr import (Chart, DomainError, ExprError, Sampler, ScalarExpr,
+from gvkernel import expr as expr_mod
+from gvkernel.expr import (Atom, Chart, DomainError, ExprError, Sampler, ScalarExpr,
                            cos_, diff, eval_at, evaluate, exp_, is_zero, ln_,
-                           simplify, sin_)
+                           sin_)
 
 from conftest import rand_scalar
 
@@ -56,9 +63,8 @@ class TestNormalForm:
         b = -(X2 ** 2) + 1
         assert str(a) == str(b) == "1 - x2^2"
 
-    def test_simplify_is_identity_on_normal_forms(self):
+    def test_product_and_expansion_share_a_normal_form(self):
         e = (X1 + X2) * (X1 - X2)
-        assert simplify(e) == e
         assert str(e) == str(X1 ** 2 - X2 ** 2)
 
     def test_negative_powers_are_monomials(self):
@@ -256,3 +262,83 @@ class TestIsZero:
         assert a == b
         c = list(Sampler(seed=10).draw(CHART))
         assert a != c
+
+
+class TestInterning:
+    def test_equal_atoms_are_one_object(self):
+        assert Atom("var", "x") is Atom("var", "x")
+        assert Atom("exp", arg=X1 + 1) is Atom("exp", arg=1 + X1)
+        assert Atom("var", "x") is not Atom("var", "y")
+
+    def test_separate_recips_share_the_poly_atom(self):
+        def poly_atom(e):
+            (mono, _), = e._terms
+            (atom, exponent), = mono
+            assert atom.kind == "poly" and exponent == -1
+            return atom
+
+        a = (X1 ** 2 + 3 * X2).recip()
+        b = (3 * X2 + X1 * X1).recip()
+        assert poly_atom(a) is poly_atom(b)
+
+    def test_dropped_atoms_leave_the_table(self):
+        name = "interning_probe_var"
+        e = ScalarExpr.var(name) + 1
+        assert ("var", name, None) in expr_mod._ATOMS
+        del e
+        gc.collect()
+        assert ("var", name, None) not in expr_mod._ATOMS
+
+    def test_derivative_memo_dies_with_its_expression(self):
+        e = exp_(X1 * X2) + X1 ** 3 * X3
+        assert str(diff(e, "x1")) == "x2*exp(x1*x2) + 3*x1^2*x3"
+        assert diff(e, "x1") is diff(e, "x1")   # memoised
+        ref = weakref.ref(e)
+        del e
+        gc.collect()
+        assert ref() is None
+
+    def test_equal_expressions_share_the_derivative_memo(self):
+        a = (X1 + X2).recip() * X3
+        b = X3 * (X2 + X1).recip()
+        assert a is not b and a == b
+        assert diff(a, "x1") is diff(b, "x1")
+
+    def test_copy_and_pickle_reintern(self):
+        e = (1 + X1 ** 2).recip() * exp_(X2)
+        for other in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert other == e and hash(other) == hash(e)
+            assert str(other) == str(e)
+            assert [a for m, _ in other._terms for a, _ in m] == \
+                [a for m, _ in e._terms for a, _ in m]
+        atom = Atom("sin", arg=X1)
+        assert copy.copy(atom) is atom
+        assert pickle.loads(pickle.dumps(atom)) is atom
+
+    def test_concurrent_construction_yields_one_atom(self):
+        args = [ScalarExpr.var(f"stress{i}") + 1 for i in range(200)]
+        results = [[] for _ in range(8)]
+        start = threading.Barrier(len(results))
+
+        def build(out):
+            start.wait()
+            out.extend(Atom("exp", arg=a) for a in args)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(out,)) for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for column in zip(*results):
+            assert len(column) == len(results)
+            assert all(a is column[0] for a in column)
+
+    def test_atoms_are_immutable(self):
+        with pytest.raises(AttributeError):
+            Atom("var", "x").name = "y"
