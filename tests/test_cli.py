@@ -170,22 +170,22 @@ class TestMainEntry:
     def test_exit_2_on_unreadable_file(self, capsys):
         assert main(["/nonexistent/path.gvk"]) == 2
 
-    @pytest.mark.parametrize("text, message", [
+    @pytest.mark.parametrize("text, message, kept", [
         ("chart " + " ".join(f"x{i}" for i in range(1, 13)) + "\n"
          "pi = d/dx1^d/dx2\nrun verify poissonize\n",
-         "poissonize: the Poisson lift needs 13 variables"),
+         "poissonize: the Poisson lift needs 13 variables", True),
         ("chart x1 x2 x3\npi = exp(1000 + x1^2)*d/dx1^d/dx2\nrun verify\n",
-         "verify: sampling exhausted"),
+         "verify: sampling exhausted", False),
     ], ids=["lift-over-chart-cap", "sampling-exhausted"])
-    def test_exit_2_on_kernel_limit(self, tmp_path, capsys, text, message):
+    def test_exit_2_on_kernel_limit(self, tmp_path, capsys, text, message, kept):
         p = tmp_path / "limit.gvk"
         p.write_text(text)
         assert main([str(p), "--format", "structured"]) == 2
         captured = capsys.readouterr()
         assert message in captured.err
         assert "Traceback" not in captured.err
-        # records gathered before the failing command are kept
-        assert ("jacobi.axiom1" in captured.out) == ("poissonize" in text)
+        # records of the commands before the failing one are kept
+        assert ("check=jacobi.axiom1" in captured.out) == kept
 
     def test_console_script_runs(self):
         out = subprocess.run(
