@@ -28,7 +28,7 @@ from .jacobi import (AxiomViolation, CheckResult, CodimOutOfRange,
                      RescaleVanishes, check_poissonization_bridge,
                      conformal_rescale, contact_to_jacobi, defining_pair,
                      gv_codim1, gv_representative, lcs_to_jacobi, poissonize,
-                     unimodularity, verify_jacobi)
+                     require_codim, unimodularity, verify_jacobi)
 
 __all__ = [
     # expr
@@ -51,8 +51,8 @@ __all__ = [
     "NotContact", "NotLCS", "NotRegular", "ParityObstruction",
     "Poissonization", "RescaleVanishes", "check_poissonization_bridge",
     "conformal_rescale", "contact_to_jacobi", "defining_pair", "gv_codim1",
-    "gv_representative", "lcs_to_jacobi", "poissonize", "unimodularity",
-    "verify_jacobi",
+    "gv_representative", "lcs_to_jacobi", "poissonize", "require_codim",
+    "unimodularity", "verify_jacobi",
     # fixtures / dsl
     "FIXTURE_NAMES", "Fixture", "get_fixture", "DslError", "ProblemFile",
     "parse_form", "parse_multivector", "parse_problem", "parse_scalar",

@@ -5,6 +5,10 @@ Exit codes: 0 all requested checks passed, 1 at least one check failed,
 2 the input could not be parsed or set up.  Structured output is one
 `check=<name> tier=<tier> verdict=<pass|fail> [witness=(...)]` line per
 record and is byte-identical across runs with the same seed.
+
+Each pipeline stage runs at most once per session: the structure (pi, E)
+is verified once, its defining pair and its Poisson lift are each built
+once, and the commands are views of these three stages.
 """
 
 from __future__ import annotations
@@ -12,15 +16,17 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional
 
 from . import jacobi
-from .alg import DiffForm, MultiVector
+from .alg import DiffForm
 from .dsl import DslError, ProblemFile, parse_multivector, parse_problem, parse_scalar
 from .duality import NoCompanion, VolumeError, volume_context
 from .expr import ExprError, Sampler
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
-from .jacobi import CheckResult, JacobiError, JacobiStructure
+from .jacobi import (CheckResult, DefiningPair, JacobiError, JacobiStructure,
+                     Poissonization)
 
 
 @dataclass
@@ -69,7 +75,13 @@ def emit(report: Report, fmt: str = "text") -> str:
 
 
 class _Session:
-    """Executes a problem file's command list against the kernel."""
+    """Executes a problem file's command list against the kernel.
+
+    The structure is verified without enforcing its codimension, so the
+    lift, which needs only the axioms, shares it; the commands that need
+    0 < q < n refuse it through `foliated`.  Refusals that need the
+    structure only come before a pair or a lift is built.
+    """
 
     def __init__(self, problem: ProblemFile, sampler: Sampler):
         self.problem = problem
@@ -79,47 +91,40 @@ class _Session:
         vol = problem.vol if problem.vol is not None else \
             DiffForm.basis(self.chart, range(self.chart.n))
         self.ctx = volume_context(self.chart, vol, sampler)
-        self.pi: Optional[MultiVector] = None
-        self.E: Optional[MultiVector] = None
-        self._strict: Optional[JacobiStructure] = None
-        self._relaxed: Optional[JacobiStructure] = None
 
-    # tensor acquisition ----------------------------------------------------
-    def tensors(self) -> Tuple[MultiVector, MultiVector]:
-        if self.pi is not None:
-            return self.pi, self.E
+    # stages ------------------------------------------------------------------
+    @cached_property
+    def structure(self) -> JacobiStructure:
         p = self.problem
         if p.style == "pi":
-            self.pi, self.E = p.pi, p.E
-        elif p.style == "theta":
-            pi, E = jacobi.contact_to_jacobi(self.chart, p.theta, self.sampler)
-            self.report.records.append(CheckResult(
-                "input.contact", "numeric", True, detail="theta -> (pi, E)"))
-            self.report.printouts.setdefault("pi", str(pi))
-            self.report.printouts.setdefault("E", str(E))
-            self.pi, self.E = pi, E
+            pi, e = p.pi, p.E
         else:
-            pi, E = jacobi.lcs_to_jacobi(self.chart, p.omega1, p.omega2,
-                                         self.sampler)
-            self.report.records.append(CheckResult(
-                "input.lcs", "numeric", True, detail="(omega, Omega) -> (pi, E)"))
-            self.report.printouts.setdefault("pi", str(pi))
-            self.report.printouts.setdefault("E", str(E))
-            self.pi, self.E = pi, E
-        return self.pi, self.E
+            if p.style == "theta":
+                pi, e = jacobi.contact_to_jacobi(self.chart, p.theta, self.sampler)
+                name, detail = "input.contact", "theta -> (pi, E)"
+            else:
+                pi, e = jacobi.lcs_to_jacobi(self.chart, p.omega1, p.omega2,
+                                             self.sampler)
+                name, detail = "input.lcs", "(omega, Omega) -> (pi, E)"
+            self.report.records.append(CheckResult(name, "numeric", True,
+                                                   detail=detail))
+            self.report.printouts["pi"] = str(pi)
+            self.report.printouts["E"] = str(e)
+        return jacobi.verify_jacobi(self.ctx, pi, e, self.sampler)
 
-    def structure(self, strict: bool) -> JacobiStructure:
-        cached = self._strict if strict else self._relaxed
-        if cached is not None:
-            return cached
-        pi, e = self.tensors()
-        j = jacobi.verify_jacobi(self.ctx, pi, e, self.sampler,
-                                 enforce_codim=strict)
-        if strict:
-            self._strict = j
-        else:
-            self._relaxed = j
-        return j
+    @property
+    def foliated(self) -> JacobiStructure:
+        """The structure, refused unless 0 < q < n."""
+        jacobi.require_codim(self.structure)
+        return self.structure
+
+    @cached_property
+    def pair(self) -> DefiningPair:
+        return jacobi.defining_pair(self.foliated, self.ctx, self.sampler)
+
+    @cached_property
+    def lift(self) -> Poissonization:
+        return jacobi.poissonize(self.structure, self.sampler)
 
     # commands ----------------------------------------------------------------
     def run(self) -> Report:
@@ -138,47 +143,41 @@ class _Session:
         return self.report
 
     def cmd_verify(self, arg):
-        j = self.structure(strict=True)
-        self.report.records.extend(j.checks)
+        self.report.records.extend(self.foliated.checks)
 
     def cmd_pair(self, arg):
-        j = self.structure(strict=True)
-        dp = jacobi.defining_pair(j, self.ctx, self.sampler)
-        self.report.records.extend(dp.checks)
-        self.report.printouts["alpha"] = str(dp.alpha)
-        self.report.printouts["beta"] = str(dp.beta)
-        self.report.printouts["gv"] = str(dp.gv)
+        self.report.records.extend(self.pair.checks)
+        self.report.printouts["alpha"] = str(self.pair.alpha)
+        self.report.printouts["beta"] = str(self.pair.beta)
+        self.report.printouts["gv"] = str(self.pair.gv)
 
     def cmd_gv(self, arg):
-        j = self.structure(strict=True)
-        dp = jacobi.defining_pair(j, self.ctx, self.sampler)
-        self.report.records.append(next(c for c in dp.checks
+        self.report.records.append(next(c for c in self.pair.checks
                                         if c.name == "pair.gv_closed"))
-        self.report.printouts["gv"] = str(dp.gv)
+        self.report.printouts["gv"] = str(self.pair.gv)
 
     def cmd_codim1(self, arg):
-        j = self.structure(strict=True)
-        g = jacobi.gv_codim1(j, self.ctx, self.sampler)
-        self.report.records.append(CheckResult(
-            "codim1.match", "symbolic", True,
-            detail="codim-1 formula agrees with beta^(d beta)^q"))
+        j = self.foliated
+        jacobi.require_codim_one(j)
+        g, check = jacobi.gv_codim1(j, self.ctx, self.pair, self.sampler)
+        self.report.records.append(check)
         self.report.printouts["gv_codim1"] = str(g)
 
     def cmd_poissonize(self, arg):
-        j = self.structure(strict=False)
-        pz = jacobi.poissonize(j, self.sampler)
-        self.report.records.append(pz.poisson_check)
-        self.report.printouts["Lambda"] = str(pz.lam)
+        self.report.records.append(self.lift.poisson_check)
+        self.report.printouts["Lambda"] = str(self.lift.lam)
 
     def cmd_bridge(self, arg):
-        j = self.structure(strict=True)
-        br = jacobi.check_poissonization_bridge(j, self.ctx, self.sampler)
+        j = self.foliated
+        jacobi.require_contact(j)
+        br = jacobi.check_poissonization_bridge(j, self.ctx, self.pair,
+                                                self.lift, self.sampler)
         self.report.records.extend(br.checks)
         self.report.printouts["A"] = str(br.A)
         self.report.printouts["B"] = str(br.B)
 
     def cmd_rescale(self, arg):
-        j = self.structure(strict=True)
+        j = self.foliated
         try:
             a = parse_scalar(self.chart, arg)
         except DslError as e:

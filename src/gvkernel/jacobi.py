@@ -11,8 +11,7 @@ Defining pairs follow the main construction:
   LCS:     alpha = phi(pi^m / m!),       beta = phi([-*pi^m, pi^m])
   contact: alpha = phi(pi^m ^ E / m!),   beta = phi([-*(pi^m ^ E), pi^m ^ E])
 with gv = beta ^ (d beta)^q closed in both cases.  (The leading minus is
-needed for BOTH kinds under this bracket orientation; see
-_bracket_multivector.)
+needed for BOTH kinds under this bracket orientation; see defining_pair.)
 
 Poissonization note: with the bracket conventions fixed by the axiom
 [pi,pi] = 2 E^pi (the ones the model structures satisfy), the bivector
@@ -187,9 +186,9 @@ class JacobiStructure:
 
 
 def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
-                  sampler: Sampler, enforce_codim: bool = True) -> JacobiStructure:
+                  sampler: Sampler) -> JacobiStructure:
     """Check the axioms, compute the rank exponent m, classify, and return
-    the structure.  Raises AxiomViolation / NotRegular / CodimOutOfRange."""
+    the structure.  Raises AxiomViolation / NotRegular; see require_codim."""
     chart = ctx.chart
     if pi.chart != chart or E.chart != chart:
         raise AlgebraError("chart mismatch")
@@ -241,11 +240,28 @@ def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
                     raise NotRegular("E leaves Im pi-sharp at a sample point", p)
     checks.append(CheckResult("jacobi.regular", "numeric", True,
                               detail=f"m={m} kind={kind}"))
-    if enforce_codim and not (0 < q < chart.n):
-        raise CodimOutOfRange(q, chart.n)
     checks.append(CheckResult("jacobi.codim", "symbolic", 0 < q < chart.n,
                               detail=f"q={q}"))
     return JacobiStructure(chart, pi, E, m, kind, q, tuple(checks))
+
+
+def require_codim(j: JacobiStructure) -> None:
+    """The Godbillon-Vey machinery (pairs, gv, the bridge) needs 0 < q < n."""
+    if not (0 < j.q < j.chart.n):
+        raise CodimOutOfRange(j.q, j.chart.n)
+
+
+# gv_codim1's and the bridge's preconditions, checkable before their inputs.
+def require_codim_one(j: JacobiStructure) -> None:
+    if j.q != 1:
+        raise NotCodimOne(f"codimension is {j.q}, not 1")
+
+
+def require_contact(j: JacobiStructure) -> None:
+    if j.kind != "contact":
+        raise ParityObstruction(
+            "LCS-type leaves are even-dimensional; the symplectic foliation "
+            "of the Poissonization has odd pullback rank and cannot match")
 
 
 # --- constructions from contact / LCS data ------------------------------------
@@ -381,29 +397,20 @@ class DefiningPair:
     checks: Tuple[CheckResult, ...]
 
 
-def _foliation_top(j: JacobiStructure) -> MultiVector:
-    p = power(j.pi, j.m)
-    return wedge(p, j.E) if j.kind == "contact" else p
-
-
-def _bracket_multivector(j: JacobiStructure, comp: StarCompanion) -> MultiVector:
-    # beta = phi([-*P, P]) for BOTH kinds: with the bracket conventions fixed
-    # by [pi,pi] = 2E^pi, the contact case needs the same leading minus as
-    # the LCS case (d alpha = beta ^ alpha pins it; the pair invariants and
-    # the iota_beta P = psi(P) reduction both fail under the opposite sign).
-    return -schouten(comp.companion, _foliation_top(j))
-
-
 def defining_pair(j: JacobiStructure, ctx: VolumeContext, sampler: Sampler,
                   star_choice: int = 0) -> DefiningPair:
     """Construct (alpha, beta) and gv = beta ^ (d beta)^q, verifying
     d alpha = beta ^ alpha, d gv = 0, and the contraction rewriting of gv."""
-    if not (0 < j.q < j.chart.n):
-        raise CodimOutOfRange(j.q, j.chart.n)
-    p = _foliation_top(j)
+    require_codim(j)
+    p = power(j.pi, j.m)
+    if j.kind == "contact":
+        p = wedge(p, j.E)
     comp = star(ctx, p, sampler, choice=star_choice)
-    w = _bracket_multivector(j, comp)
-    beta = phi(ctx, w)
+    # beta = phi([-*P, P]) for BOTH kinds: with the bracket conventions fixed
+    # by [pi,pi] = 2E^pi, the contact case needs the same leading minus as
+    # the LCS case (d alpha = beta ^ alpha pins it; the pair invariants and
+    # the iota_beta P = psi(P) reduction both fail under the opposite sign).
+    beta = phi(ctx, -schouten(comp.companion, p))
     alpha = phi(ctx, p).scale(Fraction(1, math.factorial(j.m)))
     dbeta = exterior_derivative(beta)
     dbq = power(dbeta, j.q)
@@ -432,24 +439,21 @@ def gv_representative(j: JacobiStructure, ctx: VolumeContext, sampler: Sampler,
     return defining_pair(j, ctx, sampler, star_choice).gv
 
 
-def gv_codim1(j: JacobiStructure, ctx: VolumeContext, sampler: Sampler) -> DiffForm:
-    """Codimension-1 shortcut phi(+-iota_beta psi(W)); cross-checked against
-    the generic representative before returning."""
-    if j.q != 1:
-        raise NotCodimOne(f"codimension is {j.q}, not 1")
-    p = _foliation_top(j)
-    comp = star(ctx, p, sampler)
-    w = _bracket_multivector(j, comp)
-    beta = phi(ctx, w)
+def gv_codim1(j: JacobiStructure, ctx: VolumeContext, dp: DefiningPair,
+              sampler: Sampler) -> Tuple[DiffForm, CheckResult]:
+    """Codimension-1 shortcut phi(+-iota_beta psi(W)), psi(W) = phi^-1(d beta)
+    for the pair's beta = phi(W); returned with its check against dp.gv."""
+    require_codim_one(j)
     sign = 1 if j.chart.n % 2 == 1 else -1  # (-1)^(n+1)
-    inner = contract_form_into_mv(beta, psi(ctx, w))
-    result = phi(ctx, inner).scale(sign)
-    generic = defining_pair(j, ctx, sampler).gv
-    v = element_zero(result - generic, sampler)
+    psi_w = phi_inv(ctx, exterior_derivative(dp.beta))
+    if psi_w.grade == 0:  # n = 2: iota_beta of a function is 0, as is the 3-form gv
+        psi_w = MultiVector.zero(j.chart, 0)
+    result = phi(ctx, contract_form_into_mv(dp.beta, psi_w)).scale(sign)
+    v = element_zero(result - dp.gv, sampler)
+    check = _record("codim1.match", v, "codim-1 formula agrees with beta^(d beta)^q")
     if not v.is_zero:
-        raise InvariantFailure("codim-1 formula disagrees with beta^(d beta)^q",
-                               v.witness)
-    return result
+        raise InvariantFailure("codim-1 formula disagrees with beta^(d beta)^q", v.witness)
+    return result, check
 
 
 # --- Poissonization -------------------------------------------------------------
@@ -513,8 +517,9 @@ class BridgeReport:
 
 
 def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
+                                dp: DefiningPair, pz: Poissonization,
                                 sampler: Sampler) -> BridgeReport:
-    """Pull the Poissonization's defining 1-form B back against the base beta.
+    """Pull the lift pz's defining 1-form B back against the pair dp's beta.
 
     For contact type the symplectic foliation of the Poissonization is the
     pullback foliation, and with the star companion on the extended chart
@@ -527,12 +532,7 @@ def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
     factor +-t^-m, so the two pairs present the same Godbillon-Vey data.
     (The bare equality without the gauge term only holds when m = 0.)
     """
-    if j.kind != "contact":
-        raise ParityObstruction(
-            "LCS-type leaves are even-dimensional; the symplectic foliation "
-            "of the Poissonization has odd pullback rank and cannot match")
-    dp = defining_pair(j, ctx, sampler)
-    pz = poissonize(j, sampler)
+    require_contact(j)
     ext = pz.chart
     t_idx = ext.n - 1
     t_inv = ScalarExpr.var(pz.t_name) ** -1
@@ -542,10 +542,8 @@ def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
 
     checks: List[CheckResult] = []
     lam_m1 = power(pz.lam, m + 1)
-    expected = wedge(wedge(power(lift_to(ext, j.pi), m), lift_to(ext, j.E)),
-                     MultiVector.basis(ext, [t_idx])).scale(
-                         ScalarExpr.const(m + 1) * t_inv ** m)
-    v = element_zero(lam_m1 - expected, sampler)
+    top = wedge(lift_to(ext, dp.companion_used.base), MultiVector.basis(ext, [t_idx]))
+    v = element_zero(lam_m1 - top.scale(ScalarExpr.const(m + 1) * t_inv ** m), sampler)
     checks.append(_record("bridge.power", v,
                           "Lambda^(m+1) = (m+1) t^-m pi^m ^ E ^ dt"))
     v = element_zero(power(pz.lam, m + 2), sampler)
@@ -604,8 +602,9 @@ def conformal_rescale(j: JacobiStructure, a: ScalarExpr, ctx: VolumeContext,
     e2 = j.E.scale(a) - (contract_form_into_mv(da, j.pi)
                          if not (da.is_identically_zero or j.pi.is_identically_zero)
                          else MultiVector.zero(j.chart, 1))
-    j2 = verify_jacobi(ctx, pi2, e2, sampler,
-                       enforce_codim=(0 < j.q < j.chart.n))
+    j2 = verify_jacobi(ctx, pi2, e2, sampler)
+    if 0 < j.q < j.chart.n:
+        require_codim(j2)
     checks = list(j2.checks)
     same = j2.m == j.m and j2.kind == j.kind and j2.q == j.q
     checks.append(CheckResult("rescale.invariants", "symbolic", same,

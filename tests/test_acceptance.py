@@ -174,7 +174,7 @@ def test_criterion_6_duality_suite_200_per_dimension():
 def test_criterion_7_poissonization_core():
     for name in ALL_FIXTURES:
         f, ctx = setup(name)
-        j = verify_jacobi(ctx, f.pi, f.E, S, enforce_codim=False)
+        j = verify_jacobi(ctx, f.pi, f.E, S)
         pz = poissonize(j, S)
         assert pz.poisson_check.passed and pz.poisson_check.tier == "symbolic", name
         # corrected Lemma 5.1 power identity and the top-power vanishing
@@ -190,13 +190,15 @@ def test_criterion_7_poissonization_core():
     for name in CONTACT_FIXTURES:
         f, ctx = setup(name)
         j = verify_jacobi(ctx, f.pi, f.E, S)
-        br = check_poissonization_bridge(j, ctx, S)
+        br = check_poissonization_bridge(j, ctx, defining_pair(j, ctx, S),
+                                         poissonize(j, S), S)
         assert br.passed, name
     for name in LCS_FIXTURES:
         f, ctx = setup(name)
         j = verify_jacobi(ctx, f.pi, f.E, S)
         with pytest.raises(ParityObstruction):
-            check_poissonization_bridge(j, ctx, S)
+            check_poissonization_bridge(j, ctx, defining_pair(j, ctx, S),
+                                        poissonize(j, S), S)
     report(7, True, "[Lambda,Lambda] = 0 symbolically on all fixtures; "
                     "Lambda^(m+1) = (m+1) t^-m pi^m^E^dt and Lambda^(m+2) = 0; "
                     "bridge (gauge-corrected Prop 5.3) passes on contact "
@@ -239,7 +241,7 @@ def test_criterion_7_bridge_literal_equality():
         f, ctx = setup(name)
         j = verify_jacobi(ctx, f.pi, f.E, S)
         dp = defining_pair(j, ctx, S)
-        br = check_poissonization_bridge(j, ctx, S)
+        br = check_poissonization_bridge(j, ctx, dp, poissonize(j, S), S)
         ext = br.pz.chart
         # beta in the theorem's printed orientation is -beta as implemented
         paper_beta = lift_to(ext, dp.beta).scale(-1)
@@ -256,12 +258,12 @@ def test_criterion_8_vanishing_criteria():
     f, ctx = setup("poisson-r3")
     assert psi(ctx, f.pi).is_identically_zero  # 3-dim, psi(pi) = 0 bullet
     j = verify_jacobi(ctx, f.pi, f.E, S)
-    g1 = gv_codim1(j, ctx, S)
+    g1, _ = gv_codim1(j, ctx, defining_pair(j, ctx, S), S)
     assert g1.is_identically_zero
     f, ctx = setup("contact-r3-ext")
     assert psi(ctx, f.E).is_identically_zero
     j = verify_jacobi(ctx, f.pi, f.E, S)
-    g2 = gv_codim1(j, ctx, S)
+    g2, _ = gv_codim1(j, ctx, defining_pair(j, ctx, S), S)
     assert g2.is_identically_zero
     report(8, True, "gv_codim1 returns the literal-zero form on poisson-r3 "
                     "and contact-r3-ext")

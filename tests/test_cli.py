@@ -2,9 +2,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvkernel.cli import emit, execute, fixture_problem, main
-from gvkernel.dsl import parse_problem
+from gvkernel.dsl import COMMANDS, DslError, parse_problem
+from gvkernel.expr import ExprError
 from gvkernel.fixtures import FIXTURE_NAMES, get_fixture
 
 CONTACT_TEXT = """\
@@ -227,3 +230,87 @@ class TestNonzeroGvThroughCli:
         assert all(r.passed for r in report.records)
         assert report.printouts["gv"] == "-2*y^2*dx1^dx2^dy"
         assert report.printouts["gv_codim1"] == "-2*y^2*dx1^dx2^dy"
+
+
+class TestStagesRunOnce:
+    def _count(self, monkeypatch, names):
+        from gvkernel import jacobi
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(jacobi, name, counting(name, getattr(jacobi, name)))
+        return calls
+
+    def test_each_stage_once_per_session(self, monkeypatch):
+        # contact-model-r5 runs verify pair gv codim1 poissonize bridge; the
+        # two star companions are the pair's and the lift's
+        calls = self._count(monkeypatch, ("verify_jacobi", "defining_pair",
+                                          "poissonize", "star"))
+        report = execute(fixture_problem(get_fixture("contact-model-r5")))
+        assert report.exit_status == 0
+        assert calls == {"verify_jacobi": 1, "defining_pair": 1,
+                         "poissonize": 1, "star": 2}
+
+    @pytest.mark.parametrize("command, error", [("bridge", "ParityObstruction"),
+                                                ("codim1", "NotCodimOne")])
+    def test_structure_refusal_comes_before_pair_and_lift(self, monkeypatch,
+                                                          command, error):
+        # an LCS structure with q = 10 on the 12-variable cap: the lift would
+        # need 13 variables, so building it first would exit 2 instead
+        calls = self._count(monkeypatch, ("defining_pair", "poissonize"))
+        text = ("chart " + " ".join(f"x{i}" for i in range(1, 13)) + "\n"
+                f"pi = d/dx1^d/dx2\nrun {command}\n")
+        report = run_text(text)
+        assert report.exit_status == 1
+        assert [r.name for r in report.records] == [f"{command}.error"]
+        assert report.records[0].detail.startswith(error + ":")
+        assert calls == {"defining_pair": 0, "poissonize": 0}
+
+
+@st.composite
+def problem_texts(draw):
+    """Problem files over 2..5 variables whose pi and E are sums of basis
+    terms with coefficients 1, x_i, x_i^-1 or exp(x_i), run on a random
+    command list (codim1 and bridge may come before pair)."""
+    n = draw(st.integers(2, 5))
+    names = [f"x{i}" for i in range(1, n + 1)]
+    coeff = st.sampled_from(["1"] + [c for v in names
+                                     for c in (v, f"{v}^-1", f"exp({v})")])
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    pi_terms = draw(st.lists(st.tuples(coeff, st.sampled_from(pairs)),
+                             max_size=3))
+    e_terms = draw(st.lists(st.tuples(coeff, st.sampled_from(names)),
+                            max_size=2))
+    args = {"rescale": st.sampled_from(["2", f"exp({names[-1]})"]),
+            "unimodular": st.sampled_from([f"d/d{a}^d/d{b}" for a, b in pairs])}
+    commands = []
+    for cmd in draw(st.lists(st.sampled_from(COMMANDS), min_size=1, max_size=4)):
+        commands.append(f"{cmd}({draw(args[cmd])})" if cmd in args else cmd)
+    lines = [f"chart {' '.join(names)}",
+             "pi = " + (" + ".join(f"{c}*d/d{a}^d/d{b}" for c, (a, b) in pi_terms)
+                        or "0")]
+    if e_terms:
+        lines.append("E = " + " + ".join(f"{c}*d/d{v}" for c, v in e_terms))
+    lines.append("run " + " ".join(commands))
+    return "\n".join(lines) + "\n"
+
+
+class TestExitCodeContract:
+    @settings(max_examples=60, deadline=None)
+    @given(problem_texts())
+    def test_every_input_gets_an_exit_code(self, text):
+        try:
+            problem = parse_problem(text)
+        except (DslError, ExprError):
+            return
+        first = execute(problem)
+        second = execute(problem)
+        assert first.exit_status in (0, 1, 2)
+        assert second.exit_status == first.exit_status
+        assert emit(second, "structured") == emit(first, "structured")

@@ -16,7 +16,8 @@ from gvkernel.jacobi import (AxiomViolation, CodimOutOfRange, InvariantFailure,
                              check_poissonization_bridge, conformal_rescale,
                              contact_to_jacobi, defining_pair, element_zero,
                              gv_codim1, gv_representative, lcs_to_jacobi,
-                             poissonize, unimodularity, verify_jacobi)
+                             poissonize, require_codim, unimodularity,
+                             verify_jacobi)
 
 from conftest import rand_scalar
 
@@ -37,6 +38,17 @@ def form(chart, *idx):
     return DiffForm.basis(chart, idx)
 
 
+def codim1(j, ctx, sampler):
+    """gv_codim1 on the structure's own defining pair."""
+    return gv_codim1(j, ctx, defining_pair(j, ctx, sampler), sampler)[0]
+
+
+def bridge(j, ctx, sampler):
+    """The bridge on the structure's own defining pair and Poisson lift."""
+    return check_poissonization_bridge(j, ctx, defining_pair(j, ctx, sampler),
+                                       poissonize(j, sampler), sampler)
+
+
 class TestVerify:
     def test_poisson_r3_classifies_lcs(self, sampler):
         f, ctx = fixture_setup("poisson-r3", sampler)
@@ -52,14 +64,14 @@ class TestVerify:
     def test_all_fixtures_match_expected_classification(self, sampler):
         for name in FIXTURE_NAMES:
             f, ctx = fixture_setup(name, sampler)
-            j = verify_jacobi(ctx, f.pi, f.E, sampler, enforce_codim=False)
+            j = verify_jacobi(ctx, f.pi, f.E, sampler)
             assert (j.kind, j.m, j.q) == (f.kind, f.m, f.q), name
 
     def test_codim_zero_rejected(self, sampler):
         # the full R3 contact model passes the axioms but has q = 0
         f, ctx = fixture_setup("contact-r3", sampler)
         with pytest.raises(CodimOutOfRange):
-            verify_jacobi(ctx, f.pi, f.E, sampler)
+            require_codim(verify_jacobi(ctx, f.pi, f.E, sampler))
 
     def test_symplectic_with_transverse_e_fails_axioms(self, sampler):
         # pi = d1^d2, E = d3 on R3: [pi,pi] = 0 but 2E^pi != 0
@@ -105,8 +117,8 @@ class TestVerify:
         chart = Chart(("x1", "x2"))
         ctx = volume_context(chart, form(chart, 0, 1), sampler)
         with pytest.raises(CodimOutOfRange):
-            verify_jacobi(ctx, MultiVector.zero(chart, 2),
-                          MultiVector.zero(chart, 1), sampler)
+            require_codim(verify_jacobi(ctx, MultiVector.zero(chart, 2),
+                                        MultiVector.zero(chart, 1), sampler))
 
 
 class TestContactToJacobi:
@@ -167,7 +179,7 @@ class TestLcsToJacobi:
         Om = form(chart, 0, 1).scale(exp_(ScalarExpr.var("x1")))
         pi, e = lcs_to_jacobi(chart, om, Om, sampler)
         ctx = volume_context(chart, form(chart, 0, 1), sampler)
-        j = verify_jacobi(ctx, pi, e, sampler, enforce_codim=False)
+        j = verify_jacobi(ctx, pi, e, sampler)
         assert j.kind == "lcs"
         inv = exp_(ScalarExpr.var("x1")).recip()
         assert pi == MultiVector(chart, 2, {0b11: inv})
@@ -186,7 +198,7 @@ class TestLcsToJacobi:
         Om = (form(chart, 0, 1) + form(chart, 2, 3)).scale(exp_(ScalarExpr.var("x1")))
         pi, e = lcs_to_jacobi(chart, om, Om, sampler)
         ctx = volume_context(chart, form(chart, 0, 1, 2, 3), sampler)
-        j = verify_jacobi(ctx, pi, e, sampler, enforce_codim=False)
+        j = verify_jacobi(ctx, pi, e, sampler)
         assert (j.kind, j.m) == ("lcs", 2)
         assert not e.is_identically_zero
 
@@ -276,7 +288,7 @@ class TestDefiningPair:
         gv = gv_representative(j, ctx, sampler)
         assert gv.is_identically_zero  # grade 2q+1 = 7 > n
         with pytest.raises(NotCodimOne):
-            gv_codim1(j, ctx, sampler)
+            codim1(j, ctx, sampler)
 
 
 class TestTheoremProofSteps:
@@ -342,24 +354,37 @@ class TestGvCodim1:
             if f.q != 1:
                 continue
             j = verify_jacobi(ctx, f.pi, f.E, sampler)
-            g = gv_codim1(j, ctx, sampler)   # raises on mismatch internally
+            g = codim1(j, ctx, sampler)   # raises on mismatch internally
             assert g.is_identically_zero, name
 
     def test_matches_on_nontrivial_structures(self, sampler):
         for builder in (rescaled_contact, rescaled_lcs):
             j, ctx = builder(sampler)
-            gv_codim1(j, ctx, sampler)
+            codim1(j, ctx, sampler)
 
     def test_cor63_vanishing(self, sampler):
         # 3-dim with psi(pi) = 0; contact with beta = 0: literal zero output
         f, ctx = fixture_setup("poisson-r3", sampler)
         assert psi(ctx, f.pi).is_identically_zero
         j = verify_jacobi(ctx, f.pi, f.E, sampler)
-        assert gv_codim1(j, ctx, sampler).is_identically_zero
+        assert codim1(j, ctx, sampler).is_identically_zero
         f, ctx = fixture_setup("contact-r3-ext", sampler)
         assert psi(ctx, f.E).is_identically_zero
         j = verify_jacobi(ctx, f.pi, f.E, sampler)
-        assert gv_codim1(j, ctx, sampler).is_identically_zero
+        assert codim1(j, ctx, sampler).is_identically_zero
+
+    def test_two_dimensional_chart(self, sampler):
+        # n = 2, q = 1: d beta != 0, but psi(W) is a function, so
+        # iota_beta psi(W) = 0 like the 3-form gv
+        chart = Chart(("x1", "x2"))
+        ctx = volume_context(chart, form(chart, 0, 1), sampler)
+        e = mv(chart, 1).scale(ScalarExpr.var("x1") + ScalarExpr.var("x2"))
+        j = verify_jacobi(ctx, MultiVector.zero(chart, 2), e, sampler)
+        dp = defining_pair(j, ctx, sampler)
+        assert not d(dp.beta).is_identically_zero
+        g, check = gv_codim1(j, ctx, dp, sampler)
+        assert g.is_identically_zero
+        assert check.passed and check.tier == "symbolic"
 
     def test_cor62_hypotheses_hold_on_models(self, sampler):
         # L_{*P} pi = 0 (and L_{*P} E = 0 for contact) on the model fixtures,
@@ -380,7 +405,7 @@ class TestPoissonization:
     def test_lambda_shape_and_poisson_condition(self, sampler):
         for name in FIXTURE_NAMES:
             f, ctx = fixture_setup(name, sampler)
-            j = verify_jacobi(ctx, f.pi, f.E, sampler, enforce_codim=False)
+            j = verify_jacobi(ctx, f.pi, f.E, sampler)
             pz = poissonize(j, sampler)
             assert pz.poisson_check.passed
             assert pz.poisson_check.tier == "symbolic", name
@@ -440,12 +465,12 @@ class TestBridge:
         for name in ("contact-r3-ext", "contact-model-r3", "contact-model-r5"):
             f, ctx = fixture_setup(name, sampler)
             j = verify_jacobi(ctx, f.pi, f.E, sampler)
-            br = check_poissonization_bridge(j, ctx, sampler)
+            br = bridge(j, ctx, sampler)
             assert br.passed, name
 
     def test_nontrivial_beta_numeric_identity(self, sampler):
         j2, ctx = rescaled_contact(sampler)
-        br = check_poissonization_bridge(j2, ctx, sampler)
+        br = bridge(j2, ctx, sampler)
         assert br.passed
         assert not br.base_beta.is_identically_zero
 
@@ -454,7 +479,7 @@ class TestBridge:
         chart = Chart(("x0", "x1"))
         ctx = volume_context(chart, form(chart, 0, 1), sampler)
         j = verify_jacobi(ctx, MultiVector.zero(chart, 2), mv(chart, 0), sampler)
-        br = check_poissonization_bridge(j, ctx, sampler)
+        br = bridge(j, ctx, sampler)
         assert br.passed
         assert all(c.tier == "symbolic" for c in br.checks if c.name != "bridge.rank")
 
@@ -464,7 +489,7 @@ class TestBridge:
             f, ctx = fixture_setup(name, sampler)
             j = verify_jacobi(ctx, f.pi, f.E, sampler)
             with pytest.raises(ParityObstruction):
-                check_poissonization_bridge(j, ctx, sampler)
+                bridge(j, ctx, sampler)
 
 
 class TestConformalRescale:
@@ -564,9 +589,9 @@ class TestRandomRescaledStructures:
             j2 = conformal_rescale(j, a, ctx, sampler).structure
             dp = defining_pair(j2, ctx, sampler)
             assert all(c.passed for c in dp.checks)
-            gv_codim1(j2, ctx, sampler)  # raises on cross-check mismatch
+            gv_codim1(j2, ctx, dp, sampler)  # raises on cross-check mismatch
             if j2.kind == "contact":
-                br = check_poissonization_bridge(j2, ctx, sampler)
+                br = bridge(j2, ctx, sampler)
                 assert br.passed
 
 
@@ -590,7 +615,7 @@ class TestNonzeroRepresentative:
         expected = DiffForm(chart, 3, {0b111: -2 * y ** 2})
         assert dp.gv == expected
         assert all(c.passed and c.tier == "symbolic" for c in dp.checks)
-        assert gv_codim1(j2, ctx, sampler) == expected
+        assert gv_codim1(j2, ctx, dp, sampler)[0] == expected
 
     def test_contact_gv_value_and_bridge(self, sampler):
         j2, ctx = self._twist(sampler, "contact-r3-ext")
@@ -599,8 +624,8 @@ class TestNonzeroRepresentative:
         # dx1^dx2^dy component on the (x0 x1 x2 y) chart
         expected = DiffForm(j2.chart, 3, {0b1110: -8 * y ** 2})
         assert dp.gv == expected
-        assert gv_codim1(j2, ctx, sampler) == expected
-        br = check_poissonization_bridge(j2, ctx, sampler)
+        assert gv_codim1(j2, ctx, dp, sampler)[0] == expected
+        br = bridge(j2, ctx, sampler)
         assert br.passed
         assert not br.base_beta.is_identically_zero
 
@@ -621,7 +646,7 @@ class TestConstructionsAtHigherRank:
         assert (j.kind, j.m, j.q) == ("contact", 2, 1)
         dp = defining_pair(j, ctx, sampler)
         assert all(c.passed for c in dp.checks)
-        assert check_poissonization_bridge(j, ctx, sampler).passed
+        assert bridge(j, ctx, sampler).passed
 
     def test_rank4_lcs_data_through_pipeline(self, sampler):
         from gvkernel.jacobi import lift_to
@@ -680,4 +705,4 @@ class TestNumericTierFallback:
         dp = defining_pair(j2, ctx, sampler)
         assert dp.companion_used.certificate.is_one
         assert all(c.passed and c.tier == "symbolic" for c in dp.checks)
-        gv_codim1(j2, ctx, sampler)
+        gv_codim1(j2, ctx, dp, sampler)
