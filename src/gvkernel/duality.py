@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 from .alg import (AlgebraError, DiffForm, MultiVector, contract_mv_into_form,
                   contract_sign, mask_indices, wedge)
 from .calculus import exterior_derivative
-from .expr import Chart, Sampler, ScalarExpr, is_nonvanishing, is_zero
+from .expr import Chart, Sampler, ScalarExpr, is_zero, vanishing_point
 
 
 class VolumeError(ValueError):
@@ -47,8 +47,8 @@ def volume_context(chart: Chart, vol: DiffForm, sampler: Sampler) -> VolumeConte
     if set(vol.terms) != {full}:
         raise VolumeError("volume form must be a single top-grade term")
     rho = vol.terms[full]
-    ok, witness = is_nonvanishing(rho, chart, sampler)
-    if not ok:
+    witness = vanishing_point([rho], chart, sampler)
+    if witness is not None:
         raise VolumeError(f"volume coefficient vanishes near sample point {witness}")
     top_inverse = MultiVector(chart, chart.n, {full: rho.recip()})
     cert = apply_vol_raw(vol, top_inverse)
@@ -147,12 +147,8 @@ def star(ctx: VolumeContext, u: MultiVector, sampler: Sampler,
     for jmask in candidates:
         basis = MultiVector.basis(ctx.chart, mask_indices(jmask))
         c = apply_vol(ctx, wedge(u, basis))
-        if c.is_zero_form:
-            continue
-        ok, _ = is_nonvanishing(c, ctx.chart, sampler)
-        if not ok:
-            continue
-        valid.append((jmask, c))
+        if vanishing_point([c], ctx.chart, sampler) is None:
+            valid.append((jmask, c))
     if not valid or choice >= len(valid):
         raise NoCompanion(
             f"no usable companion (grade {u.grade}, {len(valid)} valid candidates)")
@@ -162,7 +158,7 @@ def star(ctx: VolumeContext, u: MultiVector, sampler: Sampler,
     if not certificate.is_one:
         # reciprocal construction normally cancels exactly; fall back to the
         # numeric contract |certificate - 1| <= tol at every sample point
-        verdict = is_zero(certificate - ScalarExpr.one(), ctx.chart, sampler)
+        verdict = is_zero([certificate - ScalarExpr.one()], ctx.chart, sampler)
         if not verdict.is_zero:
             raise NoCompanion(
                 f"certificate != 1 near {verdict.witness}: {certificate}")

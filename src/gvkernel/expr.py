@@ -21,7 +21,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
 MAX_DIM = 12
 
@@ -703,22 +703,46 @@ class ZeroVerdict:
 SYMBOLIC_ZERO = ZeroVerdict("symbolic")
 
 
-def is_zero(e: ScalarExpr, chart: Chart, sampler: Sampler) -> ZeroVerdict:
-    """Three-way zero test: exact normal form first, sampling as fallback."""
-    if e.is_zero_form:
+def first_row(exprs: Sequence[ScalarExpr], chart: Chart, sampler: Sampler,
+              fails: Callable[[list], bool]) -> Optional[Tuple[Point, list]]:
+    """The first (point, values) row of `sampler.valid_points` whose values
+    `fails` accepts, in draw order; None when every row passes.  Every
+    sampled check in the kernel reads its points through this scan."""
+    for p, vals in sampler.valid_points(chart, exprs):
+        if fails(vals):
+            return p, vals
+    return None
+
+
+def _nonzero_value(vals: Sequence[float], tol: float) -> Optional[float]:
+    """The first value with |v| >= tol, or None: the one rule by which both
+    zero verdicts (is_zero, vanishing_point) read sampled values."""
+    for v in vals:
+        if abs(v) >= tol:
+            return v
+    return None
+
+
+def is_zero(exprs: Sequence[ScalarExpr], chart: Chart, sampler: Sampler) -> ZeroVerdict:
+    """Joint three-way zero test: exact normal form first, sampling as
+    fallback.  The witness is the first point where a value reaches tol."""
+    if all(e.is_zero_form for e in exprs):
         return SYMBOLIC_ZERO
-    for p, (v,) in sampler.valid_points(chart, [e]):
-        if abs(v) >= sampler.tol:
-            return ZeroVerdict("nonzero", witness=p, value=v)
-    return ZeroVerdict("numeric")
+    tol = sampler.tol
+    row = first_row(exprs, chart, sampler,
+                    lambda vals: _nonzero_value(vals, tol) is not None)
+    if row is None:
+        return ZeroVerdict("numeric")
+    return ZeroVerdict("nonzero", witness=row[0], value=_nonzero_value(row[1], tol))
 
 
-def is_nonvanishing(e: ScalarExpr, chart: Chart, sampler: Sampler):
-    """True when |e| >= tol at every valid sample point; else (False, point)."""
-    if e.is_zero_form:
-        first = next(iter(sampler.draw(chart, 1)))
-        return False, first
-    for p, (v,) in sampler.valid_points(chart, [e]):
-        if abs(v) < sampler.tol:
-            return False, p
-    return True, None
+def vanishing_point(exprs: Sequence[ScalarExpr], chart: Chart,
+                    sampler: Sampler) -> Optional[Point]:
+    """The first sample point where every expression is below tol, or None
+    when they never vanish together.  Zero normal forms vanish everywhere:
+    their witness is the first point drawn, without evaluating anything."""
+    if all(e.is_zero_form for e in exprs):
+        return next(iter(sampler.draw(chart, 1)))
+    tol = sampler.tol
+    row = first_row(exprs, chart, sampler, lambda vals: _nonzero_value(vals, tol) is None)
+    return row and row[0]

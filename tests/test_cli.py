@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gvkernel.alg import DiffForm, contract_form_into_mv
+from gvkernel.calculus import exterior_derivative
 from gvkernel.cli import emit, execute, fixture_problem, main
-from gvkernel.dsl import COMMANDS, DslError, parse_problem
-from gvkernel.expr import ExprError
+from gvkernel.dsl import (COMMANDS, DslError, parse_multivector, parse_problem,
+                          parse_scalar)
+from gvkernel.expr import Chart, ExprError
 from gvkernel.fixtures import FIXTURE_NAMES, get_fixture
 
 CONTACT_TEXT = """\
@@ -273,38 +276,130 @@ class TestStagesRunOnce:
         assert calls == {"defining_pair": 0, "poissonize": 0}
 
 
-@st.composite
-def problem_texts(draw):
-    """Problem files over 2..5 variables whose pi and E are sums of basis
-    terms with coefficients 1, x_i, x_i^-1 or exp(x_i), run on a random
-    command list (codim1 and bridge may come before pair)."""
-    n = draw(st.integers(2, 5))
-    names = [f"x{i}" for i in range(1, n + 1)]
-    coeff = st.sampled_from(["1"] + [c for v in names
-                                     for c in (v, f"{v}^-1", f"exp({v})")])
+def _rescaled_contact_text(extra):
+    """The rank-3 contact model on 3 + extra variables, conformally rescaled
+    by 2 + x1^2 + y0: (a pi, a E - iota_{da} pi); codimension q = extra."""
+    chart = Chart(("x0", "x1", "x2") + tuple(f"y{i}" for i in range(extra)))
+    pi = parse_multivector(chart, "(d/dx1 - x2*d/dx0)^d/dx2")
+    e = parse_multivector(chart, "d/dx0")
+    a = parse_scalar(chart, "2 + x1^2 + y0")
+    da = exterior_derivative(DiffForm.scalar(chart, a))
+    return (f"chart {' '.join(chart.vars)}\npi = {pi.scale(a)}\n"
+            f"E = {e.scale(a) - contract_form_into_mv(da, pi)}\n"
+            "run verify pair gv poissonize bridge\n")
+
+
+class TestDefiningPairSign:
+    # contact type with even q used to fail d alpha = beta ^ alpha
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rank_one_contact(self, n):
+        text = (f"chart {' '.join(f'x{i}' for i in range(1, n + 1))}\n"
+                "pi = 0\nE = (1 + x1^2)*d/dx1\n"
+                "run verify pair gv poissonize bridge\n")
+        report = run_text(text)
+        assert report.exit_status == 0, emit(report)
+
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_rescaled_contact_model(self, extra):
+        report = run_text(_rescaled_contact_text(extra))
+        assert report.exit_status == 0, emit(report)
+
+
+class TestSamplingEvaluatesOnce:
+    def test_each_sampled_value_is_evaluated_once(self, monkeypatch):
+        # count top-level evaluate calls wherever a kernel module binds
+        # evaluate, and the (expression, point) pairs valid_points returns
+        from gvkernel import expr
+        original, valid_points = expr.evaluate, expr.Sampler.valid_points
+        counts = {"evaluate": 0, "returned": 0}
+        depth = [0]
+
+        def counting_evaluate(e, env):
+            counts["evaluate"] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return original(e, env)
+            finally:
+                depth[0] -= 1
+
+        def counting_valid_points(sampler, chart, exprs):
+            out = valid_points(sampler, chart, exprs)
+            counts["returned"] += len(out) * len(exprs)
+            return out
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("gvkernel") and getattr(mod, "evaluate", None) is original:
+                monkeypatch.setattr(mod, "evaluate", counting_evaluate)
+        monkeypatch.setattr(expr.Sampler, "valid_points", counting_valid_points)
+        fx = get_fixture("contact-model-r3")
+        text = (f"chart {' '.join(fx.chart.vars)}\nvol {fx.vol}\npi = {fx.pi}\n"
+                f"E = {fx.E}\nrun verify rescale(exp(x1)) bridge\n")
+        report = run_text(text)
+        assert report.exit_status == 0
+        assert {"rescale.distribution", "bridge.rank"} <= {r.name for r in report.records}
+        assert counts["evaluate"] == counts["returned"] > 0
+
+
+def _coefficients(names):
+    return st.sampled_from(["1"] + [c for v in names
+                                    for c in (v, f"{v}^-1", f"exp({v})")])
+
+
+def _sum(draw, names, basis, min_size, max_size):
+    terms = draw(st.lists(st.tuples(_coefficients(names), st.sampled_from(basis)),
+                          min_size=min_size, max_size=max_size))
+    return " + ".join(f"{c}*{b}" for c, b in terms)
+
+
+def _problem_text(draw, names, tensor_lines):
+    """A problem file with the given tensor lines, run on a random command
+    list (codim1 and bridge may come before pair)."""
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    pi_terms = draw(st.lists(st.tuples(coeff, st.sampled_from(pairs)),
-                             max_size=3))
-    e_terms = draw(st.lists(st.tuples(coeff, st.sampled_from(names)),
-                            max_size=2))
     args = {"rescale": st.sampled_from(["2", f"exp({names[-1]})"]),
             "unimodular": st.sampled_from([f"d/d{a}^d/d{b}" for a, b in pairs])}
     commands = []
     for cmd in draw(st.lists(st.sampled_from(COMMANDS), min_size=1, max_size=4)):
         commands.append(f"{cmd}({draw(args[cmd])})" if cmd in args else cmd)
-    lines = [f"chart {' '.join(names)}",
-             "pi = " + (" + ".join(f"{c}*d/d{a}^d/d{b}" for c, (a, b) in pi_terms)
-                        or "0")]
-    if e_terms:
-        lines.append("E = " + " + ".join(f"{c}*d/d{v}" for c, v in e_terms))
-    lines.append("run " + " ".join(commands))
+    lines = [f"chart {' '.join(names)}", *tensor_lines, "run " + " ".join(commands)]
     return "\n".join(lines) + "\n"
 
 
+def _names(draw, sizes):
+    return [f"x{i}" for i in range(1, draw(st.sampled_from(sizes)) + 1)]
+
+
+@st.composite
+def problem_texts(draw):
+    """pi and E over 2..5 variables, sums of basis terms with coefficients
+    1, x_i, x_i^-1 or exp(x_i)."""
+    names = _names(draw, (2, 3, 4, 5))
+    pi = _sum(draw, names, [f"d/d{a}^d/d{b}" for i, a in enumerate(names)
+                            for b in names[i + 1:]], 0, 3)
+    e = _sum(draw, names, [f"d/d{v}" for v in names], 0, 2)
+    return _problem_text(draw, names, [f"pi = {pi or 0}"] + ([f"E = {e}"] if e else []))
+
+
+@st.composite
+def contact_texts(draw):
+    """A contact-style file: theta over 3 or 5 variables."""
+    names = _names(draw, (3, 5))
+    theta = _sum(draw, names, [f"d{v}" for v in names], 1, 4)
+    return _problem_text(draw, names, [f"theta = {theta}"])
+
+
+@st.composite
+def lcs_texts(draw):
+    """An LCS-style file: omega and Omega over 2 or 4 variables."""
+    names = _names(draw, (2, 4))
+    omega = _sum(draw, names, [f"d{v}" for v in names], 0, 2)
+    big = _sum(draw, names, [f"d{a}^d{b}" for i, a in enumerate(names)
+                             for b in names[i + 1:]], 1, 3)
+    return _problem_text(draw, names, [f"omega = {omega or 0}", f"Omega = {big}"])
+
+
 class TestExitCodeContract:
-    @settings(max_examples=60, deadline=None)
-    @given(problem_texts())
-    def test_every_input_gets_an_exit_code(self, text):
+    @staticmethod
+    def _check(text):
         try:
             problem = parse_problem(text)
         except (DslError, ExprError):
@@ -314,3 +409,18 @@ class TestExitCodeContract:
         assert first.exit_status in (0, 1, 2)
         assert second.exit_status == first.exit_status
         assert emit(second, "structured") == emit(first, "structured")
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem_texts())
+    def test_every_input_gets_an_exit_code(self, text):
+        self._check(text)
+
+    @settings(max_examples=40, deadline=None)
+    @given(contact_texts())
+    def test_every_contact_input_gets_an_exit_code(self, text):
+        self._check(text)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lcs_texts())
+    def test_every_lcs_input_gets_an_exit_code(self, text):
+        self._check(text)

@@ -224,15 +224,15 @@ class TestLnPositivity:
 
 class TestIsZero:
     def test_symbolic_zero(self, sampler):
-        assert is_zero(ScalarExpr.zero(), CHART, sampler).kind == "symbolic"
-        assert is_zero(X1 ** 2 - X1 * X1, CHART, sampler).kind == "symbolic"
+        assert is_zero([ScalarExpr.zero()], CHART, sampler).kind == "symbolic"
+        assert is_zero([X1 ** 2 - X1 * X1], CHART, sampler).kind == "symbolic"
 
     def test_numeric_zero_for_transcendental_identity(self, sampler):
-        v = is_zero(sin_(X1) ** 2 + cos_(X1) ** 2 - 1, CHART, sampler)
+        v = is_zero([sin_(X1) ** 2 + cos_(X1) ** 2 - 1], CHART, sampler)
         assert v.kind == "numeric" and v.is_zero
 
     def test_nonzero_with_witness(self, sampler):
-        v = is_zero(X1, CHART, sampler)
+        v = is_zero([X1], CHART, sampler)
         assert v.kind == "nonzero"
         assert v.witness is not None and len(v.witness) == 3
         assert abs(eval_at(X1, CHART, v.witness) - v.value) < 1e-15
@@ -242,12 +242,12 @@ class TestIsZero:
         rng = random.Random(4)
         for _ in range(30):
             e = rand_scalar(rng, CHART, 3, 3)
-            v = is_zero(e, CHART, sampler)
+            v = is_zero([e], CHART, sampler)
             assert (v.kind == "symbolic") == e.is_zero_form
 
     def test_domain_error_points_resampled(self, sampler):
         # x1^-1 blows up near 0 but valid points remain plentiful
-        v = is_zero(X1 ** -1, CHART, sampler)
+        v = is_zero([X1 ** -1], CHART, sampler)
         assert v.kind == "nonzero"
 
     def test_positive_vars_sampled_in_band(self):
