@@ -15,13 +15,16 @@ are the same normal form and print identically.  Atoms are interned
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 MAX_DIM = 12
 
@@ -33,7 +36,8 @@ class ExprError(ValueError):
 
 
 class DomainError(ArithmeticError):
-    """Numeric evaluation left the expression's domain (ln <= 0, 1/0)."""
+    """Numeric evaluation left the expression's domain (ln <= 0, 1/0,
+    overflow, sin/cos of a non-finite value)."""
 
     def __init__(self, message: str, subexpr: object = None):
         super().__init__(message)
@@ -637,10 +641,10 @@ def _eval_atom(a: Atom, env: Mapping[str, float]) -> float:
             return math.exp(x)
         except OverflowError:
             raise DomainError("exp overflow", a) from None
-    if a.kind == "sin":
-        return math.sin(x)
-    if a.kind == "cos":
-        return math.cos(x)
+    if a.kind in ("sin", "cos"):
+        if not math.isfinite(x):
+            raise DomainError(f"{a.kind} of non-finite value {x} in {a}", a)
+        return math.sin(x) if a.kind == "sin" else math.cos(x)
     if x <= 0:
         raise DomainError(f"ln of non-positive value {x} in {a}", a)
     return math.log(x)
@@ -650,7 +654,127 @@ def eval_at(e: ScalarExpr, chart: Chart, point: Sequence[float]) -> float:
     return evaluate(e, chart.env(point))
 
 
+def _either(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Union of two row masks, None standing for the empty mask."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a | b
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+class _Block:
+    """`evaluate` over a block of points at once: every value is a numpy
+    array with one entry per point, paired with the mask of the points
+    where `evaluate` raises DomainError (None when there is none).  Each
+    atom and each atom power is computed once per block and shared by every
+    term that uses it; atoms are interned, so the memo is keyed by them."""
+
+    def __init__(self, columns: Mapping[str, np.ndarray], rows: int):
+        self.columns = columns
+        self.rows = rows
+        self.memo: dict = {}
+
+    def expr(self, e: ScalarExpr):
+        total, bad = 0.0, None
+        for m, c in e._terms:
+            v = float(c)
+            for a, k in m:
+                p, p_bad = self.power(a, k)
+                v = v * p
+                bad = _either(bad, p_bad)
+            total = total + v
+        if np.ndim(total) == 0:
+            total = np.full(self.rows, total)
+        return total, bad
+
+    def power(self, a: Atom, k: int):
+        hit = self.memo.get((a, k))
+        if hit is None:
+            base, bad = self.atom(a)
+            if k == 1:
+                hit = base, bad
+            else:
+                # C pow, as float ** int; it overflows exactly where the
+                # result is infinite and the base is not
+                p = np.float_power(base, k)
+                fails = np.isinf(p) & np.isfinite(base)
+                if k < 0:
+                    fails |= np.abs(base) < _TINY
+                hit = p, _either(bad, fails if fails.any() else None)
+            self.memo[(a, k)] = hit
+        return hit
+
+    def atom(self, a: Atom):
+        hit = self.memo.get(a)
+        if hit is None:
+            if a.kind == "var":
+                try:
+                    hit = self.columns[a.name], None
+                except KeyError:
+                    raise ExprError(f"variable {a.name!r} not bound at evaluation") from None
+            elif a.kind == "poly":
+                hit = self.expr(a.arg)
+            else:
+                hit = self.transcendental(a.kind, *self.expr(a.arg))
+            self.memo[a] = hit
+        return hit
+
+    def transcendental(self, kind: str, x: np.ndarray, bad: Optional[np.ndarray]):
+        # element-wise through math, whose rounding evaluate has (numpy's
+        # exp, sin, cos and log round differently)
+        if kind == "exp":
+            values = np.fromiter(map(_exp_or_inf, x.tolist()), float, self.rows)
+            fails = np.isinf(values) & np.isfinite(x)
+        else:
+            fails = x <= 0 if kind == "ln" else ~np.isfinite(x)
+            fn = {"sin": math.sin, "cos": math.cos, "ln": math.log}[kind]
+            safe = np.where(fails, 1.0, x)
+            values = np.fromiter(map(fn, safe.tolist()), float, self.rows)
+        return values, _either(bad, fails if fails.any() else None)
+
+
+def evaluate_block(exprs: Sequence[ScalarExpr], chart: Chart,
+                   points: Sequence[Point]) -> Tuple[np.ndarray, np.ndarray]:
+    """`evaluate` of every expression at every point, in one pass over the
+    block: the (points x exprs) values, and the mask of the points where
+    every expression evaluates.  A point is masked out exactly where
+    `evaluate` raises DomainError for some expression, and the values of
+    the kept points equal its results bit for bit: + and * run in its order
+    (IEEE, as Python floats), integer powers go through np.float_power (C
+    pow, as float ** int), and exp/sin/cos/ln through math, element by
+    element."""
+    coords = np.array(points, dtype=float).reshape(len(points), chart.n)
+    block = _Block(dict(zip(chart.vars, np.ascontiguousarray(coords.T))), len(points))
+    values = np.empty((len(points), len(exprs)))
+    bad = None
+    with np.errstate(all="ignore"):  # overflow and nan sit on masked points
+        for col, e in enumerate(exprs):
+            values[:, col], e_bad = block.expr(e)
+            bad = _either(bad, e_bad)
+    return values, np.ones(len(points), bool) if bad is None else ~bad
+
+
 # --- sampling and zero classification --------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class SampleTable:
+    """Valid sample points in draw order and the values there: one row of
+    `values` per point, one column per expression."""
+
+    points: List[Point]
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.points)
+
 
 @dataclass(frozen=True)
 class Sampler:
@@ -662,27 +786,31 @@ class Sampler:
 
     def draw(self, chart: Chart, count: Optional[int] = None) -> Iterable[Point]:
         rng = random.Random(f"{self.seed}|{','.join(chart.vars)}")
+        rand = rng.random
+        # (low, width): what random.uniform(low, low + width) computes
+        spans = [(0.5, 1.5) if v in chart.positive else (-1.0, 2.0) for v in chart.vars]
         for _ in range(count if count is not None else self.points):
-            yield tuple(
-                rng.uniform(0.5, 2.0) if v in chart.positive else rng.uniform(-1.0, 1.0)
-                for v in chart.vars)
+            yield tuple([low + width * rand() for low, width in spans])
 
-    def valid_points(self, chart: Chart, exprs: Sequence[ScalarExpr]) -> list:
-        """Up to `points` sample points where every expression evaluates;
-        domain-error points are discarded, oversampling at most 10x."""
-        out = []
-        for p in self.draw(chart, 10 * self.points):
-            env = chart.env(p)
-            try:
-                vals = [evaluate(e, env) for e in exprs]
-            except DomainError:
-                continue
-            out.append((p, vals))
-            if len(out) >= self.points:
+    def valid_points(self, chart: Chart, exprs: Sequence[ScalarExpr]) -> SampleTable:
+        """Up to `points` sample points where every expression evaluates,
+        in draw order, with the values there; domain-error points are
+        discarded, oversampling at most 10x.  Points are drawn in blocks of
+        as many as are still missing, so none is drawn past the last one
+        kept, and each block is evaluated at once (evaluate_block)."""
+        draws = self.draw(chart, 10 * self.points)
+        points: List[Point] = []
+        values = []
+        while len(points) < self.points:
+            block = list(itertools.islice(draws, self.points - len(points)))
+            if not block:
                 break
-        if not out:
+            vals, ok = evaluate_block(exprs, chart, block)
+            points.extend(itertools.compress(block, ok))
+            values.append(vals[ok])
+        if not points:
             raise ExprError("sampling exhausted: every point hit a domain error")
-        return out
+        return SampleTable(points, np.concatenate(values))
 
 
 @dataclass(frozen=True)
@@ -704,23 +832,24 @@ SYMBOLIC_ZERO = ZeroVerdict("symbolic")
 
 
 def first_row(exprs: Sequence[ScalarExpr], chart: Chart, sampler: Sampler,
-              fails: Callable[[list], bool]) -> Optional[Tuple[Point, list]]:
-    """The first (point, values) row of `sampler.valid_points` whose values
-    `fails` accepts, in draw order; None when every row passes.  Every
+              fails: Callable[[np.ndarray], np.ndarray]
+              ) -> Optional[Tuple[Point, np.ndarray]]:
+    """The first (point, values) row of `sampler.valid_points` that fails, in
+    draw order; None when every row passes.  `fails` takes the whole
+    (rows x exprs) value array and returns one boolean per row.  Every
     sampled check in the kernel reads its points through this scan."""
-    for p, vals in sampler.valid_points(chart, exprs):
-        if fails(vals):
-            return p, vals
-    return None
+    table = sampler.valid_points(chart, exprs)
+    failing = fails(table.values)
+    i = int(np.argmax(failing))
+    if not failing[i]:
+        return None
+    return table.points[i], table.values[i]
 
 
-def _nonzero_value(vals: Sequence[float], tol: float) -> Optional[float]:
-    """The first value with |v| >= tol, or None: the one rule by which both
-    zero verdicts (is_zero, vanishing_point) read sampled values."""
-    for v in vals:
-        if abs(v) >= tol:
-            return v
-    return None
+def _reaches_tol(vals: np.ndarray, tol: float) -> np.ndarray:
+    """|v| >= tol, element-wise: the one rule by which both zero verdicts
+    (is_zero, vanishing_point) read sampled values."""
+    return np.abs(vals) >= tol
 
 
 def is_zero(exprs: Sequence[ScalarExpr], chart: Chart, sampler: Sampler) -> ZeroVerdict:
@@ -730,10 +859,12 @@ def is_zero(exprs: Sequence[ScalarExpr], chart: Chart, sampler: Sampler) -> Zero
         return SYMBOLIC_ZERO
     tol = sampler.tol
     row = first_row(exprs, chart, sampler,
-                    lambda vals: _nonzero_value(vals, tol) is not None)
+                    lambda vals: _reaches_tol(vals, tol).any(axis=1))
     if row is None:
         return ZeroVerdict("numeric")
-    return ZeroVerdict("nonzero", witness=row[0], value=_nonzero_value(row[1], tol))
+    vals = row[1]
+    return ZeroVerdict("nonzero", witness=row[0],
+                       value=float(vals[np.argmax(_reaches_tol(vals, tol))]))
 
 
 def vanishing_point(exprs: Sequence[ScalarExpr], chart: Chart,
@@ -744,5 +875,6 @@ def vanishing_point(exprs: Sequence[ScalarExpr], chart: Chart,
     if all(e.is_zero_form for e in exprs):
         return next(iter(sampler.draw(chart, 1)))
     tol = sampler.tol
-    row = first_row(exprs, chart, sampler, lambda vals: _nonzero_value(vals, tol) is None)
+    row = first_row(exprs, chart, sampler,
+                    lambda vals: ~_reaches_tol(vals, tol).any(axis=1))
     return row and row[0]

@@ -13,8 +13,9 @@ P = pi^m ^ E (contact) and one sign rule for both kinds (see _beta):
 with gv = beta ^ (d beta)^q closed in both cases.
 
 Numeric verdicts (axioms, regularity, invariants, ranks and spans) read
-their sample points through expr.first_row; the rank and span checks build
-their matrices from the values of that scan.
+their sample points through expr.first_row; the rank and span checks stack
+one matrix per sample point from the values of that scan and decide every
+point in one numpy call.
 
 Poissonization note: with the bracket conventions fixed by the axiom
 [pi,pi] = 2 E^pi (the ones the model structures satisfy), the bivector
@@ -122,30 +123,52 @@ def _coefficients(*els: GradedElement) -> List[ScalarExpr]:
     return [c for el in els for c in el.terms.values()]
 
 
-def _sharp_matrix(pi: MultiVector, E: Optional[MultiVector], vals) -> np.ndarray:
-    """pi-sharp (n columns), then E as one more column when given, from
-    `vals`, the values of `_coefficients(pi, E)` at one point."""
+def _sharp_matrices(pi: MultiVector, E: Optional[MultiVector],
+                    vals: np.ndarray) -> np.ndarray:
+    """pi-sharp (n columns), then E as one more column when given, at every
+    row of `vals`, the values of `_coefficients(pi, E)`: one matrix per row."""
     n = pi.chart.n
-    mat = np.zeros((n, n + (E is not None)))
-    vals = iter(vals)
-    for mask in pi.terms:
-        i, j = mask_indices(mask)
-        v = next(vals)
-        mat[i, j] = v
-        mat[j, i] = -v
-    for mask in (E.terms if E is not None else ()):
-        (i,) = mask_indices(mask)
-        mat[i, n] = next(vals)
-    return mat
+    mats = np.zeros((len(vals), n, n + (E is not None)))
+    k = len(pi.terms)
+    if k:
+        i, j = np.array([mask_indices(mask) for mask in pi.terms]).T
+        mats[:, i, j] = vals[:, :k]
+        mats[:, j, i] = -vals[:, :k]
+    if E is not None and E.terms:
+        rows = [mask_indices(mask)[0] for mask in E.terms]
+        mats[:, rows, n] = vals[:, k:k + len(rows)]
+    return mats
 
 
-def _in_column_span(cols: np.ndarray, tol: float = 1e-7) -> bool:
-    """Whether the last column lies in the span of the others."""
-    mat, vec = cols[:, :-1], cols[:, -1]
-    if np.allclose(vec, 0.0, atol=tol):
-        return True
-    sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-    return bool(np.linalg.norm(mat @ sol - vec) <= tol * max(1.0, np.linalg.norm(vec)))
+def _finite(mats: np.ndarray) -> np.ndarray:
+    return np.isfinite(mats).all(axis=(1, 2))
+
+
+def _ranks(mats: np.ndarray) -> np.ndarray:
+    """np.linalg.matrix_rank (tol 1e-8) of every matrix of the stack in one
+    call; -1 for a matrix with a non-finite entry, whose rank is undecided."""
+    finite = _finite(mats)
+    ranks = np.linalg.matrix_rank(np.where(finite[:, None, None], mats, 0.0), tol=1e-8)
+    return np.where(finite, ranks, -1)
+
+
+def _outside_column_span(cols: np.ndarray, tol: float = 1e-7) -> np.ndarray:
+    """For every matrix of the stack, whether its last column b lies outside
+    the span of the others, A.  lstsq's rule, from one batched SVD: b is
+    inside when every |b_i| <= tol, or when the residual |A x - b| of the
+    least-squares solution x (singular values up to eps * max(shape) of the
+    largest dropped, lstsq's rcond=None) is at most tol * max(1, |b|).  A
+    matrix with a non-finite entry is undecided and counts as outside."""
+    finite = _finite(cols)
+    cols = np.where(finite[:, None, None], cols, 0.0)
+    mat, vec = cols[:, :, :-1], cols[:, :, -1]
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    kept = s > np.finfo(float).eps * max(mat.shape[1:]) * s[:, :1]
+    coef = np.einsum("rij,ri->rj", u, vec) * kept
+    resid = np.linalg.norm(np.einsum("rij,rj->ri", u, coef) - vec, axis=1)
+    inside = ((np.abs(vec) <= tol).all(axis=1)
+              | (resid <= tol * np.maximum(1.0, np.linalg.norm(vec, axis=1))))
+    return ~(inside & finite)
 
 
 # --- verification and classification ------------------------------------------
@@ -214,7 +237,7 @@ def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
         q = chart.n - 2 * m
         row = None if E.is_identically_zero else first_row(
             _coefficients(pi, E), chart, sampler,
-            lambda vals: not _in_column_span(_sharp_matrix(pi, E, vals)))
+            lambda vals: _outside_column_span(_sharp_matrices(pi, E, vals)))
         if row is not None:
             raise NotRegular("E leaves Im pi-sharp at a sample point", row[0])
     checks.append(CheckResult("jacobi.regular", "numeric", True,
@@ -549,8 +572,8 @@ def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
                           "B = (-1)^(q+1) pr*(beta) - m t^-1 dt"))
 
     expected_rank = 2 * m + 2
-    row = first_row(_coefficients(pz.lam), ext, sampler, lambda vals: np.linalg.matrix_rank(
-        _sharp_matrix(pz.lam, None, vals), tol=1e-8) != expected_rank)
+    row = first_row(_coefficients(pz.lam), ext, sampler,
+                    lambda vals: _ranks(_sharp_matrices(pz.lam, None, vals)) != expected_rank)
     checks.append(CheckResult("bridge.rank", "numeric", row is None, row and row[0],
                               f"rank Lambda-sharp = {expected_rank}"))
     return BridgeReport(pz, a_form, b_form, dp.beta, tuple(checks))
@@ -593,13 +616,12 @@ def conformal_rescale(j: JacobiStructure, a: ScalarExpr, ctx: VolumeContext,
 
     split = len(j.pi.terms) + len(j.E.terms)
 
-    def moved(vals) -> bool:
-        cols1 = _sharp_matrix(j.pi, j.E, vals[:split])
-        cols2 = _sharp_matrix(pi2, e2, vals[split:])
-        r1 = np.linalg.matrix_rank(cols1, tol=1e-8)
-        r2 = np.linalg.matrix_rank(cols2, tol=1e-8)
-        r12 = np.linalg.matrix_rank(np.column_stack([cols1, cols2]), tol=1e-8)
-        return not (r1 == r2 == r12)
+    def moved(vals: np.ndarray) -> np.ndarray:
+        cols1 = _sharp_matrices(j.pi, j.E, vals[:, :split])
+        cols2 = _sharp_matrices(pi2, e2, vals[:, split:])
+        r1, r2 = np.split(_ranks(np.concatenate([cols1, cols2])), 2)
+        r12 = _ranks(np.concatenate([cols1, cols2], axis=2))
+        return ~((r1 == r2) & (r2 == r12) & (r12 >= 0))
 
     row = first_row(_coefficients(j.pi, j.E, pi2, e2) + [a], j.chart, sampler, moved)
     span_witness = row and row[0]

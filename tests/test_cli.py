@@ -193,6 +193,14 @@ class TestMainEntry:
         # records of the commands before the failing one are kept
         assert ("check=jacobi.axiom1" in captured.out) == kept
 
+    def test_trig_of_overflowed_value(self, tmp_path, capsys):
+        # sin(inf) raised ValueError from math, a traceback with exit 1
+        p = tmp_path / "trig.gvk"
+        p.write_text("chart x1 x2 x3\n"
+                     "pi = sin(exp(700*x1)*exp(700*x2))*d/dx1^d/dx2\nrun verify\n")
+        assert main([str(p)]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_console_script_runs(self):
         out = subprocess.run(
             [sys.executable, "-m", "gvkernel.cli", "--fixture", "lcs-model-r2",
@@ -307,10 +315,12 @@ class TestDefiningPairSign:
 
 class TestSamplingEvaluatesOnce:
     def test_each_sampled_value_is_evaluated_once(self, monkeypatch):
-        # count top-level evaluate calls wherever a kernel module binds
-        # evaluate, and the (expression, point) pairs valid_points returns
+        # count the (point, expression) values the block evaluator computes,
+        # plus top-level evaluate calls wherever a kernel module binds
+        # evaluate, against the (expression, point) pairs valid_points returns
         from gvkernel import expr
-        original, valid_points = expr.evaluate, expr.Sampler.valid_points
+        original, block, valid_points = (expr.evaluate, expr.evaluate_block,
+                                         expr.Sampler.valid_points)
         counts = {"evaluate": 0, "returned": 0}
         depth = [0]
 
@@ -322,6 +332,10 @@ class TestSamplingEvaluatesOnce:
             finally:
                 depth[0] -= 1
 
+        def counting_block(exprs, chart, points):
+            counts["evaluate"] += len(points) * len(exprs)
+            return block(exprs, chart, points)
+
         def counting_valid_points(sampler, chart, exprs):
             out = valid_points(sampler, chart, exprs)
             counts["returned"] += len(out) * len(exprs)
@@ -330,6 +344,7 @@ class TestSamplingEvaluatesOnce:
         for name, mod in list(sys.modules.items()):
             if name.startswith("gvkernel") and getattr(mod, "evaluate", None) is original:
                 monkeypatch.setattr(mod, "evaluate", counting_evaluate)
+        monkeypatch.setattr(expr, "evaluate_block", counting_block)
         monkeypatch.setattr(expr.Sampler, "valid_points", counting_valid_points)
         fx = get_fixture("contact-model-r3")
         text = (f"chart {' '.join(fx.chart.vars)}\nvol {fx.vol}\npi = {fx.pi}\n"

@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import math
 import pickle
 import random
@@ -7,14 +8,15 @@ import sys
 import threading
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvkernel import expr as expr_mod
 from gvkernel.expr import (Atom, Chart, DomainError, ExprError, Sampler, ScalarExpr,
-                           cos_, diff, eval_at, evaluate, exp_, is_zero, ln_,
-                           sin_)
+                           cos_, diff, eval_at, evaluate, evaluate_block, exp_,
+                           is_zero, ln_, sin_)
 
 from conftest import rand_scalar
 
@@ -192,6 +194,13 @@ class TestEval:
         with pytest.raises(ExprError):
             evaluate(X1, {})
 
+    @pytest.mark.parametrize("make", [sin_, cos_])
+    def test_trig_of_non_finite_is_domain_error(self, make):
+        e = make(exp_(700 * X1) * exp_(700 * X2))
+        with pytest.raises(DomainError):
+            evaluate(e, {"x1": 1.0, "x2": 1.0})
+        assert math.isfinite(evaluate(e, {"x1": -1.0, "x2": 1.0}))
+
     def test_eval_matches_across_construction_orders(self):
         rng = random.Random(9)
         for _ in range(20):
@@ -201,6 +210,109 @@ class TestEval:
             lhs = eval_at(e * f + f, CHART, p)
             rhs = eval_at(f * (e + 1), CHART, p)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+def _ln_atom(e):
+    # bypasses ln_'s positivity check, so that ln meets non-positive values
+    return ScalarExpr({((Atom("ln", arg=e), 1),): 1})
+
+
+# each one leaves its domain, or overflows, on part of [-1, 1]^3
+HAZARDS = (
+    exp_(800 * X1),                               # exp overflow
+    _ln_atom(X1), _ln_atom(X1 - X2),              # ln of non-positive values
+    X1 ** -1, (X1 - X2) ** -2, (X1 + X3) ** -1,   # reciprocals near 0
+    exp_(300 * X2) ** 3, exp_(-300 * X2) ** -3,   # overflowing powers
+    sin_(exp_(700 * X1) * exp_(700 * X2)),        # sin of an overflowed product
+    cos_(exp_(700 * X1) * exp_(700 * X3)),
+    exp_(700 * X1) * exp_(700 * X2) - exp_(700 * X1) * exp_(700 * X3),  # inf - inf
+)
+
+
+@st.composite
+def block_exprs(draw, depth=2):
+    """Expressions over CHART mixing polynomials, transcendentals,
+    reciprocals and the hazards above."""
+    leaf = st.one_of(st.sampled_from([X1, X2, X3]), st.sampled_from(HAZARDS),
+                     st.integers(-3, 3).map(ScalarExpr.const))
+    if depth == 0:
+        return draw(leaf)
+    a, b = draw(block_exprs(depth - 1)), draw(block_exprs(depth - 1))
+    op = draw(st.sampled_from(["leaf", "+", "*", "pow", "exp", "sin", "cos", "ln"]))
+    if op == "+":
+        return a - b if draw(st.booleans()) else a + b
+    if op == "*":
+        return a * b
+    if op == "pow" and not a.is_zero_form:
+        return a ** draw(st.sampled_from([2, 3, -1, -2]))
+    if op == "exp":
+        return exp_(draw(st.sampled_from([1, 3, 300])) * a)
+    if op in ("sin", "cos"):
+        return (sin_ if op == "sin" else cos_)(a)
+    if op == "ln" and not a.is_zero_form:
+        return _ln_atom(a)
+    return draw(leaf)
+
+
+coordinates = st.one_of(st.floats(-1.0, 1.0),
+                        st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 0.95, 1.0, -1.0]))
+
+
+def _same_bits(got, want):
+    got, want = np.float64(got), np.float64(want)
+    if np.isnan(want):
+        return bool(np.isnan(got))
+    return got.view(np.uint64) == want.view(np.uint64)
+
+
+class TestEvaluateBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(block_exprs(), min_size=1, max_size=3),
+           st.lists(st.tuples(coordinates, coordinates, coordinates),
+                    min_size=1, max_size=10))
+    def test_matches_evaluate_bit_for_bit(self, exprs, points):
+        values, ok = evaluate_block(exprs, CHART, points)
+        assert values.shape == (len(points), len(exprs))
+        for row, p in enumerate(points):
+            env = CHART.env(p)
+            try:
+                expected = [evaluate(e, env) for e in exprs]
+            except DomainError:
+                assert not ok[row], (p, exprs)
+                continue
+            assert ok[row], (p, exprs)
+            for got, want in zip(values[row], expected):
+                assert _same_bits(got, want), (p, exprs, got, want)
+
+    def test_each_hazard_is_masked_somewhere(self):
+        points = list(itertools.product([-1.0, -0.3, 0.0, 0.95, 1.0], repeat=3))
+        for e in HAZARDS[:-1]:  # inf - inf is nan, not a domain error
+            _, ok = evaluate_block([e], CHART, points)
+            assert 0 < ok.sum() < len(points), e
+
+    @pytest.mark.parametrize("points", [4, 16, 64])
+    def test_valid_points_matches_the_point_by_point_scan(self, points):
+        # the scan valid_points replaced: draw, evaluate point by point,
+        # drop domain errors, stop at `points` valid rows or 10x drawn
+        sampler = Sampler(seed=1, points=points)
+        exprs = [X1 ** -1 * exp_(3 * X2), _ln_atom(X1 + X2), sin_(X3)]
+        expected = []
+        for p in sampler.draw(CHART, 10 * points):
+            try:
+                vals = [eval_at(e, CHART, p) for e in exprs]
+            except DomainError:
+                continue
+            expected.append((p, vals))
+            if len(expected) >= points:
+                break
+        table = sampler.valid_points(CHART, exprs)
+        assert len(table) == len(expected) == points
+        assert table.points == [p for p, _ in expected]
+        assert table.values.tolist() == [v for _, v in expected]
+
+    def test_exhausted_sampling_raises(self):
+        with pytest.raises(ExprError, match="sampling exhausted"):
+            Sampler(points=8).valid_points(CHART, [exp_(1000 + X1 ** 2)])
 
 
 class TestLnPositivity:

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gvkernel.alg import (DiffForm, MultiVector, contract_form_into_mv, power,
@@ -12,8 +13,8 @@ from gvkernel.expr import Chart, Sampler, ScalarExpr, exp_, ln_
 from gvkernel.fixtures import FIXTURE_NAMES, get_fixture
 from gvkernel.jacobi import (AxiomViolation, CodimOutOfRange, InvariantFailure,
                              NotCodimOne, NotContact, NotLCS, NotRegular,
-                             ParityObstruction, RescaleVanishes,
-                             check_poissonization_bridge, conformal_rescale,
+                             ParityObstruction, RescaleVanishes, _outside_column_span,
+                             _ranks, check_poissonization_bridge, conformal_rescale,
                              contact_to_jacobi, defining_pair, element_zero,
                              gv_codim1, gv_representative, lcs_to_jacobi,
                              poissonize, require_codim, unimodularity,
@@ -706,3 +707,59 @@ class TestNumericTierFallback:
         assert dp.companion_used.certificate.is_one
         assert all(c.passed and c.tier == "symbolic" for c in dp.checks)
         gv_codim1(j2, ctx, dp, sampler)
+
+
+def _stacks(seed, count=200):
+    """Random n x (n+1) matrices [A | b], stacked by shape: A of rank 0..n,
+    b in its column span, outside it, zero, or below the span tolerance."""
+    rng = np.random.default_rng(seed)
+    stacks = {}
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        r = int(rng.integers(0, n + 1))
+        a = rng.normal(size=(n, r)) @ rng.normal(size=(r, n)) * 10.0 ** rng.integers(-3, 4)
+        kind = rng.integers(4)
+        b = (a @ rng.normal(size=n) if kind == 0 else rng.normal(size=n) if kind == 1
+             else np.zeros(n) if kind == 2 else rng.uniform(-1e-7, 1e-7, size=n))
+        stacks.setdefault(n, []).append(np.column_stack([a, b]))
+    return [np.array(mats) for _, mats in sorted(stacks.items())]
+
+
+class TestStackedPredicates:
+    @staticmethod
+    def outside_by_lstsq(cols, tol=1e-7):
+        # the one-matrix test the stacked one replaced
+        mat, vec = cols[:, :-1], cols[:, -1]
+        if np.allclose(vec, 0.0, atol=tol):
+            return False
+        sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
+        return not np.linalg.norm(mat @ sol - vec) <= tol * max(1.0, np.linalg.norm(vec))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_span_matches_lstsq(self, seed):
+        for stack in _stacks(seed):
+            assert (_outside_column_span(stack).tolist()
+                    == [self.outside_by_lstsq(m) for m in stack])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ranks_match_matrix_rank(self, seed):
+        for stack in _stacks(seed):
+            for mats in (stack, stack[:, :, :-1]):
+                assert (_ranks(mats).tolist()
+                        == [np.linalg.matrix_rank(m, tol=1e-8) for m in mats])
+
+    def test_all_cases_occur(self):
+        stack = _stacks(0)[3]  # 4 x 5
+        outside = _outside_column_span(stack)
+        ranks = _ranks(stack[:, :, :-1])
+        assert outside.any() and not outside.all()
+        assert set(ranks.tolist()) == {0, 1, 2, 3, 4}
+
+    def test_non_finite_matrices_are_undecided(self):
+        good = np.column_stack([np.eye(3), np.ones(3)])
+        bad_inf, bad_nan = good.copy(), good.copy()
+        bad_inf[0, 1] = np.inf
+        bad_nan[2, 3] = np.nan
+        stack = np.array([good, bad_inf, bad_nan])
+        assert _outside_column_span(stack).tolist() == [False, True, True]
+        assert _ranks(stack).tolist() == [3, -1, -1]
