@@ -114,19 +114,30 @@ class StarCompanion:
     complement_mask: int
 
 
-def star_candidates(ctx: VolumeContext, u: MultiVector) -> Tuple[int, ...]:
-    """Complement masks of u's stored terms, ranked: symbolically constant
-    certificate coefficient first, then lowest bitmask."""
+def _vol_with_basis(ctx: VolumeContext, u: MultiVector, jmask: int) -> ScalarExpr:
+    """vol(U ^ d_J), the coefficient star inverts for the complement J."""
+    return apply_vol(ctx, wedge(u, MultiVector.basis(ctx.chart, mask_indices(jmask))))
+
+
+def _candidate_coefficients(ctx: VolumeContext, u: MultiVector
+                            ) -> Tuple[Tuple[int, ScalarExpr], ...]:
+    """(complement mask J, vol(U ^ d_J)) for the complements of u's stored
+    terms, ranked: symbolically constant coefficient first, then lowest
+    bitmask."""
     full = ctx.full_mask
     seen = {}
     for imask in u.terms:
         jmask = full & ~imask
-        if jmask in seen:
-            continue
-        c = apply_vol(ctx, wedge(u, MultiVector.basis(ctx.chart, mask_indices(jmask))))
-        seen[jmask] = c
-    ranked = sorted(seen, key=lambda j: (0 if seen[j].is_rational_const else 1, j))
-    return tuple(ranked)
+        if jmask not in seen:
+            seen[jmask] = _vol_with_basis(ctx, u, jmask)
+    return tuple(sorted(seen.items(),
+                        key=lambda jc: (0 if jc[1].is_rational_const else 1, jc[0])))
+
+
+def star_candidates(ctx: VolumeContext, u: MultiVector) -> Tuple[int, ...]:
+    """Complement masks of u's stored terms, ranked: symbolically constant
+    certificate coefficient first, then lowest bitmask."""
+    return tuple(jmask for jmask, _ in _candidate_coefficients(ctx, u))
 
 
 def star(ctx: VolumeContext, u: MultiVector, sampler: Sampler,
@@ -135,20 +146,22 @@ def star(ctx: VolumeContext, u: MultiVector, sampler: Sampler,
 
     `choice` selects among validly-ranked candidates (for exhibiting a
     second companion); `force_complement` pins the complement mask, used by
-    the Poissonization bridge to match the base-chart choice.
+    the Poissonization bridge to match the base-chart choice.  Each
+    candidate's vol(U ^ d_J) is computed once, and candidates are sampled
+    in rank order only until the chosen one is found.
     """
     if u.is_identically_zero:
         raise NoCompanion("star of the zero multivector")
     if force_complement is not None:
-        candidates = [force_complement]
+        candidates = ((force_complement, _vol_with_basis(ctx, u, force_complement)),)
     else:
-        candidates = list(star_candidates(ctx, u))
+        candidates = _candidate_coefficients(ctx, u)
     valid = []
-    for jmask in candidates:
-        basis = MultiVector.basis(ctx.chart, mask_indices(jmask))
-        c = apply_vol(ctx, wedge(u, basis))
+    for jmask, c in candidates:
         if vanishing_point([c], ctx.chart, sampler) is None:
             valid.append((jmask, c))
+            if len(valid) == choice + 1:
+                break
     if not valid or choice >= len(valid):
         raise NoCompanion(
             f"no usable companion (grade {u.grade}, {len(valid)} valid candidates)")

@@ -10,7 +10,9 @@ Godbillon-Vey machinery.
 Defining pairs follow the main construction, with P = pi^m (LCS) or
 P = pi^m ^ E (contact) and one sign rule for both kinds (see _beta):
   alpha = phi(P / m!),   beta = phi((-1)^(q+1) [P, *P])
-with gv = beta ^ (d beta)^q closed in both cases.
+with gv = beta ^ (d beta)^q closed in both cases.  verify_jacobi builds P
+while it classifies the structure and carries it on JacobiStructure, so
+defining_pair reads it there instead of building it again.
 
 Numeric verdicts (axioms, regularity, invariants, ranks and spans) read
 their sample points through expr.first_row; the rank and span checks stack
@@ -21,7 +23,9 @@ Poissonization note: with the bracket conventions fixed by the axiom
 [pi,pi] = 2 E^pi (the ones the model structures satisfy), the bivector
 t^-1 pi + E ^ d/dt is the Poisson lift; the frequently printed variant
 t^-1 pi + d/dt ^ E fails [L,L] = 0 whenever E ^ pi != 0.  See the bridge
-check for the matching correction to the pullback statement.
+check for the matching correction to the pullback statement.  The bridge
+builds Lambda^(m+1) once and checks Lambda^(m+2) = 0 on
+Lambda^(m+1) ^ Lambda.
 """
 
 from __future__ import annotations
@@ -181,6 +185,7 @@ class JacobiStructure:
     m: int
     kind: str  # "lcs" | "contact"
     q: int
+    P: MultiVector  # pi^m (LCS) or pi^m ^ E (contact), built by verify_jacobi
     checks: Tuple[CheckResult, ...]
 
     @property
@@ -244,7 +249,8 @@ def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
                               detail=f"m={m} kind={kind}"))
     checks.append(CheckResult("jacobi.codim", "symbolic", 0 < q < chart.n,
                               detail=f"q={q}"))
-    return JacobiStructure(chart, pi, E, m, kind, q, tuple(checks))
+    return JacobiStructure(chart, pi, E, m, kind, q,
+                           top if kind == "contact" else pim, tuple(checks))
 
 
 def require_codim(j: JacobiStructure) -> None:
@@ -414,12 +420,9 @@ def defining_pair(j: JacobiStructure, ctx: VolumeContext, sampler: Sampler,
     """Construct (alpha, beta) and gv = beta ^ (d beta)^q, verifying
     d alpha = beta ^ alpha, d gv = 0, and the contraction rewriting of gv."""
     require_codim(j)
-    p = power(j.pi, j.m)
-    if j.kind == "contact":
-        p = wedge(p, j.E)
-    comp = star(ctx, p, sampler, choice=star_choice)
-    beta = _beta(ctx, p, comp, j.q)
-    alpha = phi(ctx, p).scale(Fraction(1, math.factorial(j.m)))
+    comp = star(ctx, j.P, sampler, choice=star_choice)
+    beta = _beta(ctx, j.P, comp, j.q)
+    alpha = phi(ctx, j.P).scale(Fraction(1, math.factorial(j.m)))
     dbeta = exterior_derivative(beta)
     dbq = power(dbeta, j.q)
     gv = wedge(beta, dbq)
@@ -555,7 +558,7 @@ def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
     v = element_zero(lam_m1 - top.scale(ScalarExpr.const(m + 1) * t_inv ** m), sampler)
     checks.append(_record("bridge.power", v,
                           "Lambda^(m+1) = (m+1) t^-m pi^m ^ E ^ dt"))
-    v = element_zero(power(pz.lam, m + 2), sampler)
+    v = element_zero(wedge(lam_m1, pz.lam), sampler)
     checks.append(_record("bridge.power_top", v, "Lambda^(m+2) = 0"))
 
     comp_ext = star(ctx_ext, lam_m1, sampler,

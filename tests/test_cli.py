@@ -260,13 +260,15 @@ class TestStagesRunOnce:
 
     def test_each_stage_once_per_session(self, monkeypatch):
         # contact-model-r5 runs verify pair gv codim1 poissonize bridge; the
-        # two star companions are the pair's and the lift's
+        # two star companions are the pair's and the lift's, and the two
+        # wedge powers are (d beta)^q and Lambda^(m+1): P comes with the
+        # structure and Lambda^(m+2) is Lambda^(m+1) ^ Lambda
         calls = self._count(monkeypatch, ("verify_jacobi", "defining_pair",
-                                          "poissonize", "star"))
+                                          "poissonize", "star", "power"))
         report = execute(fixture_problem(get_fixture("contact-model-r5")))
         assert report.exit_status == 0
         assert calls == {"verify_jacobi": 1, "defining_pair": 1,
-                         "poissonize": 1, "star": 2}
+                         "poissonize": 1, "star": 2, "power": 2}
 
     @pytest.mark.parametrize("command, error", [("bridge", "ParityObstruction"),
                                                 ("codim1", "NotCodimOne")])

@@ -189,18 +189,48 @@ class TestStar:
             assert st.certificate.is_one or not v.is_zero_form
         assert found > 10
 
-    def test_ranking_prefers_constant_coefficient(self, sampler):
-        # two candidate complements; the constant-certificate one wins
+    @staticmethod
+    def _two_candidates(sampler):
+        # complements 0b11100 (constant coefficient) and 0b10110 (1 + x3^2)
         c5 = Chart(("x1", "x2", "x3", "x4", "y"))
         ctx = flat_ctx(c5, sampler)
         f = 1 + ScalarExpr.var("x3") ** 2
-        pi = MultiVector(c5, 2, {0b00011: ScalarExpr.one(), 0b01001: f})
+        return ctx, MultiVector(c5, 2, {0b00011: ScalarExpr.one(), 0b01001: f})
+
+    def test_ranking_prefers_constant_coefficient(self, sampler):
+        # two candidate complements; the constant-certificate one wins
+        ctx, pi = self._two_candidates(sampler)
         cands = star_candidates(ctx, pi)
         assert len(cands) == 2
         st0 = star(ctx, pi, sampler, choice=0)
         assert st0.complement_mask == 0b11100  # constant coefficient preferred
         st1 = star(ctx, pi, sampler, choice=1)
         assert st1.certificate.is_one  # wrapped-poly reciprocal cancels exactly
+
+    def test_choice_past_the_valid_candidates_counts_them_all(self, sampler):
+        ctx, pi = self._two_candidates(sampler)
+        with pytest.raises(NoCompanion, match=r"\(grade 2, 2 valid candidates\)"):
+            star(ctx, pi, sampler, choice=2)
+
+    @pytest.mark.parametrize("choice", [0, 1])
+    def test_forced_complement_matches_the_ranked_choice(self, sampler, choice):
+        ctx, pi = self._two_candidates(sampler)
+        ranked = star(ctx, pi, sampler, choice=choice)
+        forced = star(ctx, pi, sampler, force_complement=ranked.complement_mask)
+        assert forced.complement_mask == ranked.complement_mask
+        assert forced.companion == ranked.companion
+        assert forced.certificate == ranked.certificate
+
+    @pytest.mark.parametrize("choice, sampled", [(0, 1), (1, 2)])
+    def test_sampling_stops_at_the_chosen_candidate(self, sampler, monkeypatch,
+                                                    choice, sampled):
+        from gvkernel import duality
+        ctx, pi = self._two_candidates(sampler)
+        original, calls = duality.vanishing_point, []
+        monkeypatch.setattr(duality, "vanishing_point",
+                            lambda *args: calls.append(args) or original(*args))
+        star(ctx, pi, sampler, choice=choice)
+        assert len(calls) == sampled
 
     def test_zero_input_rejected(self, sampler):
         ctx = flat_ctx(C2, sampler)

@@ -68,6 +68,16 @@ class TestVerify:
             j = verify_jacobi(ctx, f.pi, f.E, sampler)
             assert (j.kind, j.m, j.q) == (f.kind, f.m, f.q), name
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_stored_P_is_the_reference_power(self, sampler, name):
+        # P = pi^m (LCS) or pi^m ^ E (contact), kept from classification
+        f, ctx = fixture_setup(name, sampler)
+        j = verify_jacobi(ctx, f.pi, f.E, sampler)
+        reference = power(j.pi, j.m)
+        if j.kind == "contact":
+            reference = wedge(reference, j.E)
+        assert j.P == reference
+
     def test_codim_zero_rejected(self, sampler):
         # the full R3 contact model passes the axioms but has q = 0
         f, ctx = fixture_setup("contact-r3", sampler)
