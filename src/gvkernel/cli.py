@@ -21,7 +21,8 @@ from typing import Dict, List, Optional
 
 from . import jacobi
 from .alg import DiffForm
-from .dsl import DslError, ProblemFile, parse_multivector, parse_problem, parse_scalar
+from .dsl import (SETTINGS, DslError, ProblemFile, parse_multivector, parse_problem,
+                  parse_scalar, parse_setting)
 from .duality import NoCompanion, VolumeError, volume_context
 from .expr import ExprError, Sampler
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
@@ -227,6 +228,16 @@ def fixture_problem(fixture: Fixture) -> ProblemFile:
     return parse_problem("\n".join(lines) + "\n")
 
 
+def _setting(name: str):
+    """argparse type for the flag overriding a problem file's setting."""
+    def convert(text: str):
+        try:
+            return parse_setting(name, text)
+        except DslError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return convert
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(
         prog="gvkernel",
@@ -235,9 +246,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("file", nargs="?", help="problem file (DSL)")
     ap.add_argument("--fixture", choices=FIXTURE_NAMES,
                     help="run a built-in fixture instead of a file")
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--points", type=int, default=None)
-    ap.add_argument("--tol", type=float, default=None)
+    for name in SETTINGS:  # validated as the problem file's lines are
+        ap.add_argument(f"--{name}", type=_setting(name), default=None)
     ap.add_argument("--format", choices=("text", "structured"), default="text")
     args = ap.parse_args(argv)
 

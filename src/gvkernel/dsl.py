@@ -23,6 +23,7 @@ omega + Omega.  A missing vol defaults to the flat top form.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -316,6 +317,28 @@ class ProblemFile:
         return "\n".join(lines) + "\n"
 
 
+# the sampling settings: how each is read from text, which values are
+# valid, and what a valid one is
+SETTINGS = {
+    "seed": (int, lambda v: v >= 0, "non-negative integer"),
+    "points": (int, lambda v: v > 0, "positive integer"),
+    "tol": (float, lambda v: 0 < v < math.inf, "positive finite float"),
+}
+
+
+def parse_setting(name: str, text: str, line: int = 0) -> Union[int, float]:
+    """A sampling setting (`seed`, `points` or `tol`) read from its text, as
+    a problem-file line or a command-line flag gives it."""
+    convert, valid, what = SETTINGS[name]
+    try:
+        value = convert(text)
+    except ValueError:
+        value = None
+    if value is None or not valid(value):
+        raise DslError(f"bad {name} {text!r}", line, 1, (what,))
+    return value
+
+
 def _split_commands(rest: str, line_no: int) -> List[Tuple[str, Optional[str]]]:
     out: List[Tuple[str, Optional[str]]] = []
     i = 0
@@ -362,7 +385,7 @@ def parse_problem(text: str) -> ProblemFile:
     chart: Optional[Chart] = None
     vol_text = None
     decls = {}
-    seed, points, tol = 0, 64, 1e-9
+    settings = {}
     commands: List[Tuple[str, Optional[str]]] = []
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -382,32 +405,8 @@ def parse_problem(text: str) -> ProblemFile:
             except ExprError as e:
                 raise DslError(str(e), line_no, 1) from None
             continue
-        if word == "seed":
-            try:
-                seed = int(rest)
-                if seed < 0:
-                    raise ValueError
-            except ValueError:
-                raise DslError(f"bad seed {rest!r}", line_no, 1,
-                               ("unsigned integer",)) from None
-            continue
-        if word == "points":
-            try:
-                points = int(rest)
-                if points <= 0:
-                    raise ValueError
-            except ValueError:
-                raise DslError(f"bad points {rest!r}", line_no, 1,
-                               ("positive integer",)) from None
-            continue
-        if word == "tol":
-            try:
-                tol = float(rest)
-                if not tol > 0:
-                    raise ValueError
-            except ValueError:
-                raise DslError(f"bad tol {rest!r}", line_no, 1,
-                               ("positive float",)) from None
+        if word in SETTINGS:
+            settings[word] = parse_setting(word, rest, line_no)
             continue
         if word == "run":
             commands.extend(_split_commands(rest, line_no))
@@ -452,8 +451,7 @@ def parse_problem(text: str) -> ProblemFile:
     if vol_text is not None:
         vol = parse_form(chart, vol_text[0], vol_text[1])
 
-    pf = ProblemFile(chart, vol, style, seed=seed, points=points, tol=tol,
-                     commands=tuple(commands))
+    pf = ProblemFile(chart, vol, style, commands=tuple(commands), **settings)
     if style == "pi":
         pf.pi = parse_multivector(chart, *decls["pi"])
         pf.E = (parse_multivector(chart, *decls["E"]) if "E" in decls

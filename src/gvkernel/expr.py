@@ -11,6 +11,15 @@ monomial t^-1.
 Because construction normalizes eagerly, two structurally equal expressions
 are the same normal form and print identically.  Atoms are interned
 (hash-consed), so equal atoms are one object and compare by identity.
+
+Most products are built directly, without expanding or cancelling, because
+their operands already fix the normal form: a zero operand gives zero, a
+constant scales the other operand's terms (a nonzero rational keeps every
+monomial and their order, and neither creates nor removes a cancellable
+denominator), and two single monomials without wrapped polynomials merge
+into one monomial (nothing to expand, nothing to cancel).  A sum with zero
+is the other operand.  Such results are stored with `_normalized=True`,
+which means "already a normal form, in normal-form order".
 """
 
 from __future__ import annotations
@@ -162,6 +171,11 @@ def _mono_key(m: Monomial):
     return (sum(e for _, e in m), tuple((a.key, e) for a, e in m))
 
 
+def _plain(m: Monomial) -> bool:
+    """No wrapped-poly atom in the monomial."""
+    return all(a.kind != "poly" for a, _ in m)
+
+
 def _merge_exponents(*monos: Monomial) -> dict:
     exps: dict = {}
     for m in monos:
@@ -305,18 +319,23 @@ class ScalarExpr:
     __slots__ = ("_terms", "_hash", "_str", "_diff", "__weakref__")
 
     def __init__(self, terms: Mapping[Monomial, Fraction], _normalized: bool = False):
-        items = {m: c for m, c in terms.items() if c}
-        # cancel wrapped-poly reciprocals to a fixed point: merging groups can
-        # expose a newly divisible numerator (each pass strictly shrinks the
-        # multiset of denominator powers when it changes anything)
-        while not _normalized and any(a.kind == "poly" and e < 0
-                                      for m in items for a, e in m):
-            reduced = _cancel_denominators(items)
-            if reduced == items:
-                break
-            items = reduced
-        object.__setattr__(self, "_terms",
-                           tuple(sorted(items.items(), key=lambda p: _mono_key(p[0]))))
+        """`_normalized=True` says `terms` is already a normal form, in
+        normal-form order: it is stored as it is."""
+        if _normalized:
+            object.__setattr__(self, "_terms", tuple(terms.items()))
+        else:
+            items = {m: c for m, c in terms.items() if c}
+            # cancel wrapped-poly reciprocals to a fixed point: merging groups
+            # can expose a newly divisible numerator (each pass strictly
+            # shrinks the multiset of denominator powers when it changes
+            # anything)
+            while any(a.kind == "poly" and e < 0 for m in items for a, e in m):
+                reduced = _cancel_denominators(items)
+                if reduced == items:
+                    break
+                items = reduced
+            object.__setattr__(self, "_terms",
+                               tuple(sorted(items.items(), key=lambda p: _mono_key(p[0]))))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_str", None)
         object.__setattr__(self, "_diff", None)  # {var: derivative}, see diff
@@ -362,6 +381,10 @@ class ScalarExpr:
     # arithmetic
     def __add__(self, other) -> "ScalarExpr":
         other = _coerce(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
         for m, c in other._terms:
             c2 = out.get(m, _ZERO_FRAC) + c
@@ -383,10 +406,32 @@ class ScalarExpr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "ScalarExpr":
+        """The product's normal form.  A zero or a constant operand, and two
+        single monomials without wrapped polynomials, fix it directly (see
+        the module docstring); every other product expands and cancels."""
         other = _coerce(other)
-        return ScalarExpr(_raw_mul(dict(self._terms), dict(other._terms)))
+        a, b = self._terms, other._terms
+        if not a:
+            return self
+        if not b:
+            return other
+        if len(b) == 1 and not b[0][0]:
+            return self._scaled(b[0][1])
+        if len(a) == 1 and not a[0][0]:
+            return other._scaled(a[0][1])
+        if len(a) == 1 and len(b) == 1 and _plain(a[0][0]) and _plain(b[0][0]):
+            (ma, ca), (mb, cb) = a[0], b[0]
+            return ScalarExpr({_freeze(_merge_exponents(ma, mb)): ca * cb},
+                              _normalized=True)
+        return ScalarExpr(_raw_mul(dict(a), dict(b)))
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: Fraction) -> "ScalarExpr":
+        """c * self for a nonzero rational c: the same monomials, in order."""
+        if c == 1:
+            return self
+        return ScalarExpr({m: c * cm for m, cm in self._terms}, _normalized=True)
 
     def __pow__(self, k: int) -> "ScalarExpr":
         if not isinstance(k, int):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gvkernel import expr, jacobi
 from gvkernel.alg import DiffForm, contract_form_into_mv
 from gvkernel.calculus import exterior_derivative
 from gvkernel.cli import emit, execute, fixture_problem, main
@@ -25,6 +26,14 @@ BROKEN_TEXT = """\
 # [pi,pi] != 2 E ^ pi
 chart x1 x2 x3 x4
 pi = d/dx1^d/dx2 + x2*d/dx3^d/dx4
+run verify
+"""
+
+# E is zero, written so that only sampling sees it: verify passes
+TRIG_TEXT = """\
+chart x1 x2 x3
+pi = d/dx1^d/dx2
+E = (sin(x3)^2 + cos(x3)^2 - 1)*d/dx3
 run verify
 """
 
@@ -193,6 +202,37 @@ class TestMainEntry:
         # records of the commands before the failing one are kept
         assert ("check=jacobi.axiom1" in captured.out) == kept
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
+        ("--points", "0"), ("--points", "-3"), ("--seed", "-1"), ("--seed", "1.5"),
+    ])
+    def test_exit_2_on_bad_setting_flag(self, tmp_path, capsys, flag, value):
+        # each used to run: a false AxiomViolation (tol <= 0), a vanishing
+        # volume (tol nan/inf), exhausted sampling (points <= 0), a negative seed
+        p = tmp_path / "trig.gvk"
+        p.write_text(TRIG_TEXT)
+        with pytest.raises(SystemExit) as stop:
+            main([str(p), flag, value])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: bad {flag[2:]} '{value}'" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_exit_2_on_infinite_tol_line(self, tmp_path, capsys):
+        p = tmp_path / "trig.gvk"
+        p.write_text(TRIG_TEXT.replace("run verify", "tol inf\nrun verify"))
+        assert main([str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 4, col 1: bad tol 'inf'" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_setting_flags_override_the_file(self, tmp_path, capsys):
+        p = tmp_path / "trig.gvk"
+        p.write_text(TRIG_TEXT)
+        assert main([str(p), "--seed", "3", "--points", "16", "--tol", "1e-6"]) == 0
+
     def test_trig_of_overflowed_value(self, tmp_path, capsys):
         # sin(inf) raised ValueError from math, a traceback with exit 1
         p = tmp_path / "trig.gvk"
@@ -244,8 +284,7 @@ class TestNonzeroGvThroughCli:
 
 
 class TestStagesRunOnce:
-    def _count(self, monkeypatch, names):
-        from gvkernel import jacobi
+    def _count(self, monkeypatch, names, module=jacobi):
         calls = dict.fromkeys(names, 0)
 
         def counting(name, fn):
@@ -255,7 +294,7 @@ class TestStagesRunOnce:
             return wrapper
 
         for name in names:
-            monkeypatch.setattr(jacobi, name, counting(name, getattr(jacobi, name)))
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         return calls
 
     def test_each_stage_once_per_session(self, monkeypatch):
@@ -269,6 +308,14 @@ class TestStagesRunOnce:
         assert report.exit_status == 0
         assert calls == {"verify_jacobi": 1, "defining_pair": 1,
                          "poissonize": 1, "star": 2, "power": 2}
+
+    @pytest.mark.parametrize("fixture", ["contact-model-r5", "lcs-model-r4"])
+    def test_model_sessions_expand_no_product(self, monkeypatch, fixture):
+        # every product these sessions make has a zero or constant operand or
+        # is two plain monomials, so none goes through the full expansion
+        calls = self._count(monkeypatch, ("_raw_mul",), module=expr)
+        assert execute(fixture_problem(get_fixture(fixture))).exit_status == 0
+        assert calls == {"_raw_mul": 0}
 
     @pytest.mark.parametrize("command, error", [("bridge", "ParityObstruction"),
                                                 ("codim1", "NotCodimOne")])

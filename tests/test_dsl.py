@@ -148,6 +148,12 @@ class TestProblemFiles:
             "chart a b\npi = d/da^d/db\nseed 7\npoints 32\ntol 1e-6\n")
         assert (pf.seed, pf.points, pf.tol) == (7, 32, 1e-6)
 
+    @pytest.mark.parametrize("line", ["seed -1", "seed 1.5", "points 0", "points x",
+                                      "tol 0", "tol -1e-9", "tol nan", "tol inf"])
+    def test_bad_settings_rejected(self, line):
+        with pytest.raises(DslError, match=f"line 3, col 1: bad {line.split()[0]}"):
+            parse_problem(f"chart a b\npi = d/da^d/db\n{line}\n")
+
     def test_vol_optional_defaults_flat(self):
         pf = parse_problem("chart a b\npi = d/da^d/db\n")
         assert pf.vol is None

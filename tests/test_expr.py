@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +93,86 @@ class TestNormalForm:
     def test_zero_recip_raises(self):
         with pytest.raises(ZeroDivisionError):
             ScalarExpr.zero().recip()
+
+
+# The unshortcut routes: a product expanded and cancelled term by term, a sum
+# and a negation normalised from their term dicts.  Operands are built
+# through these alone, so a broken shortcut cannot shape both sides.
+def _full_mul(a, b):
+    return ScalarExpr(expr_mod._raw_mul(dict(a._terms), dict(b._terms)))
+
+
+def _full_pow(a, k):
+    base = a if k >= 0 else a.recip()
+    out = ScalarExpr.one()
+    for _ in range(abs(k)):
+        out = _full_mul(out, base)
+    return out
+
+
+def _same(got, want):
+    assert got._terms == want._terms
+    assert str(got) == str(want)
+    assert hash(got) == hash(want)
+
+
+_NUMERATORS = (ScalarExpr({**dict(X1._terms), (): Fraction(1)}),   # x1 + 1
+               ScalarExpr({**dict(_full_mul(X1, X1)._terms),       # x1^2 + x2
+                           **dict(X2._terms)}))
+_FACTORS = st.one_of(
+    st.builds(_full_pow, st.sampled_from([X1, X2, X3]), st.integers(-2, 3)),
+    st.sampled_from([exp_(X1), sin_(X2), _NUMERATORS[0].recip(),
+                     _full_pow(_NUMERATORS[1], -2), *_NUMERATORS]))
+_CONSTS = st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 3]).map(
+    ScalarExpr.const)
+
+
+@st.composite
+def _terms(draw):
+    out = draw(_CONSTS)
+    for f in draw(st.lists(_FACTORS, max_size=3)):
+        out = _full_mul(out, f)
+    return out
+
+
+_OPERANDS = st.one_of(_CONSTS, _terms(),
+                      st.builds(lambda s, t: ScalarExpr({**dict(s._terms), **dict(t._terms)}),
+                                _terms(), _terms()))
+# pairs (a, b), half of them with b = c / a, whose exponents cancel a's
+_PAIRS = st.one_of(
+    st.tuples(_OPERANDS, _OPERANDS),
+    st.builds(lambda a, c: (a, _full_mul(c, a.recip())),
+              _OPERANDS.filter(lambda a: a._terms), _OPERANDS))
+
+
+class TestProductShortcuts:
+    """A zero, a constant, or two plain monomials build the product's normal
+    form directly; it must be the one the full expansion gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PAIRS)
+    def test_product_is_the_expanded_normal_form(self, pair):
+        a, b = pair
+        want = _full_mul(a, b)
+        _same(a * b, want)
+        _same(b * a, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_OPERANDS)
+    def test_sum_with_zero_and_negation(self, a):
+        _same(a + 0, ScalarExpr(dict(a._terms)))
+        _same(0 + a, ScalarExpr(dict(a._terms)))
+        _same(-a, ScalarExpr({m: -c for m, c in a._terms}))
+        assert a * 1 is a
+        assert 1 * a is a
+
+    def test_cancelled_exponent_leaves_the_monomial(self):
+        _same(X1 * _full_pow(X1, -1), ScalarExpr.one())
+        _same(X1 * X2 * _full_pow(X1, -1), X2)
+
+    def test_constant_factor_is_kept(self):
+        _same(3 * (X1 * X2), _full_mul(ScalarExpr.const(3), _full_mul(X1, X2)))
+        assert str(Fraction(-1, 2) * (X1 + X2)) == "-1/2*x1 - 1/2*x2"
 
 
 class TestDiff:
