@@ -12,14 +12,17 @@ Because construction normalizes eagerly, two structurally equal expressions
 are the same normal form and print identically.  Atoms are interned
 (hash-consed), so equal atoms are one object and compare by identity.
 
-Most products are built directly, without expanding or cancelling, because
-their operands already fix the normal form: a zero operand gives zero, a
-constant scales the other operand's terms (a nonzero rational keeps every
-monomial and their order, and neither creates nor removes a cancellable
-denominator), and two single monomials without wrapped polynomials merge
-into one monomial (nothing to expand, nothing to cancel).  A sum with zero
-is the other operand.  Such results are stored with `_normalized=True`,
-which means "already a normal form, in normal-form order".
+Most products of operands without wrapped polynomials are built directly,
+without expanding or cancelling, because the operands already fix the
+normal form: a nonzero constant scales the other operand's terms (a
+nonzero rational keeps every monomial and their order, and neither creates
+nor removes a cancellable denominator), and two single monomials merge
+into one monomial (nothing to expand, nothing to cancel).  Such results
+are stored with `_normalized=True`, which means "already a normal form, in
+normal-form order".  A product with a wrapped polynomial, zero times a
+non-constant, and every sum still take the general route: those are the
+steps the contact path repeats most, and their speed-up waits for the
+contact-solve tail fix (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -174,6 +177,11 @@ def _mono_key(m: Monomial):
 def _plain(m: Monomial) -> bool:
     """No wrapped-poly atom in the monomial."""
     return all(a.kind != "poly" for a, _ in m)
+
+
+def _plain_terms(terms) -> bool:
+    """No wrapped-poly atom in any monomial of the terms."""
+    return all(_plain(m) for m, _ in terms)
 
 
 def _merge_exponents(*monos: Monomial) -> dict:
@@ -381,10 +389,6 @@ class ScalarExpr:
     # arithmetic
     def __add__(self, other) -> "ScalarExpr":
         other = _coerce(other)
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
         out = dict(self._terms)
         for m, c in other._terms:
             c2 = out.get(m, _ZERO_FRAC) + c
@@ -406,18 +410,15 @@ class ScalarExpr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "ScalarExpr":
-        """The product's normal form.  A zero or a constant operand, and two
-        single monomials without wrapped polynomials, fix it directly (see
-        the module docstring); every other product expands and cancels."""
+        """The product's normal form.  A nonzero constant and two single
+        monomials fix it directly when neither operand holds a wrapped
+        polynomial (see the module docstring); every other product expands
+        and cancels."""
         other = _coerce(other)
         a, b = self._terms, other._terms
-        if not a:
-            return self
-        if not b:
-            return other
-        if len(b) == 1 and not b[0][0]:
+        if len(b) == 1 and not b[0][0] and _plain_terms(a):
             return self._scaled(b[0][1])
-        if len(a) == 1 and not a[0][0]:
+        if len(a) == 1 and not a[0][0] and _plain_terms(b):
             return other._scaled(a[0][1])
         if len(a) == 1 and len(b) == 1 and _plain(a[0][0]) and _plain(b[0][0]):
             (ma, ca), (mb, cb) = a[0], b[0]

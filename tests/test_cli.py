@@ -311,8 +311,9 @@ class TestStagesRunOnce:
 
     @pytest.mark.parametrize("fixture", ["contact-model-r5", "lcs-model-r4"])
     def test_model_sessions_expand_no_product(self, monkeypatch, fixture):
-        # every product these sessions make has a zero or constant operand or
-        # is two plain monomials, so none goes through the full expansion
+        # every product these sessions make is a constant times a plain
+        # operand or two plain monomials, so none goes through the full
+        # expansion
         calls = self._count(monkeypatch, ("_raw_mul",), module=expr)
         assert execute(fixture_problem(get_fixture(fixture))).exit_status == 0
         assert calls == {"_raw_mul": 0}
