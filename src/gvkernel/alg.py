@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .expr import Chart, ScalarExpr
+from .expr import Chart, KernelError, ScalarExpr
 
 
-class AlgebraError(ValueError):
+class AlgebraError(KernelError):
     """Chart, variance, or grade mismatch between operands."""
 
 
@@ -107,10 +107,6 @@ class GradedElement:
         coeff = ScalarExpr.one() if coeff is None else (
             coeff if isinstance(coeff, ScalarExpr) else ScalarExpr.const(coeff))
         return cls(chart, mask.bit_count(), {mask: coeff})
-
-    @classmethod
-    def from_terms(cls, chart: Chart, grade: int, terms: Mapping[int, ScalarExpr]):
-        return cls(chart, grade, terms)
 
     # -- structure -----------------------------------------------------------
     @property

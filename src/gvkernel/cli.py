@@ -2,7 +2,10 @@
 a verification report.
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed,
-2 the input could not be parsed or set up.  Structured output is one
+2 the input could not be parsed or set up.  1 or 2 is read off the error
+hierarchy: a `CheckFailure` a command raises becomes a failing
+`<command>.error` record, any other `KernelError` an input error.
+Structured output is one
 `check=<name> tier=<tier> verdict=<pass|fail> [witness=(...)]` line per
 record and is byte-identical across runs with the same seed.
 
@@ -23,11 +26,10 @@ from . import jacobi
 from .alg import DiffForm
 from .dsl import (SETTINGS, DslError, ProblemFile, parse_multivector, parse_problem,
                   parse_scalar, parse_setting)
-from .duality import NoCompanion, VolumeError, volume_context
-from .expr import ExprError, Sampler
+from .duality import volume_context
+from .expr import CheckFailure, KernelError, Sampler
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
-from .jacobi import (CheckResult, DefiningPair, JacobiError, JacobiStructure,
-                     Poissonization)
+from .jacobi import CheckResult, DefiningPair, JacobiStructure, Poissonization
 
 
 @dataclass
@@ -132,13 +134,12 @@ class _Session:
         for name, arg in self.problem.commands:
             try:
                 getattr(self, f"cmd_{name}")(arg)
-            except (JacobiError, NoCompanion) as e:
-                witness = getattr(e, "witness", None)
+            except CheckFailure as e:
                 self.report.records.append(CheckResult(
-                    f"{name}.error", "numeric", False, witness,
+                    f"{name}.error", "numeric", False, e.witness,
                     f"{type(e).__name__}: {e}"))
                 break  # hard error: later commands depend on this one
-            except ExprError as e:  # the input is beyond what the kernel handles
+            except KernelError as e:  # the input is beyond what the kernel takes
                 self.report.input_error = f"{name}: {e}"
                 break
         return self.report
@@ -178,22 +179,15 @@ class _Session:
         self.report.printouts["B"] = str(br.B)
 
     def cmd_rescale(self, arg):
-        j = self.foliated
-        try:
-            a = parse_scalar(self.chart, arg)
-        except DslError as e:
-            raise jacobi.JacobiError(f"bad rescale argument: {e}") from None
-        rr = jacobi.conformal_rescale(j, a, self.ctx, self.sampler)
+        a = parse_scalar(self.chart, arg)  # a malformed argument is an input error
+        rr = jacobi.conformal_rescale(self.foliated, a, self.ctx, self.sampler)
         self.report.records.extend(
             CheckResult(f"rescale.{c.name}" if not c.name.startswith("rescale")
                         else c.name, c.tier, c.passed, c.witness, c.detail)
             for c in rr.checks)
 
     def cmd_unimodular(self, arg):
-        try:
-            u = parse_multivector(self.chart, arg)
-        except DslError as e:
-            raise jacobi.JacobiError(f"bad unimodular argument: {e}") from None
+        u = parse_multivector(self.chart, arg)
         res = jacobi.unimodularity(self.ctx, u, self.sampler)
         self.report.records.append(CheckResult(
             "unimodular.psi", res.verdict.tier, res.unimodular,
@@ -209,10 +203,8 @@ def execute(problem: ProblemFile, seed: Optional[int] = None,
                       tol=problem.tol if tol is None else tol)
     try:
         session = _Session(problem, sampler)
-    except (VolumeError, ExprError) as e:
-        report = Report()
-        report.input_error = str(e)
-        return report
+    except KernelError as e:
+        return Report(input_error=str(e))
     return session.run()
 
 
@@ -261,8 +253,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             with open(args.file, encoding="utf-8") as fh:
                 problem = parse_problem(fh.read())
-    except (DslError, ExprError, OSError) as e:
+    except (KernelError, OSError) as e:
         print(f"gvkernel: {e}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:  # not UTF-8 text
+        print(f"gvkernel: {args.file}: {e}", file=sys.stderr)
         return 2
     report = execute(problem, seed=args.seed, points=args.points, tol=args.tol)
     sys.stdout.write(emit(report, args.format))

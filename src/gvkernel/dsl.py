@@ -30,10 +30,10 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .alg import DiffForm, GradedElement, MultiVector, wedge
-from .expr import Chart, ExprError, ScalarExpr, cos_, exp_, ln_, sin_
+from .expr import Chart, ExprError, KernelError, ScalarExpr, cos_, exp_, ln_, sin_
 
 
-class DslError(ValueError):
+class DslError(KernelError):
     def __init__(self, message: str, line: int = 0, col: int = 0,
                  expected: Tuple[str, ...] = ()):
         self.line = line
@@ -81,6 +81,10 @@ Value = Union[ScalarExpr, GradedElement]
 
 _FUNCS = {"exp": exp_, "sin": sin_, "cos": cos_}
 
+# Deepest nesting of parentheses, function calls and unary minus in one
+# expression: parsing, printing and evaluating recurse once per level.
+MAX_NESTING = 100
+
 
 class _ExprParser:
     """Pratt parser over mixed scalar / graded values."""
@@ -89,6 +93,7 @@ class _ExprParser:
         self.chart = chart
         self.toks = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -129,12 +134,21 @@ class _ExprParser:
                 left = self.combine(t, left, right)
         return left
 
+    def nested(self, t: Token, min_bp: int) -> Value:
+        """`expr(min_bp)` one nesting level below the token `t`."""
+        if self.depth == MAX_NESTING:
+            raise DslError(f"nesting deeper than the limit of {MAX_NESTING}", t.line, t.col)
+        self.depth += 1
+        v = self.expr(min_bp)
+        self.depth -= 1
+        return v
+
     def prefix(self, t: Token) -> Value:
         if t.kind == "op" and t.text == "-":
-            v = self.expr(25)  # binds tighter than +- and *, looser than ^
+            v = self.nested(t, 25)  # binds tighter than +- and *, looser than ^
             return -v if isinstance(v, ScalarExpr) else v.scale(-1)
         if t.kind == "op" and t.text == "(":
-            v = self.expr(0)
+            v = self.nested(t, 0)
             self.expect_op(")")
             return v
         if t.kind == "num":
@@ -161,7 +175,7 @@ class _ExprParser:
             nt = self.peek()
             if nt.kind == "op" and nt.text == "(" and (name in _FUNCS or name == "ln"):
                 self.next()
-                arg = self.expr(0)
+                arg = self.nested(t, 0)
                 self.expect_op(")")
                 if not isinstance(arg, ScalarExpr):
                     raise DslError(f"{name}() takes a scalar argument", t.line, t.col)
@@ -218,7 +232,7 @@ class _ExprParser:
                                t.line, t.col)
             try:
                 return a + b if t.text == "+" else a - b
-            except Exception as e:
+            except KernelError as e:
                 raise DslError(str(e), t.line, t.col) from None
         if t.text == "*":
             if sc_a and sc_b:
@@ -238,7 +252,7 @@ class _ExprParser:
             return a.scale(b)
         try:
             return wedge(a, b)
-        except Exception as e:
+        except KernelError as e:
             raise DslError(str(e), t.line, t.col) from None
 
 

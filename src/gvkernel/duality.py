@@ -15,14 +15,15 @@ from typing import Optional, Tuple
 from .alg import (AlgebraError, DiffForm, MultiVector, contract_mv_into_form,
                   contract_sign, mask_indices, wedge)
 from .calculus import exterior_derivative
-from .expr import Chart, Sampler, ScalarExpr, is_zero, vanishing_point
+from .expr import (Chart, CheckFailure, KernelError, Sampler, ScalarExpr, is_zero,
+                   vanishing_point)
 
 
-class VolumeError(ValueError):
+class VolumeError(KernelError):
     """Volume form not usable: wrong shape or vanishing somewhere sampled."""
 
 
-class NoCompanion(ValueError):
+class NoCompanion(CheckFailure):
     """Every star-companion candidate vanishes at some sample point."""
 
 
@@ -51,19 +52,15 @@ def volume_context(chart: Chart, vol: DiffForm, sampler: Sampler) -> VolumeConte
     if witness is not None:
         raise VolumeError(f"volume coefficient vanishes near sample point {witness}")
     top_inverse = MultiVector(chart, chart.n, {full: rho.recip()})
-    cert = apply_vol_raw(vol, top_inverse)
+    cert = contract_mv_into_form(top_inverse, vol).coefficient(0)
     if not cert.is_one:
         raise VolumeError(f"vol(phi^-1(1)) != 1: got {cert}")
     return VolumeContext(chart, vol, top_inverse, rho)
 
 
-def apply_vol_raw(vol: DiffForm, w: MultiVector) -> ScalarExpr:
-    """vol evaluated on a top multivector, as a scalar."""
-    return contract_mv_into_form(w, vol).coefficient(0)
-
-
 def apply_vol(ctx: VolumeContext, w: MultiVector) -> ScalarExpr:
-    return apply_vol_raw(ctx.vol, w)
+    """vol evaluated on a top multivector, as a scalar."""
+    return contract_mv_into_form(w, ctx.vol).coefficient(0)
 
 
 def phi(ctx: VolumeContext, u: MultiVector) -> DiffForm:

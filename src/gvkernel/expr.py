@@ -43,11 +43,23 @@ MAX_DIM = 12
 Point = Tuple[float, ...]
 
 
-class ExprError(ValueError):
+class KernelError(ValueError):
+    """Base of every kernel error; carries an optional witness point."""
+
+    def __init__(self, message: str, witness: Optional[tuple] = None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class CheckFailure(KernelError):
+    """A well-formed input failed a check (exit 1; other errors exit 2)."""
+
+
+class ExprError(KernelError):
     """Malformed expression construction (bad chart, bad ln argument, ...)."""
 
 
-class DomainError(ArithmeticError):
+class DomainError(KernelError):
     """Numeric evaluation left the expression's domain (ln <= 0, 1/0,
     overflow, sin/cos of a non-finite value)."""
 
@@ -378,13 +390,6 @@ class ScalarExpr:
     @property
     def is_rational_const(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and self._terms[0][0] == _EMPTY_MONO)
-
-    def as_fraction(self) -> Fraction:
-        if not self._terms:
-            return _ZERO_FRAC
-        if not self.is_rational_const:
-            raise ExprError(f"not a rational constant: {self}")
-        return self._terms[0][1]
 
     # arithmetic
     def __add__(self, other) -> "ScalarExpr":

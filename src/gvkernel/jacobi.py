@@ -42,16 +42,12 @@ from .alg import (AlgebraError, DiffForm, GradedElement, MultiVector,
 from .calculus import exterior_derivative, schouten
 from .duality import (StarCompanion, VolumeContext, phi, phi_inv, psi, star,
                       volume_context)
-from .expr import (MAX_DIM, Chart, ExprError, Sampler, ScalarExpr, ZeroVerdict,
-                   first_row, is_zero, vanishing_point)
+from .expr import (MAX_DIM, Chart, CheckFailure, ExprError, Sampler, ScalarExpr,
+                   ZeroVerdict, first_row, is_zero, vanishing_point)
 
 
-class JacobiError(ValueError):
-    """Base for structure-level failures; carries an optional witness point."""
-
-    def __init__(self, message: str, witness: Optional[tuple] = None):
-        super().__init__(message)
-        self.witness = witness
+class JacobiError(CheckFailure):
+    """Base for structure-level failures."""
 
 
 class AxiomViolation(JacobiError):

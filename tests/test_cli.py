@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gvkernel
 from gvkernel import expr, jacobi
 from gvkernel.alg import DiffForm, contract_form_into_mv
 from gvkernel.calculus import exterior_derivative
 from gvkernel.cli import emit, execute, fixture_problem, main
-from gvkernel.dsl import (COMMANDS, DslError, parse_multivector, parse_problem,
+from gvkernel.dsl import (COMMANDS, MAX_NESTING, parse_multivector, parse_problem,
                           parse_scalar)
-from gvkernel.expr import Chart, ExprError
+from gvkernel.expr import Chart, CheckFailure, KernelError
 from gvkernel.fixtures import FIXTURE_NAMES, get_fixture
 
 CONTACT_TEXT = """\
@@ -154,6 +155,12 @@ class TestDeterminism:
         assert a == b
 
 
+def _nested(level, depth):
+    """`pi` with a coefficient nested `depth` levels deep in `level`."""
+    body = level * depth + "x1" + ")" * (depth * level.count("("))
+    return f"chart x1 x2 x3\npi = {body}*d/dx1^d/dx2\nrun verify\n"
+
+
 class TestMainEntry:
     def test_fixture_flag(self, capsys):
         rc = main(["--fixture", "poisson-r3", "--format", "structured"])
@@ -185,13 +192,40 @@ class TestMainEntry:
     def test_exit_2_on_unreadable_file(self, capsys):
         assert main(["/nonexistent/path.gvk"]) == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "latin.gvk"
+        p.write_bytes(b"\xff\xfe chart x1\n")
+        assert main([str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"gvkernel: {p}: ")
+        assert "can't decode" in captured.err
+
     @pytest.mark.parametrize("text, message, kept", [
         ("chart " + " ".join(f"x{i}" for i in range(1, 13)) + "\n"
          "pi = d/dx1^d/dx2\nrun verify poissonize\n",
          "poissonize: the Poisson lift needs 13 variables", True),
         ("chart x1 x2 x3\npi = exp(1000 + x1^2)*d/dx1^d/dx2\nrun verify\n",
          "verify: sampling exhausted", False),
-    ], ids=["lift-over-chart-cap", "sampling-exhausted"])
+        (_nested("(", 1000), f"col 101: nesting deeper than the limit of {MAX_NESTING}",
+         False),
+        (_nested("sin(", 1000), f"col 401: nesting deeper than the limit of {MAX_NESTING}",
+         False),
+        (_nested("-", 1000), f"col 101: nesting deeper than the limit of {MAX_NESTING}",
+         False),
+        # a malformed command argument is an input error like any other line
+        ("chart x1 x2 x3\npi = d/dx1^d/dx2\nrun verify rescale(d/dx1)\n",
+         "rescale: line 1, col 1: expected a scalar expression", True),
+        ("chart x1 x2 x3\npi = d/dx1^d/dx2\nrun verify unimodular(dx1)\n",
+         "unimodular: line 1, col 1: expected a multivector expression", True),
+        ("chart x1 x2 x3\npi = d/dx1^d/dx2\nrun verify rescale(x1 +)\n",
+         "rescale: line 1, col 5: unexpected 'end of input'", True),
+        # ... read before the structure it rescales is verified
+        (BROKEN_TEXT.replace("run verify", "run rescale(d/dx1)"),
+         "rescale: line 1, col 1: expected a scalar expression", False),
+    ], ids=["lift-over-chart-cap", "sampling-exhausted", "nested-parens",
+            "nested-calls", "nested-minus", "rescale-argument",
+            "unimodular-argument", "truncated-argument", "argument-before-structure"])
     def test_exit_2_on_kernel_limit(self, tmp_path, capsys, text, message, kept):
         p = tmp_path / "limit.gvk"
         p.write_text(text)
@@ -201,6 +235,13 @@ class TestMainEntry:
         assert "Traceback" not in captured.err
         # records of the commands before the failing one are kept
         assert ("check=jacobi.axiom1" in captured.out) == kept
+        assert "verdict=fail" not in captured.out
+
+    @pytest.mark.parametrize("level", ["(", "sin(", "-"])
+    def test_nesting_at_the_bound_runs(self, tmp_path, capsys, level):
+        p = tmp_path / "deep.gvk"
+        p.write_text(_nested(level, MAX_NESTING))
+        assert main([str(p)]) == 0
 
     @pytest.mark.parametrize("flag, value", [
         ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
@@ -248,6 +289,69 @@ class TestMainEntry:
             capture_output=True, text=True)
         assert out.returncode == 0
         assert "verdict=pass" in out.stdout
+
+
+def _error_classes():
+    """Every error class gvkernel exports, plus every JacobiError subclass."""
+    found = {obj for obj in map(gvkernel.__dict__.get, gvkernel.__all__)
+             if isinstance(obj, type) and issubclass(obj, Exception)}
+    todo = [jacobi.JacobiError]
+    while todo:
+        cls = todo.pop()
+        found.add(cls)
+        todo.extend(cls.__subclasses__())
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+WITNESS = (0.25, -0.5, 0.75)
+
+
+def _instance(cls):
+    if cls is jacobi.CodimOutOfRange:
+        return cls(3, 3)
+    if cls is jacobi.AxiomViolation:
+        return cls("[pi,E] = 0", WITNESS)
+    if issubclass(cls, CheckFailure):
+        return cls("check failed", WITNESS)
+    return cls("input refused")
+
+
+class TestErrorMapping:
+    """Exit 1 or 2 is read off the error hierarchy, for every error class."""
+
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+    def test_every_error_is_a_kernel_error(self, cls):
+        assert issubclass(cls, KernelError)
+
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_error_from_a_stage_maps_to_its_exit_code(self, tmp_path, capsys,
+                                                      monkeypatch, cls, fmt):
+        err = _instance(cls)
+
+        def failing_stage(*args, **kwargs):
+            raise err
+        monkeypatch.setattr(jacobi, "verify_jacobi", failing_stage)
+        p = tmp_path / "problem.gvk"
+        p.write_text(CONTACT_TEXT)
+        rc = main([str(p), "--format", fmt])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if issubclass(cls, CheckFailure):
+            assert rc == 1
+            assert captured.err == ""
+            line = captured.out.splitlines()[0]
+            if fmt == "text":
+                assert line.startswith("[FAIL] verify.error")
+                assert f"{cls.__name__}: {err}" in line
+            else:
+                assert line.startswith("check=verify.error tier=numeric verdict=fail")
+            assert ("witness=(0.25,-0.5,0.75)" in line) == (err.witness is not None)
+        else:
+            assert rc == 2
+            assert captured.err == f"gvkernel: verify: {err}\n"
+            assert captured.out == ("" if fmt == "structured"
+                                    else f"input error: verify: {err}\n")
 
 
 class TestStructuredFormat:
@@ -467,7 +571,7 @@ class TestExitCodeContract:
     def _check(text):
         try:
             problem = parse_problem(text)
-        except (DslError, ExprError):
+        except KernelError:
             return
         first = execute(problem)
         second = execute(problem)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gvkernel.alg import DiffForm, MultiVector, wedge
-from gvkernel.dsl import (DslError, parse_form, parse_multivector,
+from gvkernel.dsl import (MAX_NESTING, DslError, parse_form, parse_multivector,
                           parse_problem, parse_scalar, parse_value)
 from gvkernel.expr import Chart, ScalarExpr, cos_, exp_, sin_
 
@@ -50,6 +50,25 @@ class TestScalarSyntax:
             parse_scalar(C3, "x0^x1")
         with pytest.raises(DslError):
             parse_scalar(C3, "2^(1/2)")
+
+    @pytest.mark.parametrize("level", ["(", "sin(", "-", "-(", "exp(-"])
+    def test_nesting_bound(self, level):
+        # each level of `level` opens one or two of the counted nestings:
+        # a parenthesis, a function call, a unary minus
+        per = level.count("(") + level.count("-")
+        depth = MAX_NESTING // per
+
+        def nest(k):
+            return level * k + "x1" + ")" * (k * level.count("("))
+        assert parse_scalar(C3, nest(depth)) is not None
+        with pytest.raises(DslError, match=f"limit of {MAX_NESTING}") as ei:
+            parse_scalar(C3, nest(depth + 1))
+        assert ei.value.line == 1 and ei.value.col > 0
+
+    def test_nesting_bound_holds_inside_a_sum(self):
+        # the bound counts the depth of the open nestings, not their number
+        flat = " + ".join(["(" * 60 + "x1" + ")" * 60] * 10)
+        assert parse_scalar(C3, flat) == 10 * ScalarExpr.var("x1")
 
 
 class TestTensorSyntax:
