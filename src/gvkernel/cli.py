@@ -131,9 +131,10 @@ class _Session:
 
     # commands ----------------------------------------------------------------
     def run(self) -> Report:
-        for name, arg in self.problem.commands:
+        origins = self.problem.arg_origins or [(1, 0)] * len(self.problem.commands)
+        for (name, arg), origin in zip(self.problem.commands, origins):
             try:
-                getattr(self, f"cmd_{name}")(arg)
+                getattr(self, f"cmd_{name}")(arg, origin)
             except CheckFailure as e:
                 self.report.records.append(CheckResult(
                     f"{name}.error", "numeric", False, e.witness,
@@ -144,32 +145,32 @@ class _Session:
                 break
         return self.report
 
-    def cmd_verify(self, arg):
+    def cmd_verify(self, arg, origin):
         self.report.records.extend(self.foliated.checks)
 
-    def cmd_pair(self, arg):
+    def cmd_pair(self, arg, origin):
         self.report.records.extend(self.pair.checks)
         self.report.printouts["alpha"] = str(self.pair.alpha)
         self.report.printouts["beta"] = str(self.pair.beta)
         self.report.printouts["gv"] = str(self.pair.gv)
 
-    def cmd_gv(self, arg):
+    def cmd_gv(self, arg, origin):
         self.report.records.append(next(c for c in self.pair.checks
                                         if c.name == "pair.gv_closed"))
         self.report.printouts["gv"] = str(self.pair.gv)
 
-    def cmd_codim1(self, arg):
+    def cmd_codim1(self, arg, origin):
         j = self.foliated
         jacobi.require_codim_one(j)
         g, check = jacobi.gv_codim1(j, self.ctx, self.pair, self.sampler)
         self.report.records.append(check)
         self.report.printouts["gv_codim1"] = str(g)
 
-    def cmd_poissonize(self, arg):
+    def cmd_poissonize(self, arg, origin):
         self.report.records.append(self.lift.poisson_check)
         self.report.printouts["Lambda"] = str(self.lift.lam)
 
-    def cmd_bridge(self, arg):
+    def cmd_bridge(self, arg, origin):
         j = self.foliated
         jacobi.require_contact(j)
         br = jacobi.check_poissonization_bridge(j, self.ctx, self.pair,
@@ -178,16 +179,16 @@ class _Session:
         self.report.printouts["A"] = str(br.A)
         self.report.printouts["B"] = str(br.B)
 
-    def cmd_rescale(self, arg):
-        a = parse_scalar(self.chart, arg)  # a malformed argument is an input error
+    def cmd_rescale(self, arg, origin):
+        a = parse_scalar(self.chart, arg, *origin)  # a malformed argument is an input error
         rr = jacobi.conformal_rescale(self.foliated, a, self.ctx, self.sampler)
         self.report.records.extend(
             CheckResult(f"rescale.{c.name}" if not c.name.startswith("rescale")
                         else c.name, c.tier, c.passed, c.witness, c.detail)
             for c in rr.checks)
 
-    def cmd_unimodular(self, arg):
-        u = parse_multivector(self.chart, arg)
+    def cmd_unimodular(self, arg, origin):
+        u = parse_multivector(self.chart, arg, *origin)
         res = jacobi.unimodularity(self.ctx, u, self.sampler)
         self.report.records.append(CheckResult(
             "unimodular.psi", res.verdict.tier, res.unimodular,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
@@ -260,28 +260,32 @@ def parse_value(chart: Chart, text: str, line: int = 1, col0: int = 0) -> Value:
     return _ExprParser(chart, tokenize(text, line, col0)).parse()
 
 
-def parse_scalar(chart: Chart, text: str, line: int = 1) -> ScalarExpr:
-    v = parse_value(chart, text, line)
+# `line` and `col0` place the text in its file: errors name the line and
+# the column col0 + (position in the text), counted from 1.
+
+def parse_scalar(chart: Chart, text: str, line: int = 1, col0: int = 0) -> ScalarExpr:
+    v = parse_value(chart, text, line, col0)
     if not isinstance(v, ScalarExpr):
-        raise DslError("expected a scalar expression", line, 1)
+        raise DslError("expected a scalar expression", line, col0 + 1)
     return v
 
 
-def parse_multivector(chart: Chart, text: str, line: int = 1) -> MultiVector:
-    v = parse_value(chart, text, line)
+def parse_multivector(chart: Chart, text: str, line: int = 1,
+                      col0: int = 0) -> MultiVector:
+    v = parse_value(chart, text, line, col0)
     if isinstance(v, ScalarExpr):
         return MultiVector.scalar(chart, v)
     if not isinstance(v, MultiVector):
-        raise DslError("expected a multivector expression", line, 1)
+        raise DslError("expected a multivector expression", line, col0 + 1)
     return v
 
 
-def parse_form(chart: Chart, text: str, line: int = 1) -> DiffForm:
-    v = parse_value(chart, text, line)
+def parse_form(chart: Chart, text: str, line: int = 1, col0: int = 0) -> DiffForm:
+    v = parse_value(chart, text, line, col0)
     if isinstance(v, ScalarExpr):
         return DiffForm.scalar(chart, v)
     if not isinstance(v, DiffForm):
-        raise DslError("expected a differential-form expression", line, 1)
+        raise DslError("expected a differential-form expression", line, col0 + 1)
     return v
 
 
@@ -305,6 +309,9 @@ class ProblemFile:
     points: int = 64
     tol: float = 1e-9
     commands: Tuple[Tuple[str, Optional[str]], ...] = ()
+    # (line, column offset) of each command's argument text in the file, in
+    # the order of `commands`; empty for a problem not read from a file
+    arg_origins: Tuple[Tuple[int, int], ...] = field(default=(), compare=False)
 
     def canonical_text(self) -> str:
         lines = [f"chart {' '.join(self.chart.vars)}"]
@@ -331,30 +338,47 @@ class ProblemFile:
         return "\n".join(lines) + "\n"
 
 
+# Most sample points a check may ask for: 16x the 256 of the numeric
+# benchmark tier.  It bounds the memory of a sample and of a sampler's
+# sample plans (10x oversampling on up to 12 coordinates).
+MAX_POINTS = 4096
+
 # the sampling settings: how each is read from text, which values are
 # valid, and what a valid one is
 SETTINGS = {
     "seed": (int, lambda v: v >= 0, "non-negative integer"),
-    "points": (int, lambda v: v > 0, "positive integer"),
+    "points": (int, lambda v: 0 < v <= MAX_POINTS, f"integer in 1..{MAX_POINTS}"),
     "tol": (float, lambda v: 0 < v < math.inf, "positive finite float"),
 }
 
 
-def parse_setting(name: str, text: str, line: int = 0) -> Union[int, float]:
+def parse_setting(name: str, text: str, line: int = 0, col: int = 1) -> Union[int, float]:
     """A sampling setting (`seed`, `points` or `tol`) read from its text, as
-    a problem-file line or a command-line flag gives it."""
+    a problem-file line (starting at column `col`) or a command-line flag
+    gives it."""
     convert, valid, what = SETTINGS[name]
     try:
         value = convert(text)
     except ValueError:
         value = None
     if value is None or not valid(value):
-        raise DslError(f"bad {name} {text!r}", line, 1, (what,))
+        raise DslError(f"bad {name} {text!r}", line, col, (what,))
     return value
 
 
-def _split_commands(rest: str, line_no: int) -> List[Tuple[str, Optional[str]]]:
-    out: List[Tuple[str, Optional[str]]] = []
+def _lstrip(text: str, col0: int) -> Tuple[str, int]:
+    """`text` without its leading whitespace, and the column offset of what
+    is left."""
+    rest = text.lstrip()
+    return rest, col0 + len(text) - len(rest)
+
+
+def _split_commands(rest: str, line_no: int, col0: int
+                    ) -> List[Tuple[str, Optional[str], Tuple[int, int]]]:
+    """The commands of a `run` line whose command text `rest` starts at
+    column offset `col0`: (name, argument text or None, (line, column
+    offset) of the argument)."""
+    out: List[Tuple[str, Optional[str], Tuple[int, int]]] = []
     i = 0
     n = len(rest)
     while i < n:
@@ -364,13 +388,15 @@ def _split_commands(rest: str, line_no: int) -> List[Tuple[str, Optional[str]]]:
             break
         m = re.match(r"[a-z0-9]+", rest[i:])
         if not m:
-            raise DslError(f"bad command text {rest[i:]!r}", line_no, i + 1,
+            raise DslError(f"bad command text {rest[i:]!r}", line_no, col0 + i + 1,
                            COMMANDS)
         name = m.group()
+        name_col = col0 + i + 1
         i += m.end()
         if name not in COMMANDS:
-            raise DslError(f"unknown command {name!r}", line_no, i, COMMANDS)
+            raise DslError(f"unknown command {name!r}", line_no, name_col, COMMANDS)
         arg = None
+        start = i
         if i < n and rest[i] == "(":
             depth = 0
             start = i + 1
@@ -384,65 +410,69 @@ def _split_commands(rest: str, line_no: int) -> List[Tuple[str, Optional[str]]]:
                 i += 1
             if depth != 0:
                 raise DslError("unbalanced parentheses in command argument",
-                               line_no, start)
+                               line_no, col0 + start)
             arg = rest[start:i]
             i += 1
         if name in ("rescale", "unimodular") and arg is None:
-            raise DslError(f"{name} needs a parenthesized argument", line_no, i)
+            raise DslError(f"{name} needs a parenthesized argument", line_no, name_col)
         if name not in ("rescale", "unimodular") and arg is not None:
-            raise DslError(f"{name} takes no argument", line_no, i)
-        out.append((name, arg))
+            raise DslError(f"{name} takes no argument", line_no, col0 + start)
+        out.append((name, arg, (line_no, col0 + start)))
     return out
 
 
 def parse_problem(text: str) -> ProblemFile:
+    """A problem file from its text.  Errors name the line and the column
+    in the file: of the directive, of the value, or inside it."""
     chart: Optional[Chart] = None
     vol_text = None
     decls = {}
     settings = {}
-    commands: List[Tuple[str, Optional[str]]] = []
+    commands: List[Tuple[str, Optional[str], Tuple[int, int]]] = []
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line, lead = _lstrip(raw_line.split("#", 1)[0].rstrip(), 0)
         if not line:
             continue
         word = line.split(None, 1)[0]
-        rest = line[len(word):].strip()
+        wcol = lead + 1
+        rest, rest_col0 = _lstrip(line[len(word):], lead + len(word))
         if word == "chart":
             if chart is not None:
-                raise DslError("duplicate chart declaration", line_no, 1)
+                raise DslError("duplicate chart declaration", line_no, wcol)
             names = rest.split()
             if not names:
-                raise DslError("chart needs variable names", line_no, 1)
+                raise DslError("chart needs variable names", line_no, wcol)
             try:
                 chart = Chart(tuple(names))
             except ExprError as e:
-                raise DslError(str(e), line_no, 1) from None
+                raise DslError(str(e), line_no, wcol) from None
             continue
         if word in SETTINGS:
-            settings[word] = parse_setting(word, rest, line_no)
+            settings[word] = parse_setting(word, rest, line_no, rest_col0 + 1)
             continue
         if word == "run":
-            commands.extend(_split_commands(rest, line_no))
+            commands.extend(_split_commands(rest, line_no, rest_col0))
             continue
         if word == "vol":
             if chart is None:
-                raise DslError("chart must be declared before vol", line_no, 1)
+                raise DslError("chart must be declared before vol", line_no, wcol)
             if vol_text is not None:
-                raise DslError("duplicate vol declaration", line_no, 1)
-            vol_text = (rest, line_no)
+                raise DslError("duplicate vol declaration", line_no, wcol)
+            vol_text = (rest, line_no, rest_col0)
             continue
         if word in ("pi", "E", "theta", "omega", "Omega"):
             if chart is None:
-                raise DslError(f"chart must be declared before {word}", line_no, 1)
+                raise DslError(f"chart must be declared before {word}", line_no, wcol)
             if not rest.startswith("="):
                 raise DslError(f"{word} needs '= <expression>'", line_no,
-                               len(word) + 1, ("=",))
+                               rest_col0 + 1, ("=",))
             if word in decls:
-                raise DslError(f"duplicate declaration of {word}", line_no, 1)
-            decls[word] = (rest[1:].strip(), line_no)
+                raise DslError(f"duplicate declaration of {word}", line_no, wcol)
+            value_text, value_col0 = _lstrip(rest[1:], rest_col0 + 1)
+            decls[word] = (value_text, line_no, value_col0)
             continue
-        raise DslError(f"unknown directive {word!r}", line_no, 1,
+        raise DslError(f"unknown directive {word!r}", line_no, wcol,
                        ("chart", "vol", "pi", "E", "theta", "omega", "Omega",
                         "seed", "points", "tol", "run"))
 
@@ -463,28 +493,31 @@ def parse_problem(text: str) -> ProblemFile:
 
     vol = None
     if vol_text is not None:
-        vol = parse_form(chart, vol_text[0], vol_text[1])
+        vol = parse_form(chart, *vol_text)
 
-    pf = ProblemFile(chart, vol, style, commands=tuple(commands), **settings)
+    def refuse(word: str, message: str):
+        _, line_no, col0 = decls[word]
+        raise DslError(message, line_no, col0 + 1)
+
+    pf = ProblemFile(chart, vol, style, commands=tuple(c[:2] for c in commands),
+                     arg_origins=tuple(c[2] for c in commands), **settings)
     if style == "pi":
         pf.pi = parse_multivector(chart, *decls["pi"])
         pf.E = (parse_multivector(chart, *decls["E"]) if "E" in decls
                 else MultiVector.zero(chart, 1))
         if pf.pi.terms and pf.pi.grade != 2:
-            raise DslError(f"pi must have grade 2, got {pf.pi.grade}",
-                           decls["pi"][1], 1)
+            refuse("pi", f"pi must have grade 2, got {pf.pi.grade}")
         if pf.E.terms and pf.E.grade != 1:
-            raise DslError(f"E must have grade 1, got {pf.E.grade}",
-                           decls["E"][1], 1)
+            refuse("E", f"E must have grade 1, got {pf.E.grade}")
     elif style == "theta":
         pf.theta = parse_form(chart, *decls["theta"])
         if pf.theta.grade != 1:
-            raise DslError("theta must be a 1-form", decls["theta"][1], 1)
+            refuse("theta", "theta must be a 1-form")
     else:
         pf.omega1 = parse_form(chart, *decls["omega"])
         pf.omega2 = parse_form(chart, *decls["Omega"])
         if pf.omega1.terms and pf.omega1.grade != 1:
-            raise DslError("omega must be a 1-form", decls["omega"][1], 1)
+            refuse("omega", "omega must be a 1-form")
         if pf.omega2.terms and pf.omega2.grade != 2:
-            raise DslError("Omega must be a 2-form", decls["Omega"][1], 1)
+            refuse("Omega", "Omega must be a 2-form")
     return pf

@@ -23,6 +23,11 @@ normal-form order".  A product with a wrapped polynomial, zero times a
 non-constant, and every sum still take the general route: those are the
 steps the contact path repeats most, and their speed-up waits for the
 contact-solve tail fix (ROADMAP item 5).
+
+Numeric verdicts read seeded sample points (`Sampler`).  A sampler draws
+each chart's points once and keeps them, with the atom columns of the first
+block, for the last two charts it sampled; every check on such a chart
+reads the same points and values it would read from a fresh sampler.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ import math
 import random
 import threading
 import weakref
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -728,9 +734,10 @@ class _Block:
     atom and each atom power is computed once per block and shared by every
     term that uses it; atoms are interned, so the memo is keyed by them."""
 
-    def __init__(self, columns: Mapping[str, np.ndarray], rows: int):
-        self.columns = columns
-        self.rows = rows
+    def __init__(self, chart: Chart, points: Sequence[Point]):
+        coords = np.array(points, dtype=float).reshape(len(points), chart.n)
+        self.columns = dict(zip(chart.vars, np.ascontiguousarray(coords.T)))
+        self.rows = len(points)
         self.memo: dict = {}
 
     def expr(self, e: ScalarExpr):
@@ -792,8 +799,8 @@ class _Block:
         return values, _either(bad, fails if fails.any() else None)
 
 
-def evaluate_block(exprs: Sequence[ScalarExpr], chart: Chart,
-                   points: Sequence[Point]) -> Tuple[np.ndarray, np.ndarray]:
+def evaluate_block(exprs: Sequence[ScalarExpr], chart: Chart, points: Sequence[Point],
+                   block: Optional[_Block] = None) -> Tuple[np.ndarray, np.ndarray]:
     """`evaluate` of every expression at every point, in one pass over the
     block: the (points x exprs) values, and the mask of the points where
     every expression evaluates.  A point is masked out exactly where
@@ -801,9 +808,11 @@ def evaluate_block(exprs: Sequence[ScalarExpr], chart: Chart,
     the kept points equal its results bit for bit: + and * run in its order
     (IEEE, as Python floats), integer powers go through np.float_power (C
     pow, as float ** int), and exp/sin/cos/ln through math, element by
-    element."""
-    coords = np.array(points, dtype=float).reshape(len(points), chart.n)
-    block = _Block(dict(zip(chart.vars, np.ascontiguousarray(coords.T))), len(points))
+    element.  `block`, when given, is the `_Block` of these very points; its
+    memoised atom and atom-power columns are reused, and it keeps the new
+    ones."""
+    if block is None:
+        block = _Block(chart, points)
     values = np.empty((len(points), len(exprs)))
     bad = None
     with np.errstate(all="ignore"):  # overflow and nan sit on masked points
@@ -827,41 +836,114 @@ class SampleTable:
         return len(self.points)
 
 
+def _uniform_points(rand: Callable[[], float], spans: Sequence[Tuple[float, float]],
+                    count: int) -> Iterator[Point]:
+    for _ in range(count):
+        yield tuple([low + width * rand() for low, width in spans])
+
+
+# Charts whose sample plan a sampler keeps: a structure's chart and the
+# chart of its Poisson lift.
+PLANNED_CHARTS = 2
+
+
+class _Plan:
+    """One chart's sample plan: the candidate points drawn so far, in draw
+    order; the rest of the chart's draw stream, which ends at 10 x `points`;
+    and the `_Block` of the first `points` candidates, whose atom and
+    atom-power columns every check on the chart shares."""
+
+    __slots__ = ("candidates", "draws", "head")
+
+    def __init__(self, chart: Chart, draws: Iterator[Point], rows: int):
+        self.draws = draws
+        self.candidates: List[Point] = list(itertools.islice(draws, rows))
+        self.head = _Block(chart, self.candidates)
+
+
 @dataclass(frozen=True)
 class Sampler:
-    """Deterministic point sampler; positive variables draw from [0.5, 2]."""
+    """Deterministic point sampler; positive variables draw from [0.5, 2].
+
+    A sampler draws each chart's points once: it keeps a private sample
+    plan (`_Plan`) for each of the last `PLANNED_CHARTS` charts it sampled,
+    and every check on such a chart reads its candidate points, and the
+    first block's atom columns, from the plan.  The plans are not part of
+    the sampler's value: `==`, `hash` and `repr` ignore them, and a copy, a
+    pickle or a `dataclasses.replace` starts without any.  One lock guards
+    creating and extending them, so threads may share a sampler."""
 
     seed: int = 0
     points: int = 64
     tol: float = 1e-9
+    _plans: "OrderedDict[Chart, _Plan]" = field(init=False, compare=False, repr=False)
+    _lock: threading.Lock = field(init=False, compare=False, repr=False)
 
-    def draw(self, chart: Chart, count: Optional[int] = None) -> Iterable[Point]:
+    def __post_init__(self):
+        object.__setattr__(self, "_plans", OrderedDict())
+        object.__setattr__(self, "_lock", threading.Lock())
+
+    def __reduce__(self):
+        # rebuilt through the constructor: a copy starts without plans
+        return (type(self), (self.seed, self.points, self.tol))
+
+    def draw(self, chart: Chart, count: Optional[int] = None) -> Iterator[Point]:
+        """The chart's seeded point stream, `count` (default `points`) long.
+        The stream does not refer back to the sampler, so a plan holding it
+        makes no reference cycle: a sampler and its plans go as soon as the
+        last reference to the sampler does."""
         rng = random.Random(f"{self.seed}|{','.join(chart.vars)}")
-        rand = rng.random
         # (low, width): what random.uniform(low, low + width) computes
         spans = [(0.5, 1.5) if v in chart.positive else (-1.0, 2.0) for v in chart.vars]
-        for _ in range(count if count is not None else self.points):
-            yield tuple([low + width * rand() for low, width in spans])
+        return _uniform_points(rng.random, spans, count if count is not None else self.points)
 
     def valid_points(self, chart: Chart, exprs: Sequence[ScalarExpr]) -> SampleTable:
         """Up to `points` sample points where every expression evaluates,
         in draw order, with the values there; domain-error points are
-        discarded, oversampling at most 10x.  Points are drawn in blocks of
-        as many as are still missing, so none is drawn past the last one
-        kept, and each block is evaluated at once (evaluate_block)."""
-        draws = self.draw(chart, 10 * self.points)
+        discarded, oversampling at most 10x.  Candidates are read in blocks
+        of as many as are still missing, so none is read past the last one
+        kept, and each block is evaluated at once (evaluate_block).  The
+        candidates come from the chart's plan, drawn once per sampler; the
+        first block shares the plan's memoised columns, and only refill
+        blocks are evaluated afresh."""
+        plan = self._plan(chart)
         points: List[Point] = []
         values = []
+        read = 0
         while len(points) < self.points:
-            block = list(itertools.islice(draws, self.points - len(points)))
+            block = self._candidates(plan, read, self.points - len(points))
             if not block:
                 break
-            vals, ok = evaluate_block(exprs, chart, block)
+            vals, ok = evaluate_block(exprs, chart, block, None if read else plan.head)
             points.extend(itertools.compress(block, ok))
             values.append(vals[ok])
+            read += len(block)
         if not points:
             raise ExprError("sampling exhausted: every point hit a domain error")
         return SampleTable(points, np.concatenate(values))
+
+    def _plan(self, chart: Chart) -> _Plan:
+        """The chart's plan, made on first use; the least recently used plan
+        beyond `PLANNED_CHARTS` is dropped."""
+        with self._lock:
+            plan = self._plans.get(chart)
+            if plan is None:
+                plan = _Plan(chart, self.draw(chart, 10 * self.points), self.points)
+                self._plans[chart] = plan
+                if len(self._plans) > PLANNED_CHARTS:
+                    self._plans.popitem(last=False)
+            else:
+                self._plans.move_to_end(chart)
+            return plan
+
+    def _candidates(self, plan: _Plan, start: int, count: int) -> List[Point]:
+        """Candidates start .. start + count - 1 of the plan, drawing the
+        missing ones; fewer where the draw stream ends."""
+        with self._lock:
+            missing = start + count - len(plan.candidates)
+            if missing > 0:
+                plan.candidates.extend(itertools.islice(plan.draws, missing))
+            return plan.candidates[start:start + count]
 
 
 @dataclass(frozen=True)

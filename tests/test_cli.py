@@ -10,7 +10,7 @@ from gvkernel import expr, jacobi
 from gvkernel.alg import DiffForm, contract_form_into_mv
 from gvkernel.calculus import exterior_derivative
 from gvkernel.cli import emit, execute, fixture_problem, main
-from gvkernel.dsl import (COMMANDS, MAX_NESTING, parse_multivector, parse_problem,
+from gvkernel.dsl import (COMMANDS, MAX_NESTING, MAX_POINTS, parse_multivector, parse_problem,
                           parse_scalar)
 from gvkernel.expr import Chart, CheckFailure, KernelError
 from gvkernel.fixtures import FIXTURE_NAMES, get_fixture
@@ -207,25 +207,28 @@ class TestMainEntry:
          "poissonize: the Poisson lift needs 13 variables", True),
         ("chart x1 x2 x3\npi = exp(1000 + x1^2)*d/dx1^d/dx2\nrun verify\n",
          "verify: sampling exhausted", False),
-        (_nested("(", 1000), f"col 101: nesting deeper than the limit of {MAX_NESTING}",
+        (_nested("(", 1000), f"line 2, col 106: nesting deeper than the limit of {MAX_NESTING}",
          False),
-        (_nested("sin(", 1000), f"col 401: nesting deeper than the limit of {MAX_NESTING}",
+        (_nested("sin(", 1000), f"line 2, col 406: nesting deeper than the limit of {MAX_NESTING}",
          False),
-        (_nested("-", 1000), f"col 101: nesting deeper than the limit of {MAX_NESTING}",
+        (_nested("-", 1000), f"line 2, col 106: nesting deeper than the limit of {MAX_NESTING}",
          False),
         # a malformed command argument is an input error like any other line
         ("chart x1 x2 x3\npi = d/dx1^d/dx2\nrun verify rescale(d/dx1)\n",
-         "rescale: line 1, col 1: expected a scalar expression", True),
+         "rescale: line 3, col 20: expected a scalar expression", True),
         ("chart x1 x2 x3\npi = d/dx1^d/dx2\nrun verify unimodular(dx1)\n",
-         "unimodular: line 1, col 1: expected a multivector expression", True),
+         "unimodular: line 3, col 23: expected a multivector expression", True),
         ("chart x1 x2 x3\npi = d/dx1^d/dx2\nrun verify rescale(x1 +)\n",
-         "rescale: line 1, col 5: unexpected 'end of input'", True),
+         "rescale: line 3, col 24: unexpected 'end of input'", True),
+        ("chart x1 x2 x3\npi = d/dx1^d/dx2\nrun verify rescale(1 + bogus)\n",
+         "rescale: line 3, col 24: unknown identifier 'bogus'", True),
         # ... read before the structure it rescales is verified
         (BROKEN_TEXT.replace("run verify", "run rescale(d/dx1)"),
-         "rescale: line 1, col 1: expected a scalar expression", False),
+         "rescale: line 4, col 13: expected a scalar expression", False),
     ], ids=["lift-over-chart-cap", "sampling-exhausted", "nested-parens",
             "nested-calls", "nested-minus", "rescale-argument",
-            "unimodular-argument", "truncated-argument", "argument-before-structure"])
+            "unimodular-argument", "truncated-argument", "unknown-in-argument",
+            "argument-before-structure"])
     def test_exit_2_on_kernel_limit(self, tmp_path, capsys, text, message, kept):
         p = tmp_path / "limit.gvk"
         p.write_text(text)
@@ -246,6 +249,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("flag, value", [
         ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
         ("--points", "0"), ("--points", "-3"), ("--seed", "-1"), ("--seed", "1.5"),
+        ("--points", str(MAX_POINTS + 1)),
     ])
     def test_exit_2_on_bad_setting_flag(self, tmp_path, capsys, flag, value):
         # each used to run: a false AxiomViolation (tol <= 0), a vanishing
@@ -266,8 +270,29 @@ class TestMainEntry:
         assert main([str(p)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "line 4, col 1: bad tol 'inf'" in captured.err
+        assert "line 4, col 5: bad tol 'inf'" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_points_capped(self, tmp_path, capsys, flag):
+        # an uncapped count grew the sample until memory ran out
+        p = tmp_path / "trig.gvk"
+        for points, want in ((MAX_POINTS, 0), (MAX_POINTS + 1, 2)):
+            if flag:
+                p.write_text(TRIG_TEXT)
+                try:
+                    status = main([str(p), "--points", str(points)])
+                except SystemExit as stop:
+                    status = stop.code
+            else:
+                p.write_text(TRIG_TEXT.replace("run verify", f"points {points}\nrun verify"))
+                status = main([str(p)])
+            assert status == want
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+        assert f"bad points '{MAX_POINTS + 1}' (expected integer in 1..{MAX_POINTS})" \
+            in captured.err
+        assert captured.out == ""
 
     def test_setting_flags_override_the_file(self, tmp_path, capsys):
         p = tmp_path / "trig.gvk"
@@ -486,9 +511,9 @@ class TestSamplingEvaluatesOnce:
             finally:
                 depth[0] -= 1
 
-        def counting_block(exprs, chart, points):
+        def counting_block(exprs, chart, points, *plan):
             counts["evaluate"] += len(points) * len(exprs)
-            return block(exprs, chart, points)
+            return block(exprs, chart, points, *plan)
 
         def counting_valid_points(sampler, chart, exprs):
             out = valid_points(sampler, chart, exprs)

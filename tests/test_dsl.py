@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from gvkernel.alg import DiffForm, MultiVector, wedge
-from gvkernel.dsl import (MAX_NESTING, DslError, parse_form, parse_multivector,
+from gvkernel.dsl import (MAX_NESTING, MAX_POINTS, DslError, parse_form, parse_multivector,
                           parse_problem, parse_scalar, parse_value)
 from gvkernel.expr import Chart, ScalarExpr, cos_, exp_, sin_
 
@@ -170,7 +171,8 @@ class TestProblemFiles:
     @pytest.mark.parametrize("line", ["seed -1", "seed 1.5", "points 0", "points x",
                                       "tol 0", "tol -1e-9", "tol nan", "tol inf"])
     def test_bad_settings_rejected(self, line):
-        with pytest.raises(DslError, match=f"line 3, col 1: bad {line.split()[0]}"):
+        name = line.split()[0]
+        with pytest.raises(DslError, match=f"line 3, col {len(name) + 2}: bad {name}"):
             parse_problem(f"chart a b\npi = d/da^d/db\n{line}\n")
 
     def test_vol_optional_defaults_flat(self):
@@ -183,6 +185,41 @@ class TestProblemFiles:
             "run verify rescale(exp(c)) unimodular(d/da^d/db)\n")
         assert pf.commands[1] == ("rescale", "exp(c)")
         assert pf.commands[2] == ("unimodular", "d/da^d/db")
+        # (line, column offset) of each argument text, for its errors
+        assert pf.arg_origins[1:] == ((3, 19), (3, 38))
+
+    @pytest.mark.parametrize("text, message", [
+        ("chart x1 x2 x3\npi = bogus*d/dx1^d/dx2\n",
+         "line 2, col 6: unknown identifier 'bogus'"),
+        ("chart x1 x2 x3\npi = d/dx1^d/dx2\nE = x1*d/dx3 + nope\n",
+         "line 3, col 16: unknown identifier 'nope'"),
+        ("chart x1 x2\n  pi  =\t bogus # indented\n",
+         "line 2, col 10: unknown identifier 'bogus'"),
+        ("chart x1 x2\nvol dx1^\npi = 0\n", "line 2, col 9: unexpected 'end of input'"),
+        ("chart x1 x2\ntheta = dx1^dx2\n", "line 2, col 9: theta must be a 1-form"),
+        ("chart x1 x2\npi = d/dx1\n", "line 2, col 6: pi must have grade 2, got 1"),
+        ("chart x1 x2\npi d/dx1\n", "line 2, col 4: pi needs '= <expression>'"),
+        ("chart a b\npi = d/da^d/db\npoints    -4\n", "line 3, col 11: bad points '-4'"),
+        ("chart a b\npi = d/da^d/db\nrun verify nope\n",
+         "line 3, col 12: unknown command 'nope'"),
+        ("chart a b\npi = d/da^d/db\nrun  pair(a) \n", "line 3, col 10: pair takes no argument"),
+        ("chart a b\npi = d/da^d/db\nrun verify rescale\n",
+         "line 3, col 12: rescale needs a parenthesized argument"),
+        ("chart a b\npi = d/da^d/db\nrun rescale(a\n",
+         "line 3, col 12: unbalanced parentheses in command argument"),
+    ], ids=["pi-value", "E-value", "indented", "vol-value", "theta-grade", "pi-grade",
+            "missing-equals", "setting-value", "unknown-command", "argument-not-taken",
+            "argument-missing", "unbalanced-argument"])
+    def test_errors_name_file_positions(self, text, message):
+        with pytest.raises(DslError, match=re.escape(message)):
+            parse_problem(text)
+
+    def test_points_capped(self):
+        pf = parse_problem(f"chart a b\npi = d/da^d/db\npoints {MAX_POINTS}\n")
+        assert pf.points == MAX_POINTS
+        with pytest.raises(DslError, match=f"line 3, col 8: bad points '{MAX_POINTS + 1}' "
+                                           rf"\(expected integer in 1\.\.{MAX_POINTS}\)"):
+            parse_problem(f"chart a b\npi = d/da^d/db\npoints {MAX_POINTS + 1}\n")
 
     def test_mixed_styles_rejected(self):
         with pytest.raises(DslError):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import itertools
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from gvkernel import expr as expr_mod
 from gvkernel.expr import (Atom, Chart, DomainError, ExprError, Sampler, ScalarExpr,
                            cos_, diff, eval_at, evaluate, evaluate_block, exp_,
-                           is_zero, ln_, sin_)
+                           is_zero, ln_, sin_, vanishing_point)
 
 from conftest import rand_scalar
 
@@ -399,6 +400,114 @@ class TestEvaluateBlock:
     def test_exhausted_sampling_raises(self):
         with pytest.raises(ExprError, match="sampling exhausted"):
             Sampler(points=8).valid_points(CHART, [exp_(1000 + X1 ** 2)])
+
+
+# three charts that all carry x1, x2 and x3: another draw seed (variable
+# order), more columns, and another sampling band on the same names
+PLAN_CHARTS = (CHART, Chart(("x3", "x1", "y", "x2")),
+               Chart(("x1", "x2", "x3"), positive=frozenset({"x2"})))
+
+
+def _sample(sampler, kind, chart, exprs):
+    """What one check reads off the sampler, as comparable plain data."""
+    try:
+        if kind == "table":
+            table = sampler.valid_points(chart, exprs)
+            return table.points, table.values.tobytes()
+        if kind == "is_zero":
+            v = is_zero(exprs, chart, sampler)
+            return v.kind, v.witness, None if v.value is None else np.float64(v.value).tobytes()
+        return vanishing_point(exprs, chart, sampler)
+    except ExprError as e:
+        return "ExprError", str(e)
+
+
+class TestSamplePlans:
+    @settings(max_examples=60, deadline=None)
+    @given(st.permutations(range(3)), st.lists(st.integers(0, 2), max_size=5),
+           st.data(), st.sampled_from([4, 16]), st.integers(0, 3))
+    def test_reused_sampler_reads_what_a_fresh_one_reads(self, order, more, data,
+                                                         points, seed):
+        # every chart is visited, so a plan is evicted at least once
+        shared = Sampler(seed=seed, points=points)
+        for i in list(order) + more:
+            exprs = data.draw(st.lists(block_exprs(), min_size=1, max_size=3))
+            kind = data.draw(st.sampled_from(["table", "is_zero", "vanishing"]))
+            fresh = Sampler(seed=seed, points=points)
+            assert _sample(shared, kind, PLAN_CHARTS[i], exprs) == \
+                _sample(fresh, kind, PLAN_CHARTS[i], exprs)
+            assert len(shared._plans) <= 2
+
+    def test_least_recently_used_chart_is_evicted(self):
+        sampler = Sampler(seed=2, points=8)
+        a, b, c = PLAN_CHARTS
+        for chart in (a, b, a, c):
+            sampler.valid_points(chart, [X1 ** -1])
+        assert list(sampler._plans) == [a, c]
+        table = sampler.valid_points(b, [_ln_atom(X2)])
+        want = Sampler(seed=2, points=8).valid_points(b, [_ln_atom(X2)])
+        assert table.points == want.points
+        assert table.values.tobytes() == want.values.tobytes()
+
+    def test_exhaustion_raises_from_a_plan(self):
+        sampler = Sampler(points=8)
+        for _ in range(2):
+            with pytest.raises(ExprError, match="sampling exhausted"):
+                sampler.valid_points(CHART, [exp_(1000 + X1 ** 2)])
+        # the plan drew the whole stream; a satisfiable check still reads it
+        assert len(sampler._plans[CHART].candidates) == 80
+        assert sampler.valid_points(CHART, [X1]).points == \
+            Sampler(points=8).valid_points(CHART, [X1]).points
+
+    def test_copies_compare_equal_and_start_without_plans(self):
+        sampler = Sampler(seed=4, points=8, tol=1e-6)
+        sampler.valid_points(CHART, [X1 ** -1])
+        assert len(sampler._plans) == 1
+        for other in (copy.copy(sampler), copy.deepcopy(sampler),
+                      pickle.loads(pickle.dumps(sampler)), dataclasses.replace(sampler)):
+            assert other == sampler and hash(other) == hash(sampler)
+            assert repr(other) == repr(sampler) == "Sampler(seed=4, points=8, tol=1e-06)"
+            assert len(other._plans) == 0 and other._lock is not sampler._lock
+            assert other.valid_points(CHART, [X1 ** -1]).points == \
+                sampler.valid_points(CHART, [X1 ** -1]).points
+        assert dataclasses.replace(sampler, points=9) != sampler
+
+    def test_threads_sharing_a_sampler_read_identical_tables(self):
+        # ln and reciprocals discard about half the candidates, so checks
+        # extend the plans while other threads read them
+        exprs = [_ln_atom(X1) * (X2 - X3) ** -1, _ln_atom(X3 + X2)]
+        charts = PLAN_CHARTS[:2]
+        want = {c: Sampler(seed=7, points=32).valid_points(c, exprs) for c in charts}
+        errors = []
+
+        def check(sampler, start):
+            start.wait()
+            for k in range(6):
+                chart = charts[k % 2]
+                try:
+                    table = sampler.valid_points(chart, exprs)
+                except Exception as e:  # a race shows up as an error, too
+                    errors.append(repr(e))
+                    continue
+                if (table.points != want[chart].points
+                        or table.values.tobytes() != want[chart].values.tobytes()):
+                    errors.append(f"table differs on {chart.vars}")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                sampler, start = Sampler(seed=7, points=32), threading.Barrier(8)
+                threads = [threading.Thread(target=check, args=(sampler, start))
+                           for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
 
 
 class TestLnPositivity:
