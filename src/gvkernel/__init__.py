@@ -17,9 +17,10 @@ from .dsl import DslError, ProblemFile, parse_form, parse_multivector, \
     parse_problem, parse_scalar
 from .duality import (NoCompanion, StarCompanion, VolumeContext, VolumeError,
                       phi, phi_inv, psi, star, volume_context)
-from .expr import (Chart, CheckFailure, DomainError, ExprError, KernelError, Point,
-                   Sampler, ScalarExpr, ZeroVerdict, cos_, diff, eval_at, evaluate,
-                   exp_, first_row, is_zero, ln_, sin_, vanishing_point)
+from .expr import (Chart, CheckFailure, DomainError, ExprError, InsufficientSamples,
+                   KernelError, Point, Sampler, ScalarExpr, ZeroVerdict, cos_, diff,
+                   eval_at, evaluate, exp_, first_row, is_zero, ln_, sin_,
+                   vanishing_point)
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
 from .jacobi import (AxiomViolation, CheckResult, CodimOutOfRange,
                      DefiningPair, InvariantFailure, JacobiError,
@@ -32,9 +33,10 @@ from .jacobi import (AxiomViolation, CheckResult, CodimOutOfRange,
 
 __all__ = [
     # expr
-    "Chart", "CheckFailure", "DomainError", "ExprError", "KernelError", "Point",
-    "Sampler", "ScalarExpr", "ZeroVerdict", "cos_", "diff", "eval_at", "evaluate",
-    "exp_", "first_row", "is_zero", "ln_", "sin_", "vanishing_point",
+    "Chart", "CheckFailure", "DomainError", "ExprError", "InsufficientSamples",
+    "KernelError", "Point", "Sampler", "ScalarExpr", "ZeroVerdict", "cos_", "diff",
+    "eval_at", "evaluate", "exp_", "first_row", "is_zero", "ln_", "sin_",
+    "vanishing_point",
     # alg
     "AlgebraError", "DiffForm", "GradedElement", "MultiVector",
     "contract_form_into_mv", "contract_mv_into_form", "power", "sharp",

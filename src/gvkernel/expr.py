@@ -27,7 +27,9 @@ contact-solve tail fix (ROADMAP item 5).
 Numeric verdicts read seeded sample points (`Sampler`).  A sampler draws
 each chart's points once and keeps them, with the atom columns of the first
 block, for the last two charts it sampled; every check on such a chart
-reads the same points and values it would read from a fresh sampler.
+reads the same points and values it would read from a fresh sampler.  A
+verdict rests on at least MIN_VALID_SHARE of the requested points; with
+fewer inside the expressions' domain, sampling raises InsufficientSamples.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ class CheckFailure(KernelError):
 
 class ExprError(KernelError):
     """Malformed expression construction (bad chart, bad ln argument, ...)."""
+
+
+class InsufficientSamples(CheckFailure):
+    """Fewer than MIN_VALID_SHARE of the requested sample points are in the
+    expressions' domain, too few for a numeric verdict to rest on."""
 
 
 class DomainError(KernelError):
@@ -842,6 +849,10 @@ def _uniform_points(rand: Callable[[], float], spans: Sequence[Tuple[float, floa
         yield tuple([low + width * rand() for low, width in spans])
 
 
+# The least share of the requested sample points a numeric verdict reads:
+# below it, valid_points raises InsufficientSamples.
+MIN_VALID_SHARE = Fraction(1, 2)
+
 # Charts whose sample plan a sampler keeps: a structure's chart and the
 # chart of its Poisson lift.
 PLANNED_CHARTS = 2
@@ -900,12 +911,13 @@ class Sampler:
     def valid_points(self, chart: Chart, exprs: Sequence[ScalarExpr]) -> SampleTable:
         """Up to `points` sample points where every expression evaluates,
         in draw order, with the values there; domain-error points are
-        discarded, oversampling at most 10x.  Candidates are read in blocks
-        of as many as are still missing, so none is read past the last one
-        kept, and each block is evaluated at once (evaluate_block).  The
-        candidates come from the chart's plan, drawn once per sampler; the
-        first block shares the plan's memoised columns, and only refill
-        blocks are evaluated afresh."""
+        discarded, oversampling at most 10x; fewer than
+        ceil(MIN_VALID_SHARE x `points`) kept raise InsufficientSamples.
+        Candidates are read in blocks of as many as are still missing, so
+        none is read past the last one kept, and each block is evaluated at
+        once (evaluate_block).  The candidates come from the chart's plan,
+        drawn once per sampler; the first block shares the plan's memoised
+        columns, and only refill blocks are evaluated afresh."""
         plan = self._plan(chart)
         points: List[Point] = []
         values = []
@@ -918,8 +930,11 @@ class Sampler:
             points.extend(itertools.compress(block, ok))
             values.append(vals[ok])
             read += len(block)
-        if not points:
-            raise ExprError("sampling exhausted: every point hit a domain error")
+        floor = math.ceil(MIN_VALID_SHARE * self.points)
+        if len(points) < floor:
+            raise InsufficientSamples(
+                f"only {len(points)} of {self.points} sample points are in the "
+                f"domain, below the floor of {floor}")
         return SampleTable(points, np.concatenate(values))
 
     def _plan(self, chart: Chart) -> _Plan:

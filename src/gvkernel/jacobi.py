@@ -14,10 +14,16 @@ with gv = beta ^ (d beta)^q closed in both cases.  verify_jacobi builds P
 while it classifies the structure and carries it on JacobiStructure, so
 defining_pair reads it there instead of building it again.
 
-Numeric verdicts (axioms, regularity, invariants, ranks and spans) read
-their sample points through expr.first_row; the rank and span checks stack
-one matrix per sample point from the values of that scan and decide every
-point in one numpy call.
+Numeric verdicts read their sample points through expr.first_row.  Ranks
+and spans are read off exterior powers, never off sampled matrices: P is
+decomposable, nonvanishing, and spans the characteristic distribution, so
+  - E lies in Im pi-sharp (LCS type) when E ^ pi^m = 0 in normal form; a
+    top that is only below tol at the sample points is held there to
+    dist(E, Im pi-sharp) = |E ^ pi^m| / |pi^m| under lstsq's rule;
+  - a conformal rescale keeps the distribution when P' = a^k P, with k = m
+    (LCS) or m + 1 (contact);
+  - rank Lambda-sharp = 2m + 2 on the Poisson lift when Lambda^(m+1)
+    vanishes nowhere and Lambda^(m+2) = 0.
 
 Poissonization note: with the bracket conventions fixed by the axiom
 [pi,pi] = 2 E^pi (the ones the model structures satisfy), the bivector
@@ -38,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .alg import (AlgebraError, DiffForm, GradedElement, MultiVector,
-                  contract_form_into_mv, mask_indices, power, wedge)
+                  contract_form_into_mv, power, wedge)
 from .calculus import exterior_derivative, schouten
 from .duality import (StarCompanion, VolumeContext, phi, phi_inv, psi, star,
                       volume_context)
@@ -123,52 +129,20 @@ def _coefficients(*els: GradedElement) -> List[ScalarExpr]:
     return [c for el in els for c in el.terms.values()]
 
 
-def _sharp_matrices(pi: MultiVector, E: Optional[MultiVector],
-                    vals: np.ndarray) -> np.ndarray:
-    """pi-sharp (n columns), then E as one more column when given, at every
-    row of `vals`, the values of `_coefficients(pi, E)`: one matrix per row."""
-    n = pi.chart.n
-    mats = np.zeros((len(vals), n, n + (E is not None)))
-    k = len(pi.terms)
-    if k:
-        i, j = np.array([mask_indices(mask) for mask in pi.terms]).T
-        mats[:, i, j] = vals[:, :k]
-        mats[:, j, i] = -vals[:, :k]
-    if E is not None and E.terms:
-        rows = [mask_indices(mask)[0] for mask in E.terms]
-        mats[:, rows, n] = vals[:, k:k + len(rows)]
-    return mats
-
-
-def _finite(mats: np.ndarray) -> np.ndarray:
-    return np.isfinite(mats).all(axis=(1, 2))
-
-
-def _ranks(mats: np.ndarray) -> np.ndarray:
-    """np.linalg.matrix_rank (tol 1e-8) of every matrix of the stack in one
-    call; -1 for a matrix with a non-finite entry, whose rank is undecided."""
-    finite = _finite(mats)
-    ranks = np.linalg.matrix_rank(np.where(finite[:, None, None], mats, 0.0), tol=1e-8)
-    return np.where(finite, ranks, -1)
-
-
-def _outside_column_span(cols: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-    """For every matrix of the stack, whether its last column b lies outside
-    the span of the others, A.  lstsq's rule, from one batched SVD: b is
-    inside when every |b_i| <= tol, or when the residual |A x - b| of the
-    least-squares solution x (singular values up to eps * max(shape) of the
-    largest dropped, lstsq's rcond=None) is at most tol * max(1, |b|).  A
-    matrix with a non-finite entry is undecided and counts as outside."""
-    finite = _finite(cols)
-    cols = np.where(finite[:, None, None], cols, 0.0)
-    mat, vec = cols[:, :, :-1], cols[:, :, -1]
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    kept = s > np.finfo(float).eps * max(mat.shape[1:]) * s[:, :1]
-    coef = np.einsum("rij,ri->rj", u, vec) * kept
-    resid = np.linalg.norm(np.einsum("rij,rj->ri", u, coef) - vec, axis=1)
-    inside = ((np.abs(vec) <= tol).all(axis=1)
-              | (resid <= tol * np.maximum(1.0, np.linalg.norm(vec, axis=1))))
-    return ~(inside & finite)
+def _outside_image(vals: np.ndarray, n_top: int, n_pim: int,
+                   tol: float = 1e-7) -> np.ndarray:
+    """For every row of `vals`, the values of `_coefficients(E ^ pi^m, pi^m,
+    E)`, whether E lies outside Im pi-sharp.  pi^m is decomposable and spans
+    Im pi-sharp, so dist(E, Im pi-sharp) = |E ^ pi^m| / |pi^m| (Euclidean
+    norms of the coefficient vectors), held to lstsq's rule: E is inside
+    when every |E_i| <= tol, or when the distance is at most
+    tol * max(1, |E|).  A row with a non-finite value counts as outside."""
+    top, pim, e = np.split(vals, [n_top, n_top + n_pim], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = np.hypot.reduce(top, axis=1) / np.hypot.reduce(pim, axis=1)
+    inside = ((np.abs(e) <= tol).all(axis=1)
+              | (dist <= tol * np.maximum(1.0, np.hypot.reduce(e, axis=1))))
+    return ~(inside & np.isfinite(vals).all(axis=1))
 
 
 # --- verification and classification ------------------------------------------
@@ -231,14 +205,17 @@ def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
     if witness is None:
         kind = "contact"
         q = chart.n - 2 * m - 1
-    elif not element_zero(top, sampler).is_zero:
-        raise NotRegular(f"pi^{m}^E changes rank across sample points", witness)
     else:
+        zero = element_zero(top, sampler)
+        if not zero.is_zero:
+            raise NotRegular(f"pi^{m}^E changes rank across sample points", witness)
         kind = "lcs"
         q = chart.n - 2 * m
-        row = None if E.is_identically_zero else first_row(
-            _coefficients(pi, E), chart, sampler,
-            lambda vals: _outside_column_span(_sharp_matrices(pi, E, vals)))
+        # E ^ pi^m = 0 exactly puts E in Im pi-sharp; a top that is only
+        # below tol at the sample points needs the distance itself
+        row = None if zero.tier == "symbolic" else first_row(
+            _coefficients(top, pim, E), chart, sampler,
+            lambda vals: _outside_image(vals, len(top.terms), len(pim.terms)))
         if row is not None:
             raise NotRegular("E leaves Im pi-sharp at a sample point", row[0])
     checks.append(CheckResult("jacobi.regular", "numeric", True,
@@ -554,8 +531,8 @@ def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
     v = element_zero(lam_m1 - top.scale(ScalarExpr.const(m + 1) * t_inv ** m), sampler)
     checks.append(_record("bridge.power", v,
                           "Lambda^(m+1) = (m+1) t^-m pi^m ^ E ^ dt"))
-    v = element_zero(wedge(lam_m1, pz.lam), sampler)
-    checks.append(_record("bridge.power_top", v, "Lambda^(m+2) = 0"))
+    top_v = element_zero(wedge(lam_m1, pz.lam), sampler)
+    checks.append(_record("bridge.power_top", top_v, "Lambda^(m+2) = 0"))
 
     comp_ext = star(ctx_ext, lam_m1, sampler,
                     force_complement=dp.companion_used.complement_mask)
@@ -570,11 +547,12 @@ def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
     checks.append(_record("bridge.prop53", v,
                           "B = (-1)^(q+1) pr*(beta) - m t^-1 dt"))
 
-    expected_rank = 2 * m + 2
-    row = first_row(_coefficients(pz.lam), ext, sampler,
-                    lambda vals: _ranks(_sharp_matrices(pz.lam, None, vals)) != expected_rank)
-    checks.append(CheckResult("bridge.rank", "numeric", row is None, row and row[0],
-                              f"rank Lambda-sharp = {expected_rank}"))
+    # rank Lambda-sharp = 2m + 2 exactly when Lambda^(m+1) vanishes nowhere
+    # and Lambda^(m+2) = 0
+    witness = top_v.witness if not top_v.is_zero else \
+        vanishing_point(_coefficients(lam_m1), ext, sampler)
+    checks.append(CheckResult("bridge.rank", "numeric", witness is None, witness,
+                              f"rank Lambda-sharp = {2 * m + 2}"))
     return BridgeReport(pz, a_form, b_form, dp.beta, tuple(checks))
 
 
@@ -613,22 +591,13 @@ def conformal_rescale(j: JacobiStructure, a: ScalarExpr, ctx: VolumeContext,
     if not same:
         raise InvariantFailure("conformal rescale changed (m, kind, q)")
 
-    split = len(j.pi.terms) + len(j.E.terms)
-
-    def moved(vals: np.ndarray) -> np.ndarray:
-        cols1 = _sharp_matrices(j.pi, j.E, vals[:, :split])
-        cols2 = _sharp_matrices(pi2, e2, vals[:, split:])
-        r1, r2 = np.split(_ranks(np.concatenate([cols1, cols2])), 2)
-        r12 = _ranks(np.concatenate([cols1, cols2], axis=2))
-        return ~((r1 == r2) & (r2 == r12) & (r12 >= 0))
-
-    row = first_row(_coefficients(j.pi, j.E, pi2, e2) + [a], j.chart, sampler, moved)
-    span_witness = row and row[0]
-    checks.append(CheckResult("rescale.distribution", "numeric", row is None,
-                              span_witness, "Im pi-sharp + <E> unchanged"))
-    if row is not None:
-        raise InvariantFailure("conformal rescale moved the foliation",
-                               span_witness)
+    # P' = a^k P, k = m (LCS) or m + 1 (contact): for contact type
+    # pi^m ^ iota_{da} pi = iota_{da}(pi^(m+1)) / (m+1) = 0
+    k = j.m + (j.kind == "contact")
+    v = element_zero(j2.P - j.P.scale(a ** k), sampler)
+    checks.append(_record("rescale.distribution", v, "Im pi-sharp + <E> unchanged"))
+    if not v.is_zero:
+        raise InvariantFailure("conformal rescale moved the foliation", v.witness)
     return RescaleResult(j2, tuple(checks))
 
 

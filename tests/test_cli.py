@@ -38,6 +38,21 @@ E = (sin(x3)^2 + cos(x3)^2 - 1)*d/dx3
 run verify
 """
 
+# finite only for x1 < -0.9919...: 1 point of 3, or of 2, in the domain at
+# seed 2, and 1 of 64 at the default seed 0
+THIN_RESCALE_TEXT = """\
+chart x1 x2 x3
+pi = d/dx1^d/dx2
+run verify rescale(exp(100000*x1 + 99900))
+"""
+
+TINY_LCS_TEXT = """\
+chart x1 x2 x3
+pi = 1/100000*d/dx1^d/dx2
+E = 1/100000*d/dx3
+run verify
+"""
+
 
 def run_text(text, **kw):
     return execute(parse_problem(text), **kw)
@@ -205,8 +220,6 @@ class TestMainEntry:
         ("chart " + " ".join(f"x{i}" for i in range(1, 13)) + "\n"
          "pi = d/dx1^d/dx2\nrun verify poissonize\n",
          "poissonize: the Poisson lift needs 13 variables", True),
-        ("chart x1 x2 x3\npi = exp(1000 + x1^2)*d/dx1^d/dx2\nrun verify\n",
-         "verify: sampling exhausted", False),
         (_nested("(", 1000), f"line 2, col 106: nesting deeper than the limit of {MAX_NESTING}",
          False),
         (_nested("sin(", 1000), f"line 2, col 406: nesting deeper than the limit of {MAX_NESTING}",
@@ -225,7 +238,7 @@ class TestMainEntry:
         # ... read before the structure it rescales is verified
         (BROKEN_TEXT.replace("run verify", "run rescale(d/dx1)"),
          "rescale: line 4, col 13: expected a scalar expression", False),
-    ], ids=["lift-over-chart-cap", "sampling-exhausted", "nested-parens",
+    ], ids=["lift-over-chart-cap", "nested-parens",
             "nested-calls", "nested-minus", "rescale-argument",
             "unimodular-argument", "truncated-argument", "unknown-in-argument",
             "argument-before-structure"])
@@ -239,6 +252,51 @@ class TestMainEntry:
         # records of the commands before the failing one are kept
         assert ("check=jacobi.axiom1" in captured.out) == kept
         assert "verdict=fail" not in captured.out
+
+    @pytest.mark.parametrize("text, record, message, kept", [
+        ("chart x1 x2 x3\npi = exp(1000 + x1^2)*d/dx1^d/dx2\nrun verify\n",
+         "verify.error", "only 0 of 64 sample points", False),
+        (THIN_RESCALE_TEXT, "rescale.error", "only 1 of 64 sample points", True),
+        (THIN_RESCALE_TEXT.replace("run", "seed 2\npoints 3\nrun"), "rescale.error",
+         "only 1 of 3 sample points are in the domain, below the floor of 2", True),
+    ], ids=["sampling-exhausted", "thin-rescale", "thin-at-the-floor"])
+    def test_exit_1_below_the_sample_floor(self, tmp_path, capsys, text, record,
+                                           message, kept):
+        # "sampling exhausted" used to exit 2, and a 1-of-64 sample used to pass
+        p = tmp_path / "thin.gvk"
+        p.write_text(text)
+        assert main([str(p)]) == 1
+        captured = capsys.readouterr()
+        assert f"[FAIL] {record}" in captured.out
+        assert f"InsufficientSamples: {message}" in captured.out
+        assert ("jacobi.axiom1" in captured.out) == kept
+        assert captured.err == ""
+
+    def test_thin_volume_is_a_setup_error(self, tmp_path, capsys):
+        # the volume is sampled before any command runs; it used to pass on 1 point
+        p = tmp_path / "thin.gvk"
+        p.write_text(TRIG_TEXT.replace("pi =", "vol exp(100000*x1 + 99900)*dx1^dx2^dx3\npi ="))
+        assert main([str(p)]) == 2
+        captured = capsys.readouterr()
+        assert "only 1 of 64 sample points are in the domain" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_thin_rescale_at_the_floor_passes(self, tmp_path, capsys):
+        # 1 valid point of 2 requested is exactly ceil(2 / 2)
+        p = tmp_path / "thin.gvk"
+        p.write_text(THIN_RESCALE_TEXT.replace("run", "seed 2\npoints 2\nrun"))
+        assert main([str(p)]) == 0
+        assert "rescale.distribution" in capsys.readouterr().out
+
+    def test_tiny_e_outside_the_image_is_not_regular(self, tmp_path, capsys):
+        # E ^ pi = 1e-10 d/dx1^d/dx2^d/dx3 is below tol but not zero in normal
+        # form, and E is 1e-5 away from Im pi-sharp: the span guard decides
+        p = tmp_path / "tiny.gvk"
+        p.write_text(TINY_LCS_TEXT)
+        assert main([str(p)]) == 1
+        out = capsys.readouterr().out
+        assert "NotRegular: E leaves Im pi-sharp at a sample point  witness=" \
+            "(-0.8445079856176487,-0.9956998620724677,0.9523958730926798)" in out
 
     @pytest.mark.parametrize("level", ["(", "sin(", "-"])
     def test_nesting_at_the_bound_runs(self, tmp_path, capsys, level):

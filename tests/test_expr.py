@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvkernel import expr as expr_mod
-from gvkernel.expr import (Atom, Chart, DomainError, ExprError, Sampler, ScalarExpr,
+from gvkernel.expr import (MIN_VALID_SHARE, Atom, Chart, CheckFailure, DomainError,
+                           ExprError, InsufficientSamples, Sampler, ScalarExpr,
                            cos_, diff, eval_at, evaluate, evaluate_block, exp_,
                            is_zero, ln_, sin_, vanishing_point)
 
@@ -398,8 +399,40 @@ class TestEvaluateBlock:
         assert table.values.tolist() == [v for _, v in expected]
 
     def test_exhausted_sampling_raises(self):
-        with pytest.raises(ExprError, match="sampling exhausted"):
+        with pytest.raises(InsufficientSamples, match="only 0 of 8 sample points"):
             Sampler(points=8).valid_points(CHART, [exp_(1000 + X1 ** 2)])
+
+
+# finite only for x1 < -0.9919...; at seed 2 the first of the chart's draws
+# in its domain are numbers 8 and 134
+THIN = exp_(100000 * X1 + 99900)
+
+
+class TestSampleFloor:
+    def test_floor_is_half_the_requested_points(self):
+        assert MIN_VALID_SHARE == Fraction(1, 2)
+        assert issubclass(InsufficientSamples, CheckFailure)
+
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_one_valid_point_meets_the_floor_of_one(self, points):
+        # 10 resp. 20 candidates, one of them in the domain: ceil(points / 2) = 1
+        table = Sampler(seed=2, points=points).valid_points(CHART, [THIN])
+        assert len(table) == 1
+
+    @pytest.mark.parametrize("points, kept", [(3, 1), (4, 1), (14, 2), (64, 4)])
+    def test_fewer_than_half_raise(self, points, kept):
+        floor = math.ceil(points / 2)
+        with pytest.raises(InsufficientSamples,
+                           match=f"only {kept} of {points} sample points are in the "
+                                 f"domain, below the floor of {floor}$"):
+            Sampler(seed=2, points=points).valid_points(CHART, [THIN])
+
+    def test_verdicts_read_through_the_floor(self):
+        sampler = Sampler(seed=2, points=3)
+        for check in (is_zero, vanishing_point):
+            with pytest.raises(InsufficientSamples):
+                check([THIN], CHART, sampler)
+        assert vanishing_point([THIN], CHART, Sampler(seed=2, points=2)) is None
 
 
 # three charts that all carry x1, x2 and x3: another draw seed (variable
@@ -418,8 +451,8 @@ def _sample(sampler, kind, chart, exprs):
             v = is_zero(exprs, chart, sampler)
             return v.kind, v.witness, None if v.value is None else np.float64(v.value).tobytes()
         return vanishing_point(exprs, chart, sampler)
-    except ExprError as e:
-        return "ExprError", str(e)
+    except (ExprError, InsufficientSamples) as e:
+        return type(e).__name__, str(e)
 
 
 class TestSamplePlans:
@@ -452,7 +485,7 @@ class TestSamplePlans:
     def test_exhaustion_raises_from_a_plan(self):
         sampler = Sampler(points=8)
         for _ in range(2):
-            with pytest.raises(ExprError, match="sampling exhausted"):
+            with pytest.raises(InsufficientSamples, match="only 0 of 8 sample points"):
                 sampler.valid_points(CHART, [exp_(1000 + X1 ** 2)])
         # the plan drew the whole stream; a satisfiable check still reads it
         assert len(sampler._plans[CHART].candidates) == 80

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,20 +7,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gvkernel import jacobi
 from gvkernel.alg import (DiffForm, MultiVector, contract_form_into_mv, power,
                           wedge)
 from gvkernel.calculus import exterior_derivative, schouten
-from gvkernel.duality import phi, psi, volume_context
-from gvkernel.expr import Chart, Sampler, ScalarExpr, exp_, ln_
+from gvkernel.duality import NoCompanion, phi, psi, volume_context
+from gvkernel.expr import (Chart, Sampler, ScalarExpr, evaluate, exp_, ln_, sin_,
+                           vanishing_point)
 from gvkernel.fixtures import FIXTURE_NAMES, get_fixture
 from gvkernel.jacobi import (AxiomViolation, CodimOutOfRange, InvariantFailure,
                              NotCodimOne, NotContact, NotLCS, NotRegular,
-                             ParityObstruction, RescaleVanishes, _outside_column_span,
-                             _ranks, check_poissonization_bridge, conformal_rescale,
-                             contact_to_jacobi, defining_pair, element_zero,
-                             gv_codim1, gv_representative, lcs_to_jacobi,
-                             poissonize, require_codim, unimodularity,
-                             verify_jacobi)
+                             ParityObstruction, RescaleVanishes, _coefficients,
+                             _outside_image, check_poissonization_bridge,
+                             conformal_rescale, contact_to_jacobi, defining_pair,
+                             element_zero, gv_codim1, gv_representative,
+                             lcs_to_jacobi, lift_to, poissonize, require_codim,
+                             unimodularity, verify_jacobi)
 
 from conftest import rand_scalar
 
@@ -719,26 +723,72 @@ class TestNumericTierFallback:
         gv_codim1(j2, ctx, dp, sampler)
 
 
-def _stacks(seed, count=200):
-    """Random n x (n+1) matrices [A | b], stacked by shape: A of rank 0..n,
-    b in its column span, outside it, zero, or below the span tolerance."""
+def _exact_bivector(rng, n, pairs, scale):
+    """A constant bivector sum u_i ^ v_i over `pairs` pairs of random vectors
+    with small rational entries times `scale`, exactly (its wedge powers
+    vanish exactly past its rank), on an n-variable chart; with its matrix."""
+    chart = Chart(tuple(f"x{i}" for i in range(n)))
+
+    def vector():
+        return MultiVector(chart, 1, {1 << i: ScalarExpr.const(
+            Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) * scale)
+            for i in range(n)})
+
+    pi = MultiVector.zero(chart, 2)
+    for _ in range(pairs):
+        pi = pi + wedge(vector(), vector())
+    mat = np.zeros((n, n))
+    for mask, c in pi.terms.items():
+        i, j = (k for k in range(n) if mask >> k & 1)
+        mat[i, j], mat[j, i] = evaluate(c, {}), -evaluate(c, {})
+    return pi, mat, vector
+
+
+def _dense(el):
+    """Values of every coefficient of el's grade, stored or not."""
+    return [evaluate(el.coefficient(sum(1 << i for i in idx)), {})
+            for idx in itertools.combinations(range(el.chart.n), el.grade)]
+
+
+def _span_cases(seed, count=120):
+    """(row of _outside_image's values, n_top, n_pim, [pi-sharp | E]) for
+    random bivectors of every rank and E in Im pi-sharp, outside it, zero,
+    or below the span tolerance, at scales 10^-3 .. 10^3."""
     rng = np.random.default_rng(seed)
-    stacks = {}
     for _ in range(count):
         n = int(rng.integers(1, 7))
-        r = int(rng.integers(0, n + 1))
-        a = rng.normal(size=(n, r)) @ rng.normal(size=(r, n)) * 10.0 ** rng.integers(-3, 4)
+        scale = Fraction(10) ** int(rng.integers(-3, 4))
+        pi, mat, vector = _exact_bivector(rng, n, int(rng.integers(0, n // 2 + 1)), scale)
+        m = 0
+        while not power(pi, m + 1).is_identically_zero:
+            m += 1
         kind = rng.integers(4)
-        b = (a @ rng.normal(size=n) if kind == 0 else rng.normal(size=n) if kind == 1
-             else np.zeros(n) if kind == 2 else rng.uniform(-1e-7, 1e-7, size=n))
-        stacks.setdefault(n, []).append(np.column_stack([a, b]))
-    return [np.array(mats) for _, mats in sorted(stacks.items())]
+        if kind == 0:  # pi-sharp of a random covector
+            e = MultiVector(pi.chart, 1, {1 << i: sum(
+                (pi.coefficient((1 << min(i, k)) | (1 << max(i, k)))
+                 * (1 if k > i else -1) * int(rng.integers(-3, 4))
+                 for k in range(n) if k != i), ScalarExpr.zero()) for i in range(n)})
+        elif kind == 1:
+            e = vector()
+        elif kind == 2:
+            e = MultiVector.zero(pi.chart, 1)
+        else:
+            e = MultiVector(pi.chart, 1, {1 << i: ScalarExpr.const(
+                Fraction(float(rng.uniform(-1e-7, 1e-7)))) for i in range(n)})
+        pim = power(pi, m)
+        row = _dense(wedge(pim, e)) + _dense(pim) + _dense(e)
+        n_top = math.comb(n, 2 * m + 1)
+        yield (np.array(row), n_top, math.comb(n, 2 * m),
+               np.column_stack([mat, _dense(e)]))
 
 
 class TestStackedPredicates:
+    """The exterior-power predicates that replaced the stacked matrix ones
+    decide as numpy's one-matrix references do: the span guard as lstsq,
+    the wedge-power reading of a rank as matrix_rank."""
+
     @staticmethod
     def outside_by_lstsq(cols, tol=1e-7):
-        # the one-matrix test the stacked one replaced
         mat, vec = cols[:, :-1], cols[:, -1]
         if np.allclose(vec, 0.0, atol=tol):
             return False
@@ -747,29 +797,107 @@ class TestStackedPredicates:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_span_matches_lstsq(self, seed):
-        for stack in _stacks(seed):
-            assert (_outside_column_span(stack).tolist()
-                    == [self.outside_by_lstsq(m) for m in stack])
+        for row, n_top, n_pim, cols in _span_cases(seed):
+            assert (bool(_outside_image(row[None], n_top, n_pim)[0])
+                    == self.outside_by_lstsq(cols)), cols
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_ranks_match_matrix_rank(self, seed):
-        for stack in _stacks(seed):
-            for mats in (stack, stack[:, :, :-1]):
-                assert (_ranks(mats).tolist()
-                        == [np.linalg.matrix_rank(m, tol=1e-8) for m in mats])
+    def test_ranks_match_matrix_rank(self, seed, sampler):
+        # rank pi-sharp = 2k exactly when pi^k vanishes nowhere and
+        # pi^(k+1) = 0: the reading bridge.rank makes with k = m + 1
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            scale = Fraction(10) ** int(rng.integers(-1, 2))
+            pi, mat, _ = _exact_bivector(rng, n, int(rng.integers(0, n // 2 + 1)), scale)
+            rank = np.linalg.matrix_rank(mat, tol=1e-8)
+            for k in range(n // 2 + 1):
+                reads = (vanishing_point(_coefficients(power(pi, k)), pi.chart,
+                                         sampler) is None
+                         and element_zero(power(pi, k + 1), sampler).is_zero)
+                assert reads == (rank == 2 * k), (mat, k)
 
     def test_all_cases_occur(self):
-        stack = _stacks(0)[3]  # 4 x 5
-        outside = _outside_column_span(stack)
-        ranks = _ranks(stack[:, :, :-1])
-        assert outside.any() and not outside.all()
-        assert set(ranks.tolist()) == {0, 1, 2, 3, 4}
+        outside = [bool(_outside_image(row[None], n_top, n_pim)[0])
+                   for row, n_top, n_pim, _ in _span_cases(0)]
+        ranks = {np.linalg.matrix_rank(cols[:, :-1], tol=1e-8)
+                 for *_, cols in _span_cases(0)}
+        assert any(outside) and not all(outside)
+        assert ranks == {0, 2, 4, 6}
 
     def test_non_finite_matrices_are_undecided(self):
-        good = np.column_stack([np.eye(3), np.ones(3)])
+        # E = d/dx3 against pi = d/dx1^d/dx2, E = d/dx1 inside it: one row
+        # per case, values of (E ^ pi, pi, E) on three variables
+        good = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
         bad_inf, bad_nan = good.copy(), good.copy()
-        bad_inf[0, 1] = np.inf
-        bad_nan[2, 3] = np.nan
-        stack = np.array([good, bad_inf, bad_nan])
-        assert _outside_column_span(stack).tolist() == [False, True, True]
-        assert _ranks(stack).tolist() == [3, -1, -1]
+        bad_inf[1] = np.inf
+        bad_nan[5] = np.nan
+        out = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        rows = np.array([good, bad_inf, bad_nan, out])
+        assert _outside_image(rows, 1, 3).tolist() == [False, True, True, True]
+
+
+def _numeric_tier_structure(sampler, name, factor):
+    """A model structure under a conformal change by `factor`, the shape of
+    the numeric-tier benchmark's inputs, verified."""
+    f, ctx = fixture_setup(name, sampler)
+    x1, x2, y = (ScalarExpr.var(v) for v in ("x1", "x2", "y"))
+    a = exp_(x1 * y + Fraction(3, 2) * x2) if factor == "exp" else 3 + sin_(x1 - y)
+    j = verify_jacobi(ctx, f.pi, f.E, sampler)
+    return conformal_rescale(j, a, ctx, sampler).structure, ctx
+
+
+class TestRecordsReadExteriorPowers:
+    @pytest.mark.parametrize("factor", ["exp", "sin"])
+    @pytest.mark.parametrize("name", ["lcs-model-r2", "contact-model-r3",
+                                      "lcs-model-r4", "contact-model-r5"])
+    def test_distribution_is_symbolic_on_numeric_tier_shapes(self, sampler, name,
+                                                             factor):
+        j, ctx = _numeric_tier_structure(sampler, name, factor)
+        x2, y = ScalarExpr.var("x2"), ScalarExpr.var("y")
+        rr = conformal_rescale(j, exp_(x2 - Fraction(1, 2) * y), ctx, sampler)
+        dist = next(c for c in rr.checks if c.name == "rescale.distribution")
+        assert dist.passed and dist.tier == "symbolic" and dist.witness is None
+
+    @pytest.mark.parametrize("name", ["lcs-model-r2", "contact-model-r3"])
+    def test_distribution_fails_when_p_moves(self, sampler, monkeypatch, name):
+        f, ctx = fixture_setup(name, sampler)
+        j = verify_jacobi(ctx, f.pi, f.E, sampler)
+        real = jacobi.verify_jacobi
+
+        def moved(*args):
+            j2 = real(*args)
+            return dataclasses.replace(j2, P=j2.P.scale(1 + ScalarExpr.var("y") ** 2))
+
+        monkeypatch.setattr(jacobi, "verify_jacobi", moved)
+        with pytest.raises(InvariantFailure, match="moved the foliation") as err:
+            conformal_rescale(j, exp_(ScalarExpr.var("x1")), ctx, sampler)
+        assert err.value.witness is not None
+
+    def test_bridge_rank_fails_on_a_lift_of_higher_rank(self, sampler):
+        # contact type with m = 0 and q = 2: Lambda = E ^ d/dt has rank 2;
+        # an extra d/dx1 ^ d/dx2 raises it to 4, so Lambda^2 != 0
+        chart = Chart(("x0", "x1", "x2"))
+        ctx = volume_context(chart, form(chart, 0, 1, 2), sampler)
+        j = verify_jacobi(ctx, MultiVector.zero(chart, 2), mv(chart, 0), sampler)
+        pz = poissonize(j, sampler)
+        extra = MultiVector.basis(pz.chart, [1, 2])
+        bad = dataclasses.replace(pz, lam=pz.lam + extra)
+        br = check_poissonization_bridge(j, ctx, defining_pair(j, ctx, sampler),
+                                         bad, sampler)
+        top, rank = (next(c for c in br.checks if c.name == name)
+                     for name in ("bridge.power_top", "bridge.rank"))
+        assert not top.passed and not rank.passed
+        assert rank.tier == "numeric" and rank.witness == top.witness is not None
+
+    def test_a_lift_without_e_dt_has_no_companion(self, sampler):
+        # Lambda^(m+1) = t^-(m+1) pi^(m+1) = 0: the bridge stops at the star
+        # companion, before any rank record
+        f, ctx = fixture_setup("contact-model-r3", sampler)
+        j = verify_jacobi(ctx, f.pi, f.E, sampler)
+        pz = poissonize(j, sampler)
+        t_inv = ScalarExpr.var(pz.t_name) ** -1
+        bad = dataclasses.replace(pz, lam=lift_to(pz.chart, j.pi).scale(t_inv))
+        with pytest.raises(NoCompanion, match="zero multivector"):
+            check_poissonization_bridge(j, ctx, defining_pair(j, ctx, sampler),
+                                        bad, sampler)
