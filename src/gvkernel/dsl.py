@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .alg import DiffForm, GradedElement, MultiVector, wedge
-from .expr import Chart, ExprError, KernelError, ScalarExpr, cos_, exp_, ln_, sin_
+from .expr import Chart, ExprError, KernelError, Sampler, ScalarExpr, cos_, exp_, ln_, sin_
 
 
 class DslError(KernelError):
@@ -305,9 +305,9 @@ class ProblemFile:
     theta: Optional[DiffForm] = None
     omega1: Optional[DiffForm] = None
     omega2: Optional[DiffForm] = None
-    seed: int = 0
-    points: int = 64
-    tol: float = 1e-9
+    seed: int = Sampler.seed
+    points: int = Sampler.points
+    tol: float = Sampler.tol
     commands: Tuple[Tuple[str, Optional[str]], ...] = ()
     # (line, column offset) of each command's argument text in the file, in
     # the order of `commands`; empty for a problem not read from a file
@@ -326,12 +326,10 @@ class ProblemFile:
         else:
             lines.append(f"omega = {self.omega1}")
             lines.append(f"Omega = {self.omega2}")
-        if self.seed != 0:
-            lines.append(f"seed {self.seed}")
-        if self.points != 64:
-            lines.append(f"points {self.points}")
-        if self.tol != 1e-9:
-            lines.append(f"tol {self.tol}")
+        for name in SETTINGS:
+            value = getattr(self, name)
+            if value != getattr(Sampler, name):
+                lines.append(f"{name} {value}")
         if self.commands:
             parts = [c if a is None else f"{c}({a})" for c, a in self.commands]
             lines.append("run " + " ".join(parts))
@@ -339,8 +337,8 @@ class ProblemFile:
 
 
 # Most sample points a check may ask for: 16x the 256 of the numeric
-# benchmark tier.  It bounds the memory of a sample and of a sampler's
-# sample plans (10x oversampling on up to 12 coordinates).
+# benchmark tier.  It bounds the memory of a sample (10x oversampling on up
+# to 12 coordinates) and of a sampler's head blocks.
 MAX_POINTS = 4096
 
 # the sampling settings: how each is read from text, which values are

@@ -24,12 +24,14 @@ non-constant, and every sum still take the general route: those are the
 steps the contact path repeats most, and their speed-up waits for the
 contact-solve tail fix (ROADMAP item 5).
 
-Numeric verdicts read seeded sample points (`Sampler`).  A sampler draws
-each chart's points once and keeps them, with the atom columns of the first
-block, for the last two charts it sampled; every check on such a chart
-reads the same points and values it would read from a fresh sampler.  A
-verdict rests on at least MIN_VALID_SHARE of the requested points; with
-fewer inside the expressions' domain, sampling raises InsufficientSamples.
+Numeric verdicts read seeded sample points (`Sampler`).  A sampler keeps,
+for the last two charts it sampled, a head block: the chart's first
+`points` draws with their memoised atom columns.  Every check on such a
+chart evaluates the head block first and draws past it only to replace
+discarded points, so it reads the same points and values it would read
+from a fresh sampler.  A verdict rests on at least MIN_VALID_SHARE of the
+requested points; with fewer inside the expressions' domain, sampling
+raises InsufficientSamples.
 """
 
 from __future__ import annotations
@@ -116,11 +118,9 @@ class Chart:
             raise ExprError(f"point has {len(point)} coordinates, chart has {self.n}")
         return dict(zip(self.vars, point))
 
-    def extend(self, name: str, positive: bool = True) -> "Chart":
-        pos = set(self.positive)
-        if positive:
-            pos.add(name)
-        return Chart(self.vars + (name,), frozenset(pos))
+    def extend(self, name: str) -> "Chart":
+        """This chart with the positive variable `name` appended."""
+        return Chart(self.vars + (name,), self.positive | {name})
 
 
 # --- atoms --------------------------------------------------------------
@@ -636,12 +636,8 @@ def diff(e: ScalarExpr, var: str, chart: Optional[Chart] = None) -> ScalarExpr:
                 continue
             rest_expr = ScalarExpr(
                 _expand_mono({b: eb for j, (b, eb) in enumerate(m) if j != i}, c * k))
-            if a.kind == "var":
-                powpart = ScalarExpr(_expand_mono({a: k - 1}, _ONE_FRAC))
-            elif a.kind == "exp":
-                powpart = ScalarExpr(_expand_mono({a: k}, _ONE_FRAC))
-            else:
-                powpart = ScalarExpr(_expand_mono({a: k - 1}, _ONE_FRAC))
+            powpart = ScalarExpr(
+                _expand_mono({a: k if a.kind == "exp" else k - 1}, _ONE_FRAC))
             total = total + rest_expr * powpart * da
     memo[var] = total
     return total
@@ -735,13 +731,14 @@ def _exp_or_inf(x: float) -> float:
 
 
 class _Block:
-    """`evaluate` over a block of points at once: every value is a numpy
+    """`evaluate` over a block of `points` at once: every value is a numpy
     array with one entry per point, paired with the mask of the points
     where `evaluate` raises DomainError (None when there is none).  Each
     atom and each atom power is computed once per block and shared by every
     term that uses it; atoms are interned, so the memo is keyed by them."""
 
     def __init__(self, chart: Chart, points: Sequence[Point]):
+        self.points = points
         coords = np.array(points, dtype=float).reshape(len(points), chart.n)
         self.columns = dict(zip(chart.vars, np.ascontiguousarray(coords.T)))
         self.rows = len(points)
@@ -843,93 +840,71 @@ class SampleTable:
         return len(self.points)
 
 
-def _uniform_points(rand: Callable[[], float], spans: Sequence[Tuple[float, float]],
-                    count: int) -> Iterator[Point]:
-    for _ in range(count):
-        yield tuple([low + width * rand() for low, width in spans])
-
-
 # The least share of the requested sample points a numeric verdict reads:
 # below it, valid_points raises InsufficientSamples.
 MIN_VALID_SHARE = Fraction(1, 2)
 
-# Charts whose sample plan a sampler keeps: a structure's chart and the
+# Charts whose head block a sampler keeps: a structure's chart and the
 # chart of its Poisson lift.
 PLANNED_CHARTS = 2
-
-
-class _Plan:
-    """One chart's sample plan: the candidate points drawn so far, in draw
-    order; the rest of the chart's draw stream, which ends at 10 x `points`;
-    and the `_Block` of the first `points` candidates, whose atom and
-    atom-power columns every check on the chart shares."""
-
-    __slots__ = ("candidates", "draws", "head")
-
-    def __init__(self, chart: Chart, draws: Iterator[Point], rows: int):
-        self.draws = draws
-        self.candidates: List[Point] = list(itertools.islice(draws, rows))
-        self.head = _Block(chart, self.candidates)
 
 
 @dataclass(frozen=True)
 class Sampler:
     """Deterministic point sampler; positive variables draw from [0.5, 2].
 
-    A sampler draws each chart's points once: it keeps a private sample
-    plan (`_Plan`) for each of the last `PLANNED_CHARTS` charts it sampled,
-    and every check on such a chart reads its candidate points, and the
-    first block's atom columns, from the plan.  The plans are not part of
-    the sampler's value: `==`, `hash` and `repr` ignore them, and a copy, a
-    pickle or a `dataclasses.replace` starts without any.  One lock guards
-    creating and extending them, so threads may share a sampler."""
+    A sampler keeps a head block for each of the last `PLANNED_CHARTS`
+    charts it sampled: the `_Block` of the chart's first `points` draws,
+    whose atom and atom-power columns every check on the chart shares.  The
+    heads are not part of the sampler's value: `==`, `hash` and `repr`
+    ignore them, and a copy, a pickle or a `dataclasses.replace` starts
+    without any.  One lock guards making and evicting them, so threads may
+    share a sampler."""
 
     seed: int = 0
     points: int = 64
     tol: float = 1e-9
-    _plans: "OrderedDict[Chart, _Plan]" = field(init=False, compare=False, repr=False)
+    _heads: "OrderedDict[Chart, _Block]" = field(init=False, compare=False, repr=False)
     _lock: threading.Lock = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_plans", OrderedDict())
+        object.__setattr__(self, "_heads", OrderedDict())
         object.__setattr__(self, "_lock", threading.Lock())
 
     def __reduce__(self):
-        # rebuilt through the constructor: a copy starts without plans
+        # rebuilt through the constructor: a copy starts without heads
         return (type(self), (self.seed, self.points, self.tol))
 
     def draw(self, chart: Chart, count: Optional[int] = None) -> Iterator[Point]:
-        """The chart's seeded point stream, `count` (default `points`) long.
-        The stream does not refer back to the sampler, so a plan holding it
-        makes no reference cycle: a sampler and its plans go as soon as the
-        last reference to the sampler does."""
+        """The chart's seeded point stream, `count` (default `points`) long."""
         rng = random.Random(f"{self.seed}|{','.join(chart.vars)}")
         # (low, width): what random.uniform(low, low + width) computes
         spans = [(0.5, 1.5) if v in chart.positive else (-1.0, 2.0) for v in chart.vars]
-        return _uniform_points(rng.random, spans, count if count is not None else self.points)
+        for _ in range(count if count is not None else self.points):
+            yield tuple([low + width * rng.random() for low, width in spans])
 
     def valid_points(self, chart: Chart, exprs: Sequence[ScalarExpr]) -> SampleTable:
         """Up to `points` sample points where every expression evaluates,
         in draw order, with the values there; domain-error points are
         discarded, oversampling at most 10x; fewer than
         ceil(MIN_VALID_SHARE x `points`) kept raise InsufficientSamples.
-        Candidates are read in blocks of as many as are still missing, so
-        none is read past the last one kept, and each block is evaluated at
-        once (evaluate_block).  The candidates come from the chart's plan,
-        drawn once per sampler; the first block shares the plan's memoised
-        columns, and only refill blocks are evaluated afresh."""
-        plan = self._plan(chart)
-        points: List[Point] = []
-        values = []
-        read = 0
+        The chart's head block is evaluated first, with its memoised
+        columns.  Only while points are missing does the scan read on past
+        the head, in blocks of as many draws as are missing, so none is read
+        past the last one kept; each block is evaluated at once
+        (evaluate_block)."""
+        head = self._head(chart)
+        vals, ok = evaluate_block(exprs, chart, head.points, head)
+        points = list(itertools.compress(head.points, ok))
+        values = [vals[ok]]
+        rest = itertools.islice(self.draw(chart, 10 * self.points), self.points, None)
         while len(points) < self.points:
-            block = self._candidates(plan, read, self.points - len(points))
+            block = list(itertools.islice(rest, self.points - len(points)))
             if not block:
                 break
-            vals, ok = evaluate_block(exprs, chart, block, None if read else plan.head)
+            vals, ok = evaluate_block(exprs, chart, block)
             points.extend(itertools.compress(block, ok))
             values.append(vals[ok])
-            read += len(block)
         floor = math.ceil(MIN_VALID_SHARE * self.points)
         if len(points) < floor:
             raise InsufficientSamples(
@@ -937,28 +912,19 @@ class Sampler:
                 f"domain, below the floor of {floor}")
         return SampleTable(points, np.concatenate(values))
 
-    def _plan(self, chart: Chart) -> _Plan:
-        """The chart's plan, made on first use; the least recently used plan
-        beyond `PLANNED_CHARTS` is dropped."""
+    def _head(self, chart: Chart) -> _Block:
+        """The chart's head block, made on first use; the least recently
+        used head beyond `PLANNED_CHARTS` is dropped."""
         with self._lock:
-            plan = self._plans.get(chart)
-            if plan is None:
-                plan = _Plan(chart, self.draw(chart, 10 * self.points), self.points)
-                self._plans[chart] = plan
-                if len(self._plans) > PLANNED_CHARTS:
-                    self._plans.popitem(last=False)
+            head = self._heads.get(chart)
+            if head is None:
+                head = _Block(chart, list(self.draw(chart)))
+                self._heads[chart] = head
+                if len(self._heads) > PLANNED_CHARTS:
+                    self._heads.popitem(last=False)
             else:
-                self._plans.move_to_end(chart)
-            return plan
-
-    def _candidates(self, plan: _Plan, start: int, count: int) -> List[Point]:
-        """Candidates start .. start + count - 1 of the plan, drawing the
-        missing ones; fewer where the draw stream ends."""
-        with self._lock:
-            missing = start + count - len(plan.candidates)
-            if missing > 0:
-                plan.candidates.extend(itertools.islice(plan.draws, missing))
-            return plan.candidates[start:start + count]
+                self._heads.move_to_end(chart)
+            return head
 
 
 @dataclass(frozen=True)
@@ -1018,10 +984,7 @@ def is_zero(exprs: Sequence[ScalarExpr], chart: Chart, sampler: Sampler) -> Zero
 def vanishing_point(exprs: Sequence[ScalarExpr], chart: Chart,
                     sampler: Sampler) -> Optional[Point]:
     """The first sample point where every expression is below tol, or None
-    when they never vanish together.  Zero normal forms vanish everywhere:
-    their witness is the first point drawn, without evaluating anything."""
-    if all(e.is_zero_form for e in exprs):
-        return next(iter(sampler.draw(chart, 1)))
+    when they never vanish together."""
     tol = sampler.tol
     row = first_row(exprs, chart, sampler,
                     lambda vals: ~_reaches_tol(vals, tol).any(axis=1))

@@ -129,19 +129,22 @@ def _coefficients(*els: GradedElement) -> List[ScalarExpr]:
     return [c for el in els for c in el.terms.values()]
 
 
-def _outside_image(vals: np.ndarray, n_top: int, n_pim: int,
-                   tol: float = 1e-7) -> np.ndarray:
+_SPAN_TOL = 1e-7
+
+
+def _outside_image(vals: np.ndarray, n_top: int, n_pim: int) -> np.ndarray:
     """For every row of `vals`, the values of `_coefficients(E ^ pi^m, pi^m,
     E)`, whether E lies outside Im pi-sharp.  pi^m is decomposable and spans
     Im pi-sharp, so dist(E, Im pi-sharp) = |E ^ pi^m| / |pi^m| (Euclidean
     norms of the coefficient vectors), held to lstsq's rule: E is inside
-    when every |E_i| <= tol, or when the distance is at most
-    tol * max(1, |E|).  A row with a non-finite value counts as outside."""
+    when every |E_i| <= _SPAN_TOL, or when the distance is at most
+    _SPAN_TOL * max(1, |E|).  A row with a non-finite value counts as
+    outside."""
     top, pim, e = np.split(vals, [n_top, n_top + n_pim], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         dist = np.hypot.reduce(top, axis=1) / np.hypot.reduce(pim, axis=1)
-    inside = ((np.abs(e) <= tol).all(axis=1)
-              | (dist <= tol * np.maximum(1.0, np.hypot.reduce(e, axis=1))))
+    inside = ((np.abs(e) <= _SPAN_TOL).all(axis=1)
+              | (dist <= _SPAN_TOL * np.maximum(1.0, np.hypot.reduce(e, axis=1))))
     return ~(inside & np.isfinite(vals).all(axis=1))
 
 
@@ -474,7 +477,7 @@ def poissonize(j: JacobiStructure, sampler: Sampler) -> Poissonization:
         raise ExprError(f"the Poisson lift needs {j.chart.n + 1} variables, "
                         f"over the chart cap of {MAX_DIM}")
     t = _fresh_t(j.chart)
-    ext = j.chart.extend(t, positive=True)
+    ext = j.chart.extend(t)
     t_inv = ScalarExpr.var(t) ** -1
     pi_l = lift_to(ext, j.pi)
     e_l = lift_to(ext, j.E)

@@ -461,7 +461,7 @@ class TestSamplePlans:
            st.data(), st.sampled_from([4, 16]), st.integers(0, 3))
     def test_reused_sampler_reads_what_a_fresh_one_reads(self, order, more, data,
                                                          points, seed):
-        # every chart is visited, so a plan is evicted at least once
+        # every chart is visited, so a head is evicted at least once
         shared = Sampler(seed=seed, points=points)
         for i in list(order) + more:
             exprs = data.draw(st.lists(block_exprs(), min_size=1, max_size=3))
@@ -469,14 +469,14 @@ class TestSamplePlans:
             fresh = Sampler(seed=seed, points=points)
             assert _sample(shared, kind, PLAN_CHARTS[i], exprs) == \
                 _sample(fresh, kind, PLAN_CHARTS[i], exprs)
-            assert len(shared._plans) <= 2
+            assert len(shared._heads) <= 2
 
     def test_least_recently_used_chart_is_evicted(self):
         sampler = Sampler(seed=2, points=8)
         a, b, c = PLAN_CHARTS
         for chart in (a, b, a, c):
             sampler.valid_points(chart, [X1 ** -1])
-        assert list(sampler._plans) == [a, c]
+        assert list(sampler._heads) == [a, c]
         table = sampler.valid_points(b, [_ln_atom(X2)])
         want = Sampler(seed=2, points=8).valid_points(b, [_ln_atom(X2)])
         assert table.points == want.points
@@ -487,27 +487,71 @@ class TestSamplePlans:
         for _ in range(2):
             with pytest.raises(InsufficientSamples, match="only 0 of 8 sample points"):
                 sampler.valid_points(CHART, [exp_(1000 + X1 ** 2)])
-        # the plan drew the whole stream; a satisfiable check still reads it
-        assert len(sampler._plans[CHART].candidates) == 80
+        # after two exhausted checks a satisfiable one still reads the head
         assert sampler.valid_points(CHART, [X1]).points == \
             Sampler(points=8).valid_points(CHART, [X1]).points
+
+    @staticmethod
+    def _block_sizes(monkeypatch):
+        """The sizes of the blocks evaluate_block is given, as it is called."""
+        sizes = []
+        block = expr_mod.evaluate_block
+
+        def recording(exprs, chart, points, *head):
+            sizes.append(len(points))
+            return block(exprs, chart, points, *head)
+
+        monkeypatch.setattr(expr_mod, "evaluate_block", recording)
+        return sizes
+
+    def test_exhaustion_evaluates_each_candidate_once(self, monkeypatch):
+        sizes = self._block_sizes(monkeypatch)
+        with pytest.raises(InsufficientSamples):
+            Sampler(points=8).valid_points(CHART, [exp_(1000 + X1 ** 2)])
+        assert sizes == [8] * 10  # the head, then 72 refill candidates
+
+    @pytest.mark.parametrize("points, blocks", [(1, [1] * 9), (2, [2] * 5 + [1] * 10)])
+    def test_refills_read_as_many_draws_as_are_missing(self, monkeypatch, points, blocks):
+        # draw 8 is THIN's first in-domain draw: it fills a quota of 1, and
+        # the scan stops at its block; a quota of 2 then reads blocks of the
+        # one missing point to the end of the 20 draws
+        sizes = self._block_sizes(monkeypatch)
+        sampler = Sampler(seed=2, points=points)
+        table = sampler.valid_points(CHART, [THIN])
+        assert table.points == [list(sampler.draw(CHART, 9))[8]]
+        assert sizes == blocks
+
+    def test_two_checks_on_a_chart_draw_its_head_once(self, monkeypatch):
+        drawn = []
+        draw = Sampler.draw
+
+        def counting_draw(sampler, *args):
+            for point in draw(sampler, *args):
+                drawn.append(point)
+                yield point
+
+        monkeypatch.setattr(Sampler, "draw", counting_draw)
+        sampler = Sampler(seed=3, points=8)
+        assert is_zero([X1], CHART, sampler).kind == "nonzero"
+        assert vanishing_point([X2 ** 2 + 1], CHART, sampler) is None
+        assert drawn == list(draw(Sampler(seed=3, points=8), CHART))
 
     def test_copies_compare_equal_and_start_without_plans(self):
         sampler = Sampler(seed=4, points=8, tol=1e-6)
         sampler.valid_points(CHART, [X1 ** -1])
-        assert len(sampler._plans) == 1
+        assert len(sampler._heads) == 1
         for other in (copy.copy(sampler), copy.deepcopy(sampler),
                       pickle.loads(pickle.dumps(sampler)), dataclasses.replace(sampler)):
             assert other == sampler and hash(other) == hash(sampler)
             assert repr(other) == repr(sampler) == "Sampler(seed=4, points=8, tol=1e-06)"
-            assert len(other._plans) == 0 and other._lock is not sampler._lock
+            assert len(other._heads) == 0 and other._lock is not sampler._lock
             assert other.valid_points(CHART, [X1 ** -1]).points == \
                 sampler.valid_points(CHART, [X1 ** -1]).points
         assert dataclasses.replace(sampler, points=9) != sampler
 
     def test_threads_sharing_a_sampler_read_identical_tables(self):
         # ln and reciprocals discard about half the candidates, so checks
-        # extend the plans while other threads read them
+        # refill past the heads while other threads read them
         exprs = [_ln_atom(X1) * (X2 - X3) ** -1, _ln_atom(X3 + X2)]
         charts = PLAN_CHARTS[:2]
         want = {c: Sampler(seed=7, points=32).valid_points(c, exprs) for c in charts}
