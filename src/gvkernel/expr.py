@@ -32,6 +32,13 @@ discarded points, so it reads the same points and values it would read
 from a fresh sampler.  A verdict rests on at least MIN_VALID_SHARE of the
 requested points; with fewer inside the expressions' domain, sampling
 raises InsufficientSamples.
+
+`vanishing_point` bounds its expressions over the sample box before it
+samples (`_Bounds`: interval arithmetic that follows `evaluate` step by step,
+rounded outward at every step).  When every bound rules out a domain error
+and one keeps its expression at least tol from 0, sampling could discard
+no point and find no vanishing row, so the call returns None without
+drawing; whatever the bounds cannot place is sampled as before.
 """
 
 from __future__ import annotations
@@ -76,7 +83,8 @@ class InsufficientSamples(CheckFailure):
 
 class DomainError(KernelError):
     """Numeric evaluation left the expression's domain (ln <= 0, 1/0,
-    overflow, sin/cos of a non-finite value)."""
+    overflow, sin/cos of a non-finite value, a coefficient beyond float
+    range)."""
 
     def __init__(self, message: str, subexpr: object = None):
         super().__init__(message)
@@ -672,7 +680,10 @@ _TINY = 1e-12
 def evaluate(e: ScalarExpr, env: Mapping[str, float]) -> float:
     total = 0.0
     for m, c in e._terms:
-        v = float(c)
+        try:
+            v = float(c)
+        except OverflowError:
+            raise DomainError("coefficient beyond float range", e) from None
         for a, k in m:
             base = _eval_atom(a, env)
             if k < 0 and abs(base) < _TINY:
@@ -747,7 +758,11 @@ class _Block:
     def expr(self, e: ScalarExpr):
         total, bad = 0.0, None
         for m, c in e._terms:
-            v = float(c)
+            try:
+                v = float(c)
+            except OverflowError:  # as in evaluate: fails at every point
+                bad = np.ones(self.rows, bool)
+                continue
             for a, k in m:
                 p, p_bad = self.power(a, k)
                 v = v * p
@@ -824,6 +839,141 @@ def evaluate_block(exprs: Sequence[ScalarExpr], chart: Chart, points: Sequence[P
             values[:, col], e_bad = block.expr(e)
             bad = _either(bad, e_bad)
     return values, np.ones(len(points), bool) if bad is None else ~bad
+
+
+# --- bounds over the sample box --------------------------------------------
+
+# Both ends of every bound move outward by this share of their size, plus
+# _ABS_SLACK, at every step: far above the rounding of float arithmetic,
+# float(Fraction), C pow and libm (each within a few units in the last
+# place, or a few subnormal steps), so the float `evaluate` computes at a
+# box point lies inside the bound of each subexpression.
+_REL_SLACK = 1e-12
+_ABS_SLACK = 1e-300
+# Largest magnitude a bound may reach: below it no step can overflow.
+_BOUND_CAP = 1e300
+# Largest exp argument a bound may reach (math.exp overflows past 709.78).
+_EXP_CAP = 700.0
+# |x| past which sin and cos are bounded by [-1, 1] alone.
+_TRIG_CAP = 1e6
+
+
+class _Undecided(Exception):
+    """A bound that cannot rule out a domain error or place a value."""
+
+
+def _widen(lo: float, hi: float) -> Tuple[float, float]:
+    lo -= _REL_SLACK * abs(lo) + _ABS_SLACK
+    hi += _REL_SLACK * abs(hi) + _ABS_SLACK
+    if not (-_BOUND_CAP < lo and hi < _BOUND_CAP):  # False on nan too
+        raise _Undecided
+    return lo, hi
+
+
+def _mul(a: Tuple[float, float], b: Tuple[float, float]) -> Tuple[float, float]:
+    ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return _widen(min(ends), max(ends))
+
+
+def _trig(kind: str, lo: float, hi: float) -> Tuple[float, float]:
+    """sin or cos over [lo, hi]: the values at both ends, and the extremum
+    (-1)^j of every critical point offset + j*pi that may lie inside."""
+    if hi - lo >= 2 * math.pi or max(-lo, hi) > _TRIG_CAP:
+        return _widen(-1.0, 1.0)
+    fn, offset = (math.sin, math.pi / 2) if kind == "sin" else (math.cos, 0.0)
+    ends = [fn(lo), fn(hi)]
+    # the 1e-6 slack (in units of pi) covers the rounding of the quotients
+    first = math.ceil((lo - offset) / math.pi - 1e-6)
+    last = math.floor((hi - offset) / math.pi + 1e-6)
+    ends.extend(-1.0 if j % 2 else 1.0 for j in range(first, last + 1))
+    return _widen(min(ends), max(ends))
+
+
+class _Bounds:
+    """Interval bounds over the box `Sampler.draw` draws from ([0.5, 2] for
+    positive variables, [-1, 1] for the others), computed step for step as
+    `_Block` evaluates and rounded outward at every step (Moore, *Interval
+    Analysis*, 1966), so the bound of an expression holds the value
+    `evaluate` computes at every box point.  A step raises _Undecided
+    wherever `_Block` might mask a box point: a negative power whose base
+    may come within _TINY of 0, an exp argument that may reach _EXP_CAP, an
+    ln argument that may reach 0, a bound that may reach _BOUND_CAP, and a
+    coefficient beyond float range.  A variable missing from the chart is
+    undecided too, so sampling raises its ExprError."""
+
+    def __init__(self, chart: Chart):
+        self.box = {v: (0.5, 2.0) if v in chart.positive else (-1.0, 1.0)
+                    for v in chart.vars}
+        self.memo: dict = {}
+
+    def expr(self, e: ScalarExpr) -> Tuple[float, float]:
+        total = (0.0, 0.0)
+        for m, c in e._terms:
+            try:
+                v = float(c)
+            except OverflowError:
+                raise _Undecided from None
+            term = _widen(v, v)
+            for a, k in m:
+                term = _mul(term, self.power(a, k))
+            total = _widen(total[0] + term[0], total[1] + term[1])
+        return total
+
+    def power(self, a: Atom, k: int) -> Tuple[float, float]:
+        hit = self.memo.get((a, k))
+        if hit is None:
+            lo, hi = self.atom(a)
+            if k == 1:
+                hit = lo, hi
+            else:
+                if k < 0 and not (lo > _TINY or hi < -_TINY):
+                    raise _Undecided
+                try:
+                    ends = (lo ** k, hi ** k)
+                except OverflowError:
+                    raise _Undecided from None
+                # an even power of a base that may change sign reaches 0
+                low = 0.0 if k % 2 == 0 and lo < 0 < hi else min(ends)
+                hit = _widen(low, max(ends))
+            self.memo[(a, k)] = hit
+        return hit
+
+    def atom(self, a: Atom) -> Tuple[float, float]:
+        hit = self.memo.get(a)
+        if hit is None:
+            if a.kind == "var":
+                try:
+                    hit = self.box[a.name]
+                except KeyError:
+                    raise _Undecided from None
+            elif a.kind == "poly":
+                hit = self.expr(a.arg)
+            else:
+                lo, hi = self.expr(a.arg)
+                if a.kind == "exp":
+                    if hi >= _EXP_CAP:
+                        raise _Undecided
+                    hit = _widen(math.exp(lo), math.exp(hi))
+                elif a.kind == "ln":
+                    if lo <= 0:
+                        raise _Undecided
+                    hit = _widen(math.log(lo), math.log(hi))
+                else:
+                    hit = _trig(a.kind, lo, hi)
+            self.memo[a] = hit
+        return hit
+
+
+def _bounded_away(exprs: Sequence[ScalarExpr], chart: Chart, tol: float) -> bool:
+    """True when every expression evaluates at every point of the sample box
+    and one of them stays at least tol from 0 there; False when the bounds
+    cannot tell."""
+    bounds = _Bounds(chart)
+    try:
+        enclosures = [bounds.expr(e) for e in exprs]
+    except _Undecided:
+        return False
+    return any(lo >= tol or hi <= -tol for lo, hi in enclosures)
 
 
 # --- sampling and zero classification --------------------------------------
@@ -984,8 +1134,17 @@ def is_zero(exprs: Sequence[ScalarExpr], chart: Chart, sampler: Sampler) -> Zero
 def vanishing_point(exprs: Sequence[ScalarExpr], chart: Chart,
                     sampler: Sampler) -> Optional[Point]:
     """The first sample point where every expression is below tol, or None
-    when they never vanish together."""
+    when they never vanish together.
+
+    The expressions are bounded over the sample box first (_Bounds).  When
+    every one evaluates at every box point and one of them stays at least
+    tol from 0, no sample point can be discarded or vanish, so sampling
+    would return None: the call returns None without drawing a point.
+    Whatever the bounds cannot place is sampled, with the same points,
+    witness and errors as without them."""
     tol = sampler.tol
+    if _bounded_away(exprs, chart, tol):
+        return None
     row = first_row(exprs, chart, sampler,
                     lambda vals: ~_reaches_tol(vals, tol).any(axis=1))
     return row and row[0]

@@ -204,23 +204,22 @@ def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
         raise NotRegular(f"pi^{m} vanishes at a sample point", witness)
 
     top = wedge(pim, E)
-    witness = vanishing_point(_coefficients(top), chart, sampler)
-    if witness is None:
-        kind = "contact"
-        q = chart.n - 2 * m - 1
-    else:
-        zero = element_zero(top, sampler)
-        if not zero.is_zero:
+    kind = "lcs"  # E ^ pi^m = 0 exactly puts E in Im pi-sharp
+    if not top.is_identically_zero:
+        witness = vanishing_point(_coefficients(top), chart, sampler)
+        if witness is None:
+            kind = "contact"
+        elif not element_zero(top, sampler).is_zero:
             raise NotRegular(f"pi^{m}^E changes rank across sample points", witness)
-        kind = "lcs"
-        q = chart.n - 2 * m
-        # E ^ pi^m = 0 exactly puts E in Im pi-sharp; a top that is only
-        # below tol at the sample points needs the distance itself
-        row = None if zero.tier == "symbolic" else first_row(
-            _coefficients(top, pim, E), chart, sampler,
-            lambda vals: _outside_image(vals, len(top.terms), len(pim.terms)))
-        if row is not None:
-            raise NotRegular("E leaves Im pi-sharp at a sample point", row[0])
+        else:
+            # a top that is only below tol at the sample points needs the
+            # distance itself
+            row = first_row(
+                _coefficients(top, pim, E), chart, sampler,
+                lambda vals: _outside_image(vals, len(top.terms), len(pim.terms)))
+            if row is not None:
+                raise NotRegular("E leaves Im pi-sharp at a sample point", row[0])
+    q = chart.n - 2 * m - (kind == "contact")
     checks.append(CheckResult("jacobi.regular", "numeric", True,
                               detail=f"m={m} kind={kind}"))
     checks.append(CheckResult("jacobi.codim", "symbolic", 0 < q < chart.n,

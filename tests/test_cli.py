@@ -585,11 +585,36 @@ class TestSamplingEvaluatesOnce:
         monkeypatch.setattr(expr.Sampler, "valid_points", counting_valid_points)
         fx = get_fixture("contact-model-r3")
         text = (f"chart {' '.join(fx.chart.vars)}\nvol {fx.vol}\npi = {fx.pi}\n"
-                f"E = {fx.E}\nrun verify rescale(exp(x1)) bridge\n")
+                f"E = {fx.E}\nrun verify rescale(1 - x1 + x1^2) bridge\n")
         report = run_text(text)
         assert report.exit_status == 0
         assert {"rescale.distribution", "bridge.rank"} <= {r.name for r in report.records}
         assert counts["evaluate"] == counts["returned"] > 0
+
+
+class TestBoundsDecideNonvanishing:
+    @pytest.mark.parametrize("fixture", ["poisson-r3", "rescaled-poisson-r3",
+                                         "lcs-model-r2", "lcs-model-r4"])
+    def test_lcs_model_session_never_samples(self, monkeypatch, fixture):
+        # pi^m, the volume, the star companion and the lift's t^-1 factors
+        # are bounded away from 0 over the sample box, and every identity
+        # is zero in normal form
+        calls = []
+        valid_points = expr.Sampler.valid_points
+        monkeypatch.setattr(expr.Sampler, "valid_points",
+                            lambda *a: calls.append(a) or valid_points(*a))
+        problem = fixture_problem(get_fixture(fixture))
+        assert [c for c, _ in problem.commands] == ["verify", "pair", "gv", "codim1",
+                                                   "poissonize"]
+        assert execute(problem).exit_status == 0
+        assert calls == []
+
+    def test_coefficient_beyond_float_range_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "huge.gvk"
+        p.write_text("chart x1 x2 x3\npi = 10^400*x1*d/dx1^d/dx2\nrun verify\n")
+        assert main([str(p)]) == 1
+        out = capsys.readouterr().out
+        assert "InsufficientSamples: only 0 of 64 sample points" in out
 
 
 class TestZeroSetsOfMeasureZero:

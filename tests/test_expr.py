@@ -587,6 +587,171 @@ class TestSamplePlans:
         assert errors == []
 
 
+T = ScalarExpr.var("t")
+# the sample box of Sampler.draw: x1, x2 in [-1, 1] and the positive t in
+# [0.5, 2] on the second chart
+BOX_CHARTS = (CHART, Chart(("x1", "x2", "t"), positive=frozenset({"t"})))
+
+
+def _corners(chart):
+    return list(itertools.product(*[(0.5, 2.0) if v in chart.positive else (-1.0, 1.0)
+                                    for v in chart.vars]))
+
+
+@st.composite
+def box_exprs(draw, chart, tol):
+    """Polynomials, reciprocals, wrapped polynomials, exp, sin, cos, ln and
+    constants near tol over the chart: some bounded away from 0, some near
+    a domain edge, some vanishing in the box."""
+    def poly():
+        e = ScalarExpr.const(draw(st.integers(-3, 3)))
+        for c, names in draw(st.lists(st.tuples(st.integers(-3, 3),
+                                                st.lists(st.sampled_from(chart.vars),
+                                                         max_size=3)),
+                                      min_size=1, max_size=3)):
+            t = ScalarExpr.const(c)
+            for name in names:
+                t = t * ScalarExpr.var(name)
+            e = e + t
+        return e
+
+    kind = draw(st.sampled_from(["poly", "recip", "wrapped", "exp", "sin", "cos",
+                                 "ln", "tol"]))
+    if kind == "tol":
+        return ScalarExpr.const(Fraction(tol) * (1 + Fraction(draw(st.sampled_from(
+            [-1, 1])), 10 ** draw(st.integers(3, 13)))))
+    base = poly()
+    if kind in ("recip", "wrapped") and not base.is_zero_form:
+        inverse = base ** -draw(st.sampled_from([1, 2, 3]))
+        return inverse if kind == "recip" else poly() * inverse
+    if kind == "exp":
+        return draw(st.sampled_from([1, 2, -3])) * exp_(
+            draw(st.sampled_from([1, 30, 230, 700])) * base)
+    if kind in ("sin", "cos"):
+        trig = (sin_ if kind == "sin" else cos_)(draw(st.sampled_from([1, 3, 1000])) * base)
+        return trig + draw(st.integers(-2, 2))
+    if kind == "ln" and not base.is_zero_form:
+        return _ln_atom(base)
+    return base
+
+
+class TestBoundsOverTheSampleBox:
+    @staticmethod
+    def _count_sampling(monkeypatch):
+        calls = []
+        valid_points = Sampler.valid_points
+
+        def counting(sampler, chart, exprs):
+            calls.append(len(exprs))
+            return valid_points(sampler, chart, exprs)
+
+        monkeypatch.setattr(Sampler, "valid_points", counting)
+        return calls
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bounds_hold_every_value_sampling_reads(self, data):
+        # a bound that places an expression holds its value, domain-error
+        # free, at every sample point and every corner of the box
+        chart = data.draw(st.sampled_from(BOX_CHARTS))
+        e = data.draw(box_exprs(chart, 1e-9))
+        try:
+            lo, hi = expr_mod._Bounds(chart).expr(e)
+        except expr_mod._Undecided:
+            return
+        points = list(Sampler(seed=data.draw(st.integers(0, 999))).draw(chart)) + _corners(chart)
+        values, ok = evaluate_block([e], chart, points)
+        assert ok.all(), e
+        assert lo <= values.min() and values.max() <= hi, (e, lo, hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_decided_bound_is_what_sampling_finds(self, data):
+        chart = data.draw(st.sampled_from(BOX_CHARTS))
+        tol = data.draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+        sampler = Sampler(seed=data.draw(st.integers(0, 999)),
+                          points=data.draw(st.sampled_from([8, 64])), tol=tol)
+        exprs = data.draw(st.lists(box_exprs(chart, tol), min_size=1, max_size=4))
+        if not expr_mod._bounded_away(exprs, chart, tol):
+            return
+        # the scan vanishing_point makes without the bound: every head point
+        # kept, and one value at least tol in every row
+        table = sampler.valid_points(chart, exprs)
+        assert len(table) == sampler.points
+        assert (np.abs(table.values) >= tol).any(axis=1).all(), exprs
+
+    @pytest.mark.parametrize("e, chart", [
+        (ScalarExpr.const(3), CHART),
+        (exp_(690 * X1 ** 2), CHART),           # below 1e300 everywhere
+        (T ** -1, BOX_CHARTS[1]),
+        (T ** -7 - 200, BOX_CHARTS[1]),
+        (T ** -20, BOX_CHARTS[1]),              # 2^-20 >= tol
+        (ln_(1 + T, BOX_CHARTS[1].positive), BOX_CHARTS[1]),
+        (_ln_atom(X1 + 3), CHART),              # ln(x1 + 3) >= ln 2
+        (3 + sin_(X1) * cos_(X2), CHART),
+        (X1 ** 2 + 1 + exp_(X2) * (2 + X1 * X2) ** -1, CHART),
+    ], ids=["const", "exp690", "t^-1", "t^-7", "t^-20", "ln(1+t)", "ln(x1+3)", "trig",
+            "wrapped"])
+    def test_bounded_away_returns_without_sampling(self, monkeypatch, e, chart):
+        calls = self._count_sampling(monkeypatch)
+        assert vanishing_point([X1 - X1, e], chart, Sampler(points=8)) is None
+        assert calls == []
+
+    @pytest.mark.parametrize("e, chart", [
+        (exp_(709 * X1 ** 2), CHART),           # finite, but past the exp cap
+        (X1 ** -1, CHART),                      # 1/x1 for x1 in [-1, 1]
+        (1 - X1 + X1 ** 2, CHART),              # >= 3/4, but its bound holds 0
+        (ln_(2 * T, BOX_CHARTS[1].positive), BOX_CHARTS[1]),  # ln(2t) >= 0
+        (T ** -1000 + 1, BOX_CHARTS[1]),        # 0.5^-1000 is past 1e300
+    ], ids=["exp709", "1/x1", "1-x1+x1^2", "ln(2t)", "t^-1000+1"])
+    def test_inconclusive_bounds_sample(self, monkeypatch, e, chart):
+        # each is at least tol from 0 wherever it evaluates; sampling says so
+        assert not expr_mod._bounded_away([e], chart, 1e-9)
+        calls = self._count_sampling(monkeypatch)
+        assert vanishing_point([e], chart, Sampler(points=8)) is None
+        assert calls == [1]
+
+    def test_ln_of_a_sign_changing_argument_is_undecided(self):
+        assert not expr_mod._bounded_away([_ln_atom(X1)], CHART, 1e-9)
+        assert not expr_mod._bounded_away([_ln_atom(X1 + 1)], CHART, 1e-9)
+
+    @pytest.mark.parametrize("scale, witness", [(-1, True), (1, False)])
+    def test_constant_next_to_tol(self, monkeypatch, scale, witness):
+        # just below tol every point vanishes, so sampling gives the first
+        # draw; just above, the bound decides with no draw
+        sampler = Sampler(seed=3, points=8, tol=1e-6)
+        c = ScalarExpr.const(Fraction(1e-6) * (1 + Fraction(scale, 10 ** 6)))
+        calls = self._count_sampling(monkeypatch)
+        got = vanishing_point([c], CHART, sampler)
+        if witness:
+            assert got == next(sampler.draw(CHART)) and calls == [1]
+        else:
+            assert got is None and calls == []
+
+    def test_coefficient_beyond_float_range_is_a_domain_error(self):
+        e = ScalarExpr.const(10 ** 400) * X1
+        with pytest.raises(DomainError, match="beyond float range"):
+            eval_at(e, CHART, (0.5, 0.5, 0.5))
+        _, ok = evaluate_block([e, X2], CHART, [(0.5, 0.5, 0.5), (0.1, 0.2, 0.3)])
+        assert not ok.any()
+        assert not expr_mod._bounded_away([e + 1], CHART, 1e-9)
+        with pytest.raises(InsufficientSamples, match="only 0 of 8"):
+            vanishing_point([e], CHART, Sampler(points=8))
+
+    @pytest.mark.parametrize("e, points, match", [
+        (THIN, 64, "only 4 of 64"),
+        (exp_(1000 + X1 ** 2), 8, "only 0 of 8"),
+    ], ids=["thin", "exp1000"])
+    def test_domain_edges_still_raise_insufficient_samples(self, e, points, match):
+        assert not expr_mod._bounded_away([e], CHART, 1e-9)
+        with pytest.raises(InsufficientSamples, match=match):
+            vanishing_point([e], CHART, Sampler(seed=2, points=points))
+
+    def test_a_variable_missing_from_the_chart_still_raises(self):
+        with pytest.raises(ExprError, match="'y' not bound"):
+            vanishing_point([ScalarExpr.var("y") + 5], CHART, Sampler(points=8))
+
+
 class TestLnPositivity:
     def test_ln_of_variable_rejected_without_declaration(self):
         with pytest.raises(ExprError):
