@@ -131,12 +131,6 @@ def _candidate_coefficients(ctx: VolumeContext, u: MultiVector
                         key=lambda jc: (0 if jc[1].is_rational_const else 1, jc[0])))
 
 
-def star_candidates(ctx: VolumeContext, u: MultiVector) -> Tuple[int, ...]:
-    """Complement masks of u's stored terms, ranked: symbolically constant
-    certificate coefficient first, then lowest bitmask."""
-    return tuple(jmask for jmask, _ in _candidate_coefficients(ctx, u))
-
-
 def star(ctx: VolumeContext, u: MultiVector, sampler: Sampler,
          choice: int = 0, force_complement: Optional[int] = None) -> StarCompanion:
     """Deterministic star companion (1/vol(U^d_J)) * d_J.

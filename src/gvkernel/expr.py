@@ -22,7 +22,7 @@ are stored with `_normalized=True`, which means "already a normal form, in
 normal-form order".  A product with a wrapped polynomial, zero times a
 non-constant, and every sum still take the general route: those are the
 steps the contact path repeats most, and their speed-up waits for the
-contact-solve tail fix (ROADMAP item 5).
+contact-solve tail fix (ROADMAP item 3).
 
 Numeric verdicts read seeded sample points (`Sampler`).  A sampler keeps,
 for the last two charts it sampled, a head block: the chart's first
@@ -34,11 +34,13 @@ requested points; with fewer inside the expressions' domain, sampling
 raises InsufficientSamples.
 
 `vanishing_point` bounds its expressions over the sample box before it
-samples (`_Bounds`: interval arithmetic that follows `evaluate` step by step,
-rounded outward at every step).  When every bound rules out a domain error
-and one keeps its expression at least tol from 0, sampling could discard
-no point and find no vanishing row, so the call returns None without
-drawing; whatever the bounds cannot place is sampled as before.
+samples (`_Bounds`: interval arithmetic rounded outward at every step).  The
+block and the bounds are one memoised walk over the normal form (`_Walk`) in
+two number domains, so the bounds take the steps the block takes.  When
+every bound rules out a domain error and one keeps its expression at least
+tol from 0, sampling could discard no point and find no vanishing row, so
+the call returns None without drawing; whatever the bounds cannot place is
+sampled as before.
 """
 
 from __future__ import annotations
@@ -678,6 +680,9 @@ _TINY = 1e-12
 
 
 def evaluate(e: ScalarExpr, env: Mapping[str, float]) -> float:
+    """The float value of `e` at the point `env` (variable -> value), or
+    DomainError.  This scalar evaluator is the reference that the block
+    evaluator (`evaluate_block`) is checked against, bit for bit."""
     total = 0.0
     for m, c in e._terms:
         try:
@@ -722,6 +727,8 @@ def _eval_atom(a: Atom, env: Mapping[str, float]) -> float:
 
 
 def eval_at(e: ScalarExpr, chart: Chart, point: Sequence[float]) -> float:
+    """`evaluate` at a point given by its chart coordinates: the scalar
+    reference that the block evaluator is checked against, bit for bit."""
     return evaluate(e, chart.env(point))
 
 
@@ -741,51 +748,44 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-class _Block:
-    """`evaluate` over a block of `points` at once: every value is a numpy
-    array with one entry per point, paired with the mask of the points
-    where `evaluate` raises DomainError (None when there is none).  Each
-    atom and each atom power is computed once per block and shared by every
-    term that uses it; atoms are interned, so the memo is keyed by them."""
+def _sample_box(chart: Chart) -> dict:
+    """The sample box, chart variable -> (low, high) in chart order:
+    `Sampler.draw` draws each coordinate from its variable's range, and
+    `_Bounds` bounds expressions over the same box."""
+    return {v: (0.5, 2.0) if v in chart.positive else (-1.0, 1.0) for v in chart.vars}
 
-    def __init__(self, chart: Chart, points: Sequence[Point]):
-        self.points = points
-        coords = np.array(points, dtype=float).reshape(len(points), chart.n)
-        self.columns = dict(zip(chart.vars, np.ascontiguousarray(coords.T)))
-        self.rows = len(points)
+
+class _Walk:
+    """One memoised walk over a normal form, in a number domain that a
+    subclass supplies.  The walk runs the terms in order; it computes each
+    atom and each (atom, power) once per walk and shares the value with
+    every term that uses it (atoms are interned, so the memo is keyed by
+    them).
+
+    A domain supplies `start`, the value of the empty sum; `term(total, c,
+    m)`, the sum `total` plus the coefficient `c` times the walk's `power`
+    of each (atom, k) of the monomial `m`, multiplied left to right (the
+    domain folds a whole monomial, so it multiplies inline); `raised(value,
+    k)`, an atom value to an integer power k != 1; `variable(name)`; and
+    `call(kind, value)`, exp, sin, cos or ln of a value."""
+
+    start: object
+
+    def __init__(self):
         self.memo: dict = {}
 
     def expr(self, e: ScalarExpr):
-        total, bad = 0.0, None
+        total, term = self.start, self.term
         for m, c in e._terms:
-            try:
-                v = float(c)
-            except OverflowError:  # as in evaluate: fails at every point
-                bad = np.ones(self.rows, bool)
-                continue
-            for a, k in m:
-                p, p_bad = self.power(a, k)
-                v = v * p
-                bad = _either(bad, p_bad)
-            total = total + v
-        if np.ndim(total) == 0:
-            total = np.full(self.rows, total)
-        return total, bad
+            total = term(total, c, m)
+        return total
 
     def power(self, a: Atom, k: int):
         hit = self.memo.get((a, k))
         if hit is None:
-            base, bad = self.atom(a)
-            if k == 1:
-                hit = base, bad
-            else:
-                # C pow, as float ** int; it overflows exactly where the
-                # result is infinite and the base is not
-                p = np.float_power(base, k)
-                fails = np.isinf(p) & np.isfinite(base)
-                if k < 0:
-                    fails |= np.abs(base) < _TINY
-                hit = p, _either(bad, fails if fails.any() else None)
+            hit = self.atom(a)
+            if k != 1:
+                hit = self.raised(hit, k)
             self.memo[(a, k)] = hit
         return hit
 
@@ -793,20 +793,60 @@ class _Block:
         hit = self.memo.get(a)
         if hit is None:
             if a.kind == "var":
-                try:
-                    hit = self.columns[a.name], None
-                except KeyError:
-                    raise ExprError(f"variable {a.name!r} not bound at evaluation") from None
+                hit = self.variable(a.name)
             elif a.kind == "poly":
                 hit = self.expr(a.arg)
             else:
-                hit = self.transcendental(a.kind, *self.expr(a.arg))
+                hit = self.call(a.kind, self.expr(a.arg))
             self.memo[a] = hit
         return hit
 
-    def transcendental(self, kind: str, x: np.ndarray, bad: Optional[np.ndarray]):
+
+class _Block(_Walk):
+    """`evaluate` over a block of `points` at once: every value is a numpy
+    array with one entry per point, paired with the mask of the points
+    where `evaluate` raises DomainError (None when there is none)."""
+
+    def __init__(self, chart: Chart, points: Sequence[Point]):
+        super().__init__()
+        self.points = points
+        coords = np.array(points, dtype=float).reshape(len(points), chart.n)
+        self.columns = dict(zip(chart.vars, np.ascontiguousarray(coords.T)))
+        self.rows = len(points)
+        self.start = np.zeros(self.rows), None
+
+    def term(self, total, c: Fraction, m: Monomial):
+        total, bad = total
+        try:
+            v = float(c)
+        except OverflowError:  # as in evaluate: fails at every point
+            return total, np.ones(self.rows, bool)
+        for a, k in m:
+            p, p_bad = self.power(a, k)
+            v = v * p
+            bad = _either(bad, p_bad)
+        return total + v, bad
+
+    def raised(self, value, k: int):
+        base, bad = value
+        # C pow, as float ** int; it overflows exactly where the result is
+        # infinite and the base is not
+        p = np.float_power(base, k)
+        fails = np.isinf(p) & np.isfinite(base)
+        if k < 0:
+            fails |= np.abs(base) < _TINY
+        return p, _either(bad, fails if fails.any() else None)
+
+    def variable(self, name: str):
+        try:
+            return self.columns[name], None
+        except KeyError:
+            raise ExprError(f"variable {name!r} not bound at evaluation") from None
+
+    def call(self, kind: str, value):
         # element-wise through math, whose rounding evaluate has (numpy's
         # exp, sin, cos and log round differently)
+        x, bad = value
         if kind == "exp":
             values = np.fromiter(map(_exp_or_inf, x.tolist()), float, self.rows)
             fails = np.isinf(values) & np.isfinite(x)
@@ -889,79 +929,62 @@ def _trig(kind: str, lo: float, hi: float) -> Tuple[float, float]:
     return _widen(min(ends), max(ends))
 
 
-class _Bounds:
-    """Interval bounds over the box `Sampler.draw` draws from ([0.5, 2] for
-    positive variables, [-1, 1] for the others), computed step for step as
-    `_Block` evaluates and rounded outward at every step (Moore, *Interval
-    Analysis*, 1966), so the bound of an expression holds the value
-    `evaluate` computes at every box point.  A step raises _Undecided
-    wherever `_Block` might mask a box point: a negative power whose base
-    may come within _TINY of 0, an exp argument that may reach _EXP_CAP, an
-    ln argument that may reach 0, a bound that may reach _BOUND_CAP, and a
+class _Bounds(_Walk):
+    """Interval bounds over the sample box: `_Block`'s walk in intervals,
+    rounded outward at every step (Moore, *Interval Analysis*, 1966), so
+    the bound of an expression holds the value `evaluate` computes at every
+    box point.  A step raises _Undecided wherever
+    `_Block` might mask a box point: a negative power whose base may come
+    within _TINY of 0, an exp argument that may reach _EXP_CAP, an ln
+    argument that may reach 0, a bound that may reach _BOUND_CAP, and a
     coefficient beyond float range.  A variable missing from the chart is
     undecided too, so sampling raises its ExprError."""
 
+    start = (0.0, 0.0)
+
     def __init__(self, chart: Chart):
-        self.box = {v: (0.5, 2.0) if v in chart.positive else (-1.0, 1.0)
-                    for v in chart.vars}
-        self.memo: dict = {}
+        super().__init__()
+        self.box = _sample_box(chart)
 
-    def expr(self, e: ScalarExpr) -> Tuple[float, float]:
-        total = (0.0, 0.0)
-        for m, c in e._terms:
-            try:
-                v = float(c)
-            except OverflowError:
-                raise _Undecided from None
-            term = _widen(v, v)
-            for a, k in m:
-                term = _mul(term, self.power(a, k))
-            total = _widen(total[0] + term[0], total[1] + term[1])
-        return total
+    def term(self, total, c: Fraction, m: Monomial):
+        try:
+            v = float(c)
+        except OverflowError:
+            raise _Undecided from None
+        term = _widen(v, v)
+        for a, k in m:
+            term = _mul(term, self.power(a, k))
+        return _widen(total[0] + term[0], total[1] + term[1])
 
-    def power(self, a: Atom, k: int) -> Tuple[float, float]:
-        hit = self.memo.get((a, k))
-        if hit is None:
-            lo, hi = self.atom(a)
-            if k == 1:
-                hit = lo, hi
-            else:
-                if k < 0 and not (lo > _TINY or hi < -_TINY):
-                    raise _Undecided
-                try:
-                    ends = (lo ** k, hi ** k)
-                except OverflowError:
-                    raise _Undecided from None
-                # an even power of a base that may change sign reaches 0
-                low = 0.0 if k % 2 == 0 and lo < 0 < hi else min(ends)
-                hit = _widen(low, max(ends))
-            self.memo[(a, k)] = hit
-        return hit
+    def raised(self, bound, k: int):
+        lo, hi = bound
+        if k < 0 and not (lo > _TINY or hi < -_TINY):
+            raise _Undecided
+        try:
+            ends = (lo ** k, hi ** k)
+        except OverflowError:
+            raise _Undecided from None
+        # an even power of a base that may change sign reaches 0
+        low = 0.0 if k % 2 == 0 and lo < 0 < hi else min(ends)
+        return _widen(low, max(ends))
 
-    def atom(self, a: Atom) -> Tuple[float, float]:
-        hit = self.memo.get(a)
-        if hit is None:
-            if a.kind == "var":
-                try:
-                    hit = self.box[a.name]
-                except KeyError:
-                    raise _Undecided from None
-            elif a.kind == "poly":
-                hit = self.expr(a.arg)
-            else:
-                lo, hi = self.expr(a.arg)
-                if a.kind == "exp":
-                    if hi >= _EXP_CAP:
-                        raise _Undecided
-                    hit = _widen(math.exp(lo), math.exp(hi))
-                elif a.kind == "ln":
-                    if lo <= 0:
-                        raise _Undecided
-                    hit = _widen(math.log(lo), math.log(hi))
-                else:
-                    hit = _trig(a.kind, lo, hi)
-            self.memo[a] = hit
-        return hit
+    def variable(self, name: str):
+        try:
+            return self.box[name]
+        except KeyError:
+            raise _Undecided from None
+
+    def call(self, kind: str, bound):
+        lo, hi = bound
+        if kind == "exp":
+            if hi >= _EXP_CAP:
+                raise _Undecided
+            return _widen(math.exp(lo), math.exp(hi))
+        if kind == "ln":
+            if lo <= 0:
+                raise _Undecided
+            return _widen(math.log(lo), math.log(hi))
+        return _trig(kind, lo, hi)
 
 
 def _bounded_away(exprs: Sequence[ScalarExpr], chart: Chart, tol: float) -> bool:
@@ -1014,12 +1037,10 @@ class Sampler:
     seed: int = 0
     points: int = 64
     tol: float = 1e-9
-    _heads: "OrderedDict[Chart, _Block]" = field(init=False, compare=False, repr=False)
-    _lock: threading.Lock = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_heads", OrderedDict())
-        object.__setattr__(self, "_lock", threading.Lock())
+    _heads: "OrderedDict[Chart, _Block]" = field(
+        default_factory=OrderedDict, init=False, compare=False, repr=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, compare=False, repr=False)
 
     def __reduce__(self):
         # rebuilt through the constructor: a copy starts without heads
@@ -1028,8 +1049,8 @@ class Sampler:
     def draw(self, chart: Chart, count: Optional[int] = None) -> Iterator[Point]:
         """The chart's seeded point stream, `count` (default `points`) long."""
         rng = random.Random(f"{self.seed}|{','.join(chart.vars)}")
-        # (low, width): what random.uniform(low, low + width) computes
-        spans = [(0.5, 1.5) if v in chart.positive else (-1.0, 2.0) for v in chart.vars]
+        # (low, width): what random.uniform(low, high) computes
+        spans = [(low, high - low) for low, high in _sample_box(chart).values()]
         for _ in range(count if count is not None else self.points):
             yield tuple([low + width * rng.random() for low, width in spans])
 

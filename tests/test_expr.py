@@ -752,6 +752,37 @@ class TestBoundsOverTheSampleBox:
             vanishing_point([ScalarExpr.var("y") + 5], CHART, Sampler(points=8))
 
 
+class TestOneWalkOverTheSampleBox:
+    @pytest.mark.parametrize("seed, points", [(0, 8), (5, 64)])
+    def test_draws_lie_in_the_box_the_bounds_read(self, seed, points):
+        chart = BOX_CHARTS[1]
+        box = expr_mod._sample_box(chart)
+        assert box == {"x1": (-1.0, 1.0), "x2": (-1.0, 1.0), "t": (0.5, 2.0)}
+        drawn = list(Sampler(seed).draw(chart, 10 * points))
+        assert len(drawn) == 10 * points
+        for point in drawn:
+            for v, x in zip(chart.vars, point):
+                low, high = box[v]
+                assert low <= x <= high, (v, x)
+        assert expr_mod._Bounds(chart).box == box
+
+    @pytest.mark.parametrize("e, chart", [
+        (3 + sin_(X1) * cos_(X2), CHART),
+        (X1 ** 2 + 1 + exp_(X2) * (2 + X1 * X2) ** -1, CHART),
+        (T ** -7 - 200, BOX_CHARTS[1]),
+        (exp_(690 * X1 ** 2), CHART),
+        (ln_(1 + T, BOX_CHARTS[1].positive), BOX_CHARTS[1]),
+    ], ids=["trig", "wrapped", "t^-7", "exp690", "ln(1+t)"])
+    def test_bounds_and_block_visit_the_same_atoms_and_powers(self, e, chart):
+        bounds = expr_mod._Bounds(chart)
+        bounds.expr(e)
+        block = expr_mod._Block(chart, list(Sampler(seed=1, points=8).draw(chart)))
+        with np.errstate(all="ignore"):
+            block.expr(e)
+        assert set(bounds.memo) == set(block.memo)
+        assert len(bounds.memo) > 1
+
+
 class TestLnPositivity:
     def test_ln_of_variable_rejected_without_declaration(self):
         with pytest.raises(ExprError):
