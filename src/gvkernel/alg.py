@@ -73,8 +73,6 @@ class GradedElement:
 
     __slots__ = ("chart", "grade", "terms")
 
-    variance = "?"
-
     def __init__(self, chart: Chart, grade: int, terms: Mapping[int, ScalarExpr]):
         if grade < 0:
             raise AlgebraError(f"negative grade {grade}")
@@ -184,15 +182,11 @@ class GradedElement:
 
 
 class MultiVector(GradedElement):
-    variance = "mv"
-
     def _basis_str(self, mask: int) -> str:
         return "^".join(f"d/d{self.chart.vars[i]}" for i in mask_indices(mask))
 
 
 class DiffForm(GradedElement):
-    variance = "form"
-
     def _basis_str(self, mask: int) -> str:
         return "^".join(f"d{self.chart.vars[i]}" for i in mask_indices(mask))
 

@@ -24,14 +24,15 @@ non-constant, and every sum still take the general route: those are the
 steps the contact path repeats most, and their speed-up waits for the
 contact-solve tail fix (ROADMAP item 3).
 
-Numeric verdicts read seeded sample points (`Sampler`).  A sampler keeps,
-for the last two charts it sampled, a head block: the chart's first
-`points` draws with their memoised atom columns.  Every check on such a
-chart evaluates the head block first and draws past it only to replace
-discarded points, so it reads the same points and values it would read
-from a fresh sampler.  A verdict rests on at least MIN_VALID_SHARE of the
-requested points; with fewer inside the expressions' domain, sampling
-raises InsufficientSamples.
+Numeric verdicts read seeded sample points (`Sampler`, a plain value).  A
+chart's head block, its first `points` draws with their memoised atom
+columns, depends only on the sampler's value and the chart, so it is
+memoised as a function of the two (`_head_block`, the last two kept).
+Every check evaluates the head block first and draws past it only to
+replace discarded points, so it reads the same points and values whether
+the head was memoised or not.  A verdict rests on at least MIN_VALID_SHARE
+of the requested points; with fewer inside the expressions' domain,
+sampling raises InsufficientSamples.
 
 `vanishing_point` bounds its expressions over the sample box before it
 samples (`_Bounds`: interval arithmetic rounded outward at every step).  The
@@ -45,13 +46,13 @@ sampled as before.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 import threading
 import weakref
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -633,6 +634,8 @@ def diff(e: ScalarExpr, var: str, chart: Optional[Chart] = None) -> ScalarExpr:
         raise ExprError(f"unknown variable {var!r} on chart {chart.vars}")
     memo = e._diff
     if memo is None:
+        if e.is_rational_const:  # no memo: constants live long and are shared
+            return _ZERO
         memo = _DIFF_MEMOS.setdefault(e, {})
         object.__setattr__(e, "_diff", memo)
     hit = memo.get(var)
@@ -858,27 +861,24 @@ class _Block(_Walk):
         return values, _either(bad, fails if fails.any() else None)
 
 
-def evaluate_block(exprs: Sequence[ScalarExpr], chart: Chart, points: Sequence[Point],
-                   block: Optional[_Block] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """`evaluate` of every expression at every point, in one pass over the
-    block: the (points x exprs) values, and the mask of the points where
+def evaluate_block(exprs: Sequence[ScalarExpr],
+                   block: _Block) -> Tuple[np.ndarray, np.ndarray]:
+    """`evaluate` of every expression at every point of the block, in one
+    pass: the (points x exprs) values, and the mask of the points where
     every expression evaluates.  A point is masked out exactly where
     `evaluate` raises DomainError for some expression, and the values of
     the kept points equal its results bit for bit: + and * run in its order
     (IEEE, as Python floats), integer powers go through np.float_power (C
     pow, as float ** int), and exp/sin/cos/ln through math, element by
-    element.  `block`, when given, is the `_Block` of these very points; its
-    memoised atom and atom-power columns are reused, and it keeps the new
-    ones."""
-    if block is None:
-        block = _Block(chart, points)
-    values = np.empty((len(points), len(exprs)))
+    element.  The block's memoised atom and atom-power columns are reused,
+    and it keeps the new ones."""
+    values = np.empty((block.rows, len(exprs)))
     bad = None
     with np.errstate(all="ignore"):  # overflow and nan sit on masked points
         for col, e in enumerate(exprs):
             values[:, col], e_bad = block.expr(e)
             bad = _either(bad, e_bad)
-    return values, np.ones(len(points), bool) if bad is None else ~bad
+    return values, np.ones(block.rows, bool) if bad is None else ~bad
 
 
 # --- bounds over the sample box --------------------------------------------
@@ -1017,8 +1017,8 @@ class SampleTable:
 # below it, valid_points raises InsufficientSamples.
 MIN_VALID_SHARE = Fraction(1, 2)
 
-# Charts whose head block a sampler keeps: a structure's chart and the
-# chart of its Poisson lift.
+# Head blocks kept by _head_block: a structure's chart and the chart of its
+# Poisson lift.
 PLANNED_CHARTS = 2
 
 
@@ -1026,25 +1026,13 @@ PLANNED_CHARTS = 2
 class Sampler:
     """Deterministic point sampler; positive variables draw from [0.5, 2].
 
-    A sampler keeps a head block for each of the last `PLANNED_CHARTS`
-    charts it sampled: the `_Block` of the chart's first `points` draws,
-    whose atom and atom-power columns every check on the chart shares.  The
-    heads are not part of the sampler's value: `==`, `hash` and `repr`
-    ignore them, and a copy, a pickle or a `dataclasses.replace` starts
-    without any.  One lock guards making and evicting them, so threads may
-    share a sampler."""
+    A plain value: equal samplers draw equal points on a chart and share
+    its head block (`_head_block`).  The draw stream is keyed by the text
+    of `seed`, so `seed` is an int, as its type says."""
 
     seed: int = 0
     points: int = 64
     tol: float = 1e-9
-    _heads: "OrderedDict[Chart, _Block]" = field(
-        default_factory=OrderedDict, init=False, compare=False, repr=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, compare=False, repr=False)
-
-    def __reduce__(self):
-        # rebuilt through the constructor: a copy starts without heads
-        return (type(self), (self.seed, self.points, self.tol))
 
     def draw(self, chart: Chart, count: Optional[int] = None) -> Iterator[Point]:
         """The chart's seeded point stream, `count` (default `points`) long."""
@@ -1064,17 +1052,17 @@ class Sampler:
         the head, in blocks of as many draws as are missing, so none is read
         past the last one kept; each block is evaluated at once
         (evaluate_block)."""
-        head = self._head(chart)
-        vals, ok = evaluate_block(exprs, chart, head.points, head)
+        head = _head_block(self, chart)
+        vals, ok = evaluate_block(exprs, head)
         points = list(itertools.compress(head.points, ok))
         values = [vals[ok]]
         rest = itertools.islice(self.draw(chart, 10 * self.points), self.points, None)
         while len(points) < self.points:
-            block = list(itertools.islice(rest, self.points - len(points)))
-            if not block:
+            refill = list(itertools.islice(rest, self.points - len(points)))
+            if not refill:
                 break
-            vals, ok = evaluate_block(exprs, chart, block)
-            points.extend(itertools.compress(block, ok))
+            vals, ok = evaluate_block(exprs, _Block(chart, refill))
+            points.extend(itertools.compress(refill, ok))
             values.append(vals[ok])
         floor = math.ceil(MIN_VALID_SHARE * self.points)
         if len(points) < floor:
@@ -1083,19 +1071,14 @@ class Sampler:
                 f"domain, below the floor of {floor}")
         return SampleTable(points, np.concatenate(values))
 
-    def _head(self, chart: Chart) -> _Block:
-        """The chart's head block, made on first use; the least recently
-        used head beyond `PLANNED_CHARTS` is dropped."""
-        with self._lock:
-            head = self._heads.get(chart)
-            if head is None:
-                head = _Block(chart, list(self.draw(chart)))
-                self._heads[chart] = head
-                if len(self._heads) > PLANNED_CHARTS:
-                    self._heads.popitem(last=False)
-            else:
-                self._heads.move_to_end(chart)
-            return head
+
+@functools.lru_cache(maxsize=PLANNED_CHARTS)
+def _head_block(sampler: Sampler, chart: Chart) -> _Block:
+    """The `_Block` of the chart's first `points` draws, whose atom and
+    atom-power columns every check on the chart with an equal sampler
+    shares.  A column a check adds is the one any other check would
+    compute, so threads may share the block too."""
+    return _Block(chart, list(sampler.draw(chart)))
 
 
 @dataclass(frozen=True)

@@ -195,10 +195,6 @@ def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
             break
         pim = nxt
         m += 1
-        if 2 * (m + 1) > chart.n:
-            if not wedge(pim, pi).is_identically_zero:
-                raise NotRegular("pi^k does not vanish below the dimension bound")
-            break
     witness = vanishing_point(_coefficients(pim), chart, sampler)
     if witness is not None:
         raise NotRegular(f"pi^{m} vanishes at a sample point", witness)

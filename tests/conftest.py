@@ -10,7 +10,14 @@ import random
 import pytest
 
 from gvkernel.alg import DiffForm, MultiVector
-from gvkernel.expr import Chart, Sampler, ScalarExpr
+from gvkernel.expr import Chart, Sampler, ScalarExpr, _head_block
+
+
+@pytest.fixture(autouse=True)
+def _no_memoised_heads():
+    """Every test starts with no head block memoised, so what it draws does
+    not depend on the tests that ran before it."""
+    _head_block.cache_clear()
 
 
 @pytest.fixture

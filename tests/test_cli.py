@@ -569,9 +569,9 @@ class TestSamplingEvaluatesOnce:
             finally:
                 depth[0] -= 1
 
-        def counting_block(exprs, chart, points, *plan):
-            counts["evaluate"] += len(points) * len(exprs)
-            return block(exprs, chart, points, *plan)
+        def counting_block(exprs, sample):
+            counts["evaluate"] += sample.rows * len(exprs)
+            return block(exprs, sample)
 
         def counting_valid_points(sampler, chart, exprs):
             out = valid_points(sampler, chart, exprs)

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from gvkernel import expr as expr_mod
 from gvkernel.expr import (MIN_VALID_SHARE, Atom, Chart, CheckFailure, DomainError,
-                           ExprError, InsufficientSamples, Sampler, ScalarExpr,
-                           cos_, diff, eval_at, evaluate, evaluate_block, exp_,
-                           is_zero, ln_, sin_, vanishing_point)
+                           ExprError, InsufficientSamples, Sampler, ScalarExpr, _Block,
+                           _head_block, cos_, diff, eval_at, evaluate, evaluate_block,
+                           exp_, is_zero, ln_, sin_, vanishing_point)
 
 from conftest import rand_scalar
 
@@ -188,6 +188,16 @@ class TestDiff:
 
     def test_constant(self):
         assert diff(ScalarExpr.const(5), "x1").is_zero_form
+
+    def test_constants_keep_no_memo(self):
+        # the shared constant would otherwise keep one entry per fresh name
+        one = ScalarExpr.one()
+        for i in range(1000):
+            assert diff(one, f"v{i}").is_zero_form
+            assert diff(ScalarExpr.const(1), f"w{i}").is_zero_form
+        assert not one._diff and one not in expr_mod._DIFF_MEMOS
+        with pytest.raises(ExprError, match="zz"):  # the chart is still checked
+            diff(one, "zz", CHART)
 
     def test_chain_rule_exp_square_matches_finite_differences(self):
         e = exp_(X1 ** 2)
@@ -359,7 +369,7 @@ class TestEvaluateBlock:
            st.lists(st.tuples(coordinates, coordinates, coordinates),
                     min_size=1, max_size=10))
     def test_matches_evaluate_bit_for_bit(self, exprs, points):
-        values, ok = evaluate_block(exprs, CHART, points)
+        values, ok = evaluate_block(exprs, _Block(CHART, points))
         assert values.shape == (len(points), len(exprs))
         for row, p in enumerate(points):
             env = CHART.env(p)
@@ -375,7 +385,7 @@ class TestEvaluateBlock:
     def test_each_hazard_is_masked_somewhere(self):
         points = list(itertools.product([-1.0, -0.3, 0.0, 0.95, 1.0], repeat=3))
         for e in HAZARDS[:-1]:  # inf - inf is nan, not a domain error
-            _, ok = evaluate_block([e], CHART, points)
+            _, ok = evaluate_block([e], _Block(CHART, points))
             assert 0 < ok.sum() < len(points), e
 
     @pytest.mark.parametrize("points", [4, 16, 64])
@@ -441,6 +451,27 @@ PLAN_CHARTS = (CHART, Chart(("x3", "x1", "y", "x2")),
                Chart(("x1", "x2", "x3"), positive=frozenset({"x2"})))
 
 
+def _sample_fresh(sampler, kind, chart, exprs):
+    """What `_sample` reads with no head memoised: each head drawn anew."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr_mod, "_head_block", _head_block.__wrapped__)
+        return _sample(sampler, kind, chart, exprs)
+
+
+def _counting_draws(monkeypatch):
+    """The points Sampler.draw yields from now on, in order."""
+    drawn = []
+    draw = Sampler.draw
+
+    def counting_draw(sampler, *args):
+        for point in draw(sampler, *args):
+            drawn.append(point)
+            yield point
+
+    monkeypatch.setattr(Sampler, "draw", counting_draw)
+    return drawn
+
+
 def _sample(sampler, kind, chart, exprs):
     """What one check reads off the sampler, as comparable plain data."""
     try:
@@ -466,21 +497,23 @@ class TestSamplePlans:
         for i in list(order) + more:
             exprs = data.draw(st.lists(block_exprs(), min_size=1, max_size=3))
             kind = data.draw(st.sampled_from(["table", "is_zero", "vanishing"]))
-            fresh = Sampler(seed=seed, points=points)
             assert _sample(shared, kind, PLAN_CHARTS[i], exprs) == \
-                _sample(fresh, kind, PLAN_CHARTS[i], exprs)
-            assert len(shared._heads) <= 2
+                _sample_fresh(shared, kind, PLAN_CHARTS[i], exprs)
+            assert _head_block.cache_info().currsize <= 2
 
     def test_least_recently_used_chart_is_evicted(self):
         sampler = Sampler(seed=2, points=8)
         a, b, c = PLAN_CHARTS
         for chart in (a, b, a, c):
             sampler.valid_points(chart, [X1 ** -1])
-        assert list(sampler._heads) == [a, c]
+        for chart in (a, c):  # kept
+            sampler.valid_points(chart, [X1])
+        info = _head_block.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 3, 2)
         table = sampler.valid_points(b, [_ln_atom(X2)])
-        want = Sampler(seed=2, points=8).valid_points(b, [_ln_atom(X2)])
-        assert table.points == want.points
-        assert table.values.tobytes() == want.values.tobytes()
+        assert _head_block.cache_info().misses == 4  # evicted: drawn again
+        want = _sample_fresh(sampler, "table", b, [_ln_atom(X2)])
+        assert (table.points, table.values.tobytes()) == want
 
     def test_exhaustion_raises_from_a_plan(self):
         sampler = Sampler(points=8)
@@ -488,18 +521,17 @@ class TestSamplePlans:
             with pytest.raises(InsufficientSamples, match="only 0 of 8 sample points"):
                 sampler.valid_points(CHART, [exp_(1000 + X1 ** 2)])
         # after two exhausted checks a satisfiable one still reads the head
-        assert sampler.valid_points(CHART, [X1]).points == \
-            Sampler(points=8).valid_points(CHART, [X1]).points
+        assert sampler.valid_points(CHART, [X1]).points == list(sampler.draw(CHART))
 
     @staticmethod
     def _block_sizes(monkeypatch):
         """The sizes of the blocks evaluate_block is given, as it is called."""
         sizes = []
-        block = expr_mod.evaluate_block
+        evaluate = expr_mod.evaluate_block
 
-        def recording(exprs, chart, points, *head):
-            sizes.append(len(points))
-            return block(exprs, chart, points, *head)
+        def recording(exprs, block):
+            sizes.append(block.rows)
+            return evaluate(exprs, block)
 
         monkeypatch.setattr(expr_mod, "evaluate_block", recording)
         return sizes
@@ -522,31 +554,33 @@ class TestSamplePlans:
         assert sizes == blocks
 
     def test_two_checks_on_a_chart_draw_its_head_once(self, monkeypatch):
-        drawn = []
-        draw = Sampler.draw
-
-        def counting_draw(sampler, *args):
-            for point in draw(sampler, *args):
-                drawn.append(point)
-                yield point
-
-        monkeypatch.setattr(Sampler, "draw", counting_draw)
         sampler = Sampler(seed=3, points=8)
+        head = list(sampler.draw(CHART))
+        drawn = _counting_draws(monkeypatch)
         assert is_zero([X1], CHART, sampler).kind == "nonzero"
         assert vanishing_point([X2 ** 2 + 1], CHART, sampler) is None
-        assert drawn == list(draw(Sampler(seed=3, points=8), CHART))
+        assert drawn == head
 
-    def test_copies_compare_equal_and_start_without_plans(self):
+    def test_equal_samplers_draw_a_head_once_in_total(self, monkeypatch):
+        drawn = _counting_draws(monkeypatch)
+        for sampler in (Sampler(seed=3, points=8), Sampler(seed=3, points=8)):
+            assert sampler.valid_points(CHART, [X1]).points == drawn[:8]
+        assert len(drawn) == 8
+        # another value draws its own head
+        assert Sampler(seed=3, points=9).valid_points(CHART, [X1]).points == drawn[8:]
+        assert len(drawn) == 17
+
+    def test_copies_are_equal_values_that_share_the_head(self, monkeypatch):
         sampler = Sampler(seed=4, points=8, tol=1e-6)
-        sampler.valid_points(CHART, [X1 ** -1])
-        assert len(sampler._heads) == 1
+        want = sampler.valid_points(CHART, [X1 ** -1]).points
+        drawn = _counting_draws(monkeypatch)
         for other in (copy.copy(sampler), copy.deepcopy(sampler),
                       pickle.loads(pickle.dumps(sampler)), dataclasses.replace(sampler)):
             assert other == sampler and hash(other) == hash(sampler)
             assert repr(other) == repr(sampler) == "Sampler(seed=4, points=8, tol=1e-06)"
-            assert len(other._heads) == 0 and other._lock is not sampler._lock
-            assert other.valid_points(CHART, [X1 ** -1]).points == \
-                sampler.valid_points(CHART, [X1 ** -1]).points
+            assert other.valid_points(CHART, [X1 ** -1]).points == want
+        assert drawn == []
+        assert [f.name for f in dataclasses.fields(Sampler)] == ["seed", "points", "tol"]
         assert dataclasses.replace(sampler, points=9) != sampler
 
     def test_threads_sharing_a_sampler_read_identical_tables(self):
@@ -660,7 +694,7 @@ class TestBoundsOverTheSampleBox:
         except expr_mod._Undecided:
             return
         points = list(Sampler(seed=data.draw(st.integers(0, 999))).draw(chart)) + _corners(chart)
-        values, ok = evaluate_block([e], chart, points)
+        values, ok = evaluate_block([e], _Block(chart, points))
         assert ok.all(), e
         assert lo <= values.min() and values.max() <= hi, (e, lo, hi)
 
@@ -732,7 +766,7 @@ class TestBoundsOverTheSampleBox:
         e = ScalarExpr.const(10 ** 400) * X1
         with pytest.raises(DomainError, match="beyond float range"):
             eval_at(e, CHART, (0.5, 0.5, 0.5))
-        _, ok = evaluate_block([e, X2], CHART, [(0.5, 0.5, 0.5), (0.1, 0.2, 0.3)])
+        _, ok = evaluate_block([e, X2], _Block(CHART, [(0.5, 0.5, 0.5), (0.1, 0.2, 0.3)]))
         assert not ok.any()
         assert not expr_mod._bounded_away([e + 1], CHART, 1e-9)
         with pytest.raises(InsufficientSamples, match="only 0 of 8"):
