@@ -9,19 +9,36 @@ Sign conventions, pinned by the duality property suite:
   * wedge sign by transposition counting on concatenated masks;
   * both interior products apply the contractor's indices in ascending
     order, i.e. iota_{A^B} = iota_B o iota_A on either side of the pairing.
+
+Wedge powers of a grade-2 element b are built as divided powers
+D_k = b^k / k! (`divided_powers`).  Grade-2 terms commute, so D_k is the
+sum, over each set of k pairwise-disjoint masks of b, of the wedge of their
+terms, each set counted once.  One recursion builds the sets by adding a
+set's lowest-index term last (the Pfaffian expansion along the first index):
+
+    D_k[t|M] += wedge_sign(t, M) * c_t * D_(k-1)[M]
+        for each term c_t of b with t & M = 0 and lowbit(t) < lowbit(M).
+
+An output mask of grade 2k then gets at most 2k - 1 products, one per term
+through its lowest index.  The repeated wedge b^(k-1) ^ b sums every
+ordering of the same disjoint terms, up to k(2k - 1) products, so the walk
+makes k-fold fewer; `power(b, k)` is k! D_k.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+import functools
+import math
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-from .expr import Chart, KernelError, ScalarExpr
+from .expr import MAX_DIM, Chart, KernelError, ScalarExpr
 
 
 class AlgebraError(KernelError):
     """Chart, variance, or grade mismatch between operands."""
 
 
+@functools.lru_cache(maxsize=1 << MAX_DIM)  # every mask on a chart is below 2^MAX_DIM
 def mask_indices(mask: int) -> Tuple[int, ...]:
     out = []
     i = 0
@@ -44,11 +61,12 @@ def wedge_sign(a_mask: int, b_mask: int) -> int:
     """Sign of sorting the concatenation basis(a)++basis(b); 0 on overlap."""
     if a_mask & b_mask:
         return 0
-    sign = 1
-    for i in mask_indices(a_mask):
-        if (b_mask & ((1 << i) - 1)).bit_count() & 1:
-            sign = -sign
-    return sign
+    parity = 0
+    while a_mask:
+        low = a_mask & -a_mask
+        parity += (b_mask & (low - 1)).bit_count()
+        a_mask ^= low
+    return -1 if parity & 1 else 1
 
 
 def contract_sign(c_mask: int, t_mask: int) -> Tuple[int, int]:
@@ -59,13 +77,14 @@ def contract_sign(c_mask: int, t_mask: int) -> Tuple[int, int]:
     """
     if c_mask & ~t_mask:
         return 0, 0
-    sign = 1
+    parity = 0
     t = t_mask
-    for i in mask_indices(c_mask):
-        if (t & ((1 << i) - 1)).bit_count() & 1:
-            sign = -sign
-        t &= ~(1 << i)
-    return sign, t
+    while c_mask:
+        low = c_mask & -c_mask
+        parity += (t & (low - 1)).bit_count()
+        t ^= low
+        c_mask ^= low
+    return (-1 if parity & 1 else 1), t
 
 
 class GradedElement:
@@ -76,15 +95,16 @@ class GradedElement:
     def __init__(self, chart: Chart, grade: int, terms: Mapping[int, ScalarExpr]):
         if grade < 0:
             raise AlgebraError(f"negative grade {grade}")
+        n = chart.n
         clean: Dict[int, ScalarExpr] = {}
         for mask, coeff in terms.items():
             if coeff.is_zero_form:
                 continue
-            if mask.bit_count() != grade or mask >> chart.n:
+            if mask.bit_count() != grade or mask >> n:
                 raise AlgebraError(f"mask {mask:b} invalid for grade {grade} on chart")
             clean[mask] = coeff
-        if clean and grade > chart.n:
-            raise AlgebraError(f"grade {grade} exceeds chart dimension {chart.n}")
+        if clean and grade > n:
+            raise AlgebraError(f"grade {grade} exceeds chart dimension {n}")
         self.chart = chart
         self.grade = grade
         self.terms = dict(sorted(clean.items()))
@@ -208,14 +228,41 @@ def wedge(a: GradedElement, b: GradedElement) -> GradedElement:
     return type(a)(a.chart, grade, out)
 
 
+def divided_powers(b: GradedElement) -> Iterator[GradedElement]:
+    """D_k = b^k / k! for k = 1, 2, ... of a grade-2 element b, up to the last
+    nonzero one; a zero b yields nothing.  See the module docstring."""
+    if b.terms and b.grade != 2:
+        raise AlgebraError(f"divided powers take a grade-2 element, not grade {b.grade}")
+    base = tuple(b.terms.items())
+    d = b
+    while d.terms:
+        yield d
+        out: Dict[int, ScalarExpr] = {}
+        for mask, cm in d.terms.items():
+            below = (mask & -mask) - 1
+            for t, ct in base:
+                if t & mask or not t & below:
+                    continue
+                term = cm * ct if wedge_sign(t, mask) > 0 else -(cm * ct)
+                key = t | mask
+                acc = out.get(key)
+                out[key] = term if acc is None else acc + term
+        d = type(b)(b.chart, d.grade + 2, out)
+
+
 def power(base: GradedElement, k: int) -> GradedElement:
-    """k-fold wedge power; power(x, 0) is the scalar 1."""
+    """k-fold wedge power k! D_k of a grade-2 element; power(x, 0) is the
+    scalar 1."""
+    if base.terms and base.grade != 2:
+        raise AlgebraError(f"wedge powers take a grade-2 element, not grade {base.grade}")
     if k < 0:
         raise AlgebraError("wedge powers take nonnegative exponents")
-    result = type(base).scalar(base.chart, 1)
-    for _ in range(k):
-        result = wedge(result, base)
-    return result
+    if k == 0:
+        return type(base).scalar(base.chart, 1)
+    for j, d in enumerate(divided_powers(base), 1):
+        if j == k:
+            return d.scale(math.factorial(k))
+    return type(base).zero(base.chart, 2 * k)
 
 
 def _contract(contractor_terms, target, result_cls, result_grade):

@@ -1027,8 +1027,9 @@ class Sampler:
     """Deterministic point sampler; positive variables draw from [0.5, 2].
 
     A plain value: equal samplers draw equal points on a chart and share
-    its head block (`_head_block`).  The draw stream is keyed by the text
-    of `seed`, so `seed` is an int, as its type says."""
+    its head block (`_head_block`).  The draw stream is keyed by
+    `int(seed)`, so samplers that compare equal (`True` and 1) draw the
+    same stream."""
 
     seed: int = 0
     points: int = 64
@@ -1036,7 +1037,7 @@ class Sampler:
 
     def draw(self, chart: Chart, count: Optional[int] = None) -> Iterator[Point]:
         """The chart's seeded point stream, `count` (default `points`) long."""
-        rng = random.Random(f"{self.seed}|{','.join(chart.vars)}")
+        rng = random.Random(f"{int(self.seed)}|{','.join(chart.vars)}")
         # (low, width): what random.uniform(low, high) computes
         spans = [(low, high - low) for low, high in _sample_box(chart).values()]
         for _ in range(count if count is not None else self.points):

@@ -24,18 +24,22 @@ decomposable, nonvanishing, and spans the characteristic distribution, so
     (LCS) or m + 1 (contact);
   - rank Lambda-sharp = 2m + 2 on the Poisson lift when Lambda^(m+1)
     vanishes nowhere and Lambda^(m+2) = 0.
+Wedge powers are read off divided powers pi^k / k! (alg.divided_powers):
+the rank loop takes m from the number of nonzero ones, and P = m! times
+the last.
 
 Poissonization note: with the bracket conventions fixed by the axiom
 [pi,pi] = 2 E^pi (the ones the model structures satisfy), the bivector
 t^-1 pi + E ^ d/dt is the Poisson lift; the frequently printed variant
 t^-1 pi + d/dt ^ E fails [L,L] = 0 whenever E ^ pi != 0.  See the bridge
 check for the matching correction to the pullback statement.  The bridge
-builds Lambda^(m+1) once and checks Lambda^(m+2) = 0 on
-Lambda^(m+1) ^ Lambda.
+walks Lambda's divided powers once and reads Lambda^(m+1) and Lambda^(m+2)
+off its (m+1)-th and (m+2)-th steps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .alg import (AlgebraError, DiffForm, GradedElement, MultiVector,
-                  contract_form_into_mv, power, wedge)
+                  contract_form_into_mv, divided_powers, power, wedge)
 from .calculus import exterior_derivative, schouten
 from .duality import (StarCompanion, VolumeContext, phi, phi_inv, psi, star,
                       volume_context)
@@ -186,15 +190,10 @@ def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
     if not ax2.is_zero:
         raise AxiomViolation("[pi,E] = 0", ax2.witness)
 
-    # rank exponent: first m with pi^(m+1) = 0 in normal form
-    m = 0
-    pim = MultiVector.scalar(chart, 1)
-    while True:
-        nxt = wedge(pim, pi)
-        if nxt.is_identically_zero:
-            break
-        pim = nxt
-        m += 1
+    # rank exponent: the number m of nonzero divided powers pi^k / k!
+    powers = list(divided_powers(pi))
+    m = len(powers)
+    pim = powers[-1].scale(math.factorial(m)) if powers else MultiVector.scalar(chart, 1)
     witness = vanishing_point(_coefficients(pim), chart, sampler)
     if witness is not None:
         raise NotRegular(f"pi^{m} vanishes at a sample point", witness)
@@ -524,12 +523,15 @@ def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
     m = j.m
 
     checks: List[CheckResult] = []
-    lam_m1 = power(pz.lam, m + 1)
+    # Lambda^k = k! D_k, read off one walk of Lambda's divided powers D_k
+    walk = list(itertools.islice(divided_powers(pz.lam), m + 2))
+    lam_m1, lam_m2 = (walk[k - 1].scale(math.factorial(k)) if k <= len(walk)
+                      else MultiVector.zero(ext, 2 * k) for k in (m + 1, m + 2))
     top = wedge(lift_to(ext, dp.companion_used.base), MultiVector.basis(ext, [t_idx]))
     v = element_zero(lam_m1 - top.scale(ScalarExpr.const(m + 1) * t_inv ** m), sampler)
     checks.append(_record("bridge.power", v,
                           "Lambda^(m+1) = (m+1) t^-m pi^m ^ E ^ dt"))
-    top_v = element_zero(wedge(lam_m1, pz.lam), sampler)
+    top_v = element_zero(lam_m2, sampler)
     checks.append(_record("bridge.power_top", top_v, "Lambda^(m+2) = 0"))
 
     comp_ext = star(ctx_ext, lam_m1, sampler,

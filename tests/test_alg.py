@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from gvkernel.alg import (AlgebraError, DiffForm, MultiVector,
                           contract_form_into_mv, contract_mv_into_form,
-                          contract_sign, indices_mask, mask_indices, power,
-                          sharp, wedge, wedge_sign)
-from gvkernel.expr import Chart, ScalarExpr
+                          contract_sign, divided_powers, indices_mask,
+                          mask_indices, power, sharp, wedge, wedge_sign)
+from gvkernel.expr import MAX_DIM, Chart, ScalarExpr, exp_
 
 from conftest import rand_form, rand_mv
 
@@ -63,6 +64,37 @@ class TestMasks:
         assert contract_sign(0b001, 0b011) == (1, 0b010)
         assert contract_sign(0b010, 0b011) == (-1, 0b001)
         assert contract_sign(0b100, 0b011) == (0, 0)
+
+    @staticmethod
+    def _mask_pairs():
+        """Every pair of masks on 6 bits, then 2,000 random pairs on 12."""
+        yield from itertools.product(range(1 << 6), repeat=2)
+        rng = random.Random(12)
+        for _ in range(2000):
+            yield rng.getrandbits(12), rng.getrandbits(12)
+
+    def test_wedge_sign_counts_transpositions(self):
+        for a, b in self._mask_pairs():
+            want = 0 if a & b else permutation_sign(
+                list(mask_indices(a)) + list(mask_indices(b)))
+            assert wedge_sign(a, b) == want, (a, b)
+
+    def test_contract_sign_counts_transpositions(self):
+        # move each of c's indices, ascending, to the front of what is left
+        # of t and drop it: one transposition per index it passes
+        for c, t in self._mask_pairs():
+            if c & ~t:
+                assert contract_sign(c, t) == (0, 0), (c, t)
+                continue
+            rest, sign = list(mask_indices(t)), 1
+            for i in mask_indices(c):
+                sign *= (-1) ** rest.index(i)
+                rest.remove(i)
+            assert contract_sign(c, t) == (sign, indices_mask(rest)), (c, t)
+
+    def test_mask_indices_memo_is_bounded_by_the_chart_cap(self):
+        # every mask on a chart under the cap is below 2^MAX_DIM
+        assert mask_indices.cache_info().maxsize == 1 << MAX_DIM
 
 
 class TestConstruction:
@@ -226,6 +258,96 @@ class TestPower:
         assert power(pi, 2).is_identically_zero
         assert wedge(pi, mv_basis(C3, 0)) == MultiVector.basis(C3, [0, 1, 2]).scale(-1) \
             or wedge(pi, mv_basis(C3, 0)) == MultiVector.basis(C3, [0, 1, 2])
+
+
+def reference_power(base, k):
+    """The k-fold wedge power as repeated wedges: base^(k-1) ^ base."""
+    result = type(base).scalar(base.chart, 1)
+    for _ in range(k):
+        result = wedge(result, base)
+    return result
+
+
+class TestDividedPowers:
+    def test_power_takes_grade_two_only(self):
+        rng = random.Random(3)
+        for grade in (1, 3):
+            for el in (rand_mv(rng, C4, grade, 3), rand_form(rng, C4, grade, 3)):
+                for k in (0, 1, 2):
+                    with pytest.raises(AlgebraError, match="grade-2"):
+                        power(el, k)
+                with pytest.raises(AlgebraError, match="grade-2"):
+                    list(divided_powers(el))
+
+    def test_zero_yields_nothing(self):
+        for cls in (MultiVector, DiffForm):
+            assert list(divided_powers(cls.zero(C4, 2))) == []
+            assert power(cls.zero(C4, 2), 0) == cls.scalar(C4, 1)
+            assert power(cls.zero(C4, 2), 2).is_identically_zero
+
+    def test_walk_stops_at_the_first_zero(self):
+        # the LCS model on 2m variables: D_k = sum of the k-subsets of the
+        # m planes, with coefficient 1, up to D_m = the top element
+        c6 = Chart(tuple(f"x{i}" for i in range(6)))
+        pi = sum((mv_basis(c6, 2 * i, 2 * i + 1) for i in range(1, 3)),
+                 mv_basis(c6, 0, 1))
+        walk = list(divided_powers(pi))
+        assert [len(d.terms) for d in walk] == [3, 3, 1]
+        assert walk[2] == MultiVector.basis(c6, range(6))
+        assert all(c.is_one for d in walk for c in d.terms.values())
+
+    def test_each_output_mask_takes_one_product_per_term_through_its_first_index(
+            self, monkeypatch):
+        # the full bivector on 8 variables: D_k has C(8, 2k) masks, and each
+        # gets 2k - 1 products, against up to k(2k - 1) for the repeated wedge
+        c8 = Chart(tuple(f"x{i}" for i in range(8)))
+        full = MultiVector(c8, 2, {m: ScalarExpr.const(m)
+                                   for m in range(1 << 8) if m.bit_count() == 2})
+        calls = []
+        mul = ScalarExpr.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(ScalarExpr, "__mul__", counting)
+        walk = list(divided_powers(full))
+        monkeypatch.undo()
+        assert len(walk) == 4
+        assert len(calls) == sum(math.comb(8, 2 * k) * (2 * k - 1) for k in (2, 3, 4))
+        for k, d in enumerate(walk, 1):
+            assert d.scale(math.factorial(k)) == reference_power(full, k)
+
+
+def _coefficient(names):
+    """Polynomial, reciprocal and exp coefficients in the chart variables."""
+    var = st.sampled_from(names).map(ScalarExpr.var)
+    const = st.integers(-3, 3).filter(bool).map(ScalarExpr.const)
+    return st.one_of(
+        const,
+        st.tuples(const, var, var).map(lambda t: t[0] + t[1] * t[2]),
+        st.tuples(st.integers(1, 3), var).map(lambda t: (t[0] + t[1] ** 2) ** -1),
+        st.tuples(const, var).map(lambda t: t[0] * exp_(t[1])),
+        var.map(lambda v: v ** -1))
+
+
+@st.composite
+def grade_two_elements(draw):
+    n = draw(st.integers(2, 8))
+    chart = Chart(tuple(f"x{i}" for i in range(n)))
+    masks = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(masks), min_size=0, max_size=8, unique=True))
+    coeffs = draw(st.lists(_coefficient(chart.vars), min_size=len(chosen),
+                           max_size=len(chosen)))
+    cls = draw(st.sampled_from([MultiVector, DiffForm]))
+    return cls(chart, 2, dict(zip(chosen, coeffs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grade_two_elements(), st.data())
+def test_power_matches_the_repeated_wedge(b, data):
+    k = data.draw(st.integers(0, b.chart.n // 2 + 1))
+    assert power(b, k) == reference_power(b, k)
 
 
 @st.composite

@@ -583,6 +583,14 @@ class TestSamplePlans:
         assert [f.name for f in dataclasses.fields(Sampler)] == ["seed", "points", "tol"]
         assert dataclasses.replace(sampler, points=9) != sampler
 
+    def test_equal_seeds_of_other_types_draw_the_same_points(self):
+        # True == 1 and hashes like it, so the two share a memoised head;
+        # a fresh draw must agree with the one they share
+        assert Sampler(seed=True, points=4) == Sampler(seed=1, points=4)
+        for chart in (CHART, Chart(("x1", "x2"))):
+            assert list(Sampler(seed=True, points=4).draw(chart)) == \
+                list(Sampler(seed=1, points=4).draw(chart))
+
     def test_threads_sharing_a_sampler_read_identical_tables(self):
         # ln and reciprocals discard about half the candidates, so checks
         # refill past the heads while other threads read them
