@@ -27,18 +27,16 @@ makes k-fold fewer; `power(b, k)` is k! D_k.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-from .expr import MAX_DIM, Chart, KernelError, ScalarExpr
+from .expr import Chart, KernelError, ScalarExpr
 
 
 class AlgebraError(KernelError):
     """Chart, variance, or grade mismatch between operands."""
 
 
-@functools.lru_cache(maxsize=1 << MAX_DIM)  # every mask on a chart is below 2^MAX_DIM
 def mask_indices(mask: int) -> Tuple[int, ...]:
     out = []
     i = 0

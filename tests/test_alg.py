@@ -10,7 +10,7 @@ from gvkernel.alg import (AlgebraError, DiffForm, MultiVector,
                           contract_form_into_mv, contract_mv_into_form,
                           contract_sign, divided_powers, indices_mask,
                           mask_indices, power, sharp, wedge, wedge_sign)
-from gvkernel.expr import MAX_DIM, Chart, ScalarExpr, exp_
+from gvkernel.expr import Chart, ScalarExpr, exp_
 
 from conftest import rand_form, rand_mv
 
@@ -91,10 +91,6 @@ class TestMasks:
                 sign *= (-1) ** rest.index(i)
                 rest.remove(i)
             assert contract_sign(c, t) == (sign, indices_mask(rest)), (c, t)
-
-    def test_mask_indices_memo_is_bounded_by_the_chart_cap(self):
-        # every mask on a chart under the cap is below 2^MAX_DIM
-        assert mask_indices.cache_info().maxsize == 1 << MAX_DIM
 
 
 class TestConstruction:
