@@ -242,10 +242,8 @@ class _ExprParser:
             if sc_b:
                 return a.scale(b)
             raise DslError("use ^ to wedge graded elements", t.line, t.col)
-        # wedge (possibly with a scalar acting as grade 0)
-        if sc_a and sc_b:
-            raise DslError("scalar ^ scalar needs an integer literal exponent",
-                           t.line, t.col)
+        # wedge (possibly with a scalar acting as grade 0); caret has
+        # refused scalar ^ scalar already
         if sc_a:
             return b.scale(a)
         if sc_b:

@@ -20,9 +20,7 @@ nor removes a cancellable denominator), and two single monomials merge
 into one monomial (nothing to expand, nothing to cancel).  Such results
 are stored with `_normalized=True`, which means "already a normal form, in
 normal-form order".  A product with a wrapped polynomial, zero times a
-non-constant, and every sum still take the general route: those are the
-steps the contact path repeats most, and their speed-up waits for the
-contact-solve tail fix (ROADMAP item 3).
+non-constant, and every sum still take the general route.
 
 Numeric verdicts read seeded sample points (`Sampler`, a plain value).  A
 chart's head block, its first `points` draws with their memoised atom
@@ -273,17 +271,26 @@ _ONE_FRAC = Fraction(1)
 
 # --- exact division (for cancelling wrapped-poly reciprocals) ------------
 
+def _lead_key(m: Monomial):
+    """Graded lex order, the last atom of a frozen monomial most significant.
+
+    Unlike the print order `_mono_key`, it is a monomial order: the leading
+    term of a product is the product of the leading terms."""
+    return (sum(e for _, e in m), tuple((a.key, e) for a, e in reversed(m)))
+
+
 def _exact_div(num: Mapping[Monomial, Fraction], den: Mapping[Monomial, Fraction]):
     """Exact polynomial division num/den over nonnegative-exponent monomials.
 
     Returns the quotient dict, or None if the division is not exact.  With a
-    single divisor, leading-term reduction is complete for exact division.
+    single divisor and a monomial order, leading-term reduction is complete
+    for exact division.
     """
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     rem = dict(num)
     quo: dict = {}
-    lead_den = max(den, key=_mono_key)
+    lead_den = max(den, key=_lead_key)
     cd = den[lead_den]
     dexp = dict(lead_den)
     guard = 0
@@ -291,7 +298,7 @@ def _exact_div(num: Mapping[Monomial, Fraction], den: Mapping[Monomial, Fraction
         guard += 1
         if guard > 10_000:
             return None
-        lead = max(rem, key=_mono_key)
+        lead = max(rem, key=_lead_key)
         nexp = _merge_exponents(lead)
         texp = {}
         for a, e in dexp.items():

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -81,14 +81,6 @@ class NotContact(JacobiError):
 
 
 class NotLCS(JacobiError):
-    pass
-
-
-class SingularFlat(JacobiError):
-    pass
-
-
-class SingularMatrix(JacobiError):
     pass
 
 
@@ -243,87 +235,44 @@ def require_contact(j: JacobiStructure) -> None:
 
 # --- constructions from contact / LCS data ------------------------------------
 
-def _det(mat: List[List[ScalarExpr]]) -> ScalarExpr:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = ScalarExpr.zero()
-    for j in range(n):
-        if mat[0][j].is_zero_form:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in mat[1:]]
-        cof = mat[0][j] * _det(minor)
-        total = total + (cof if j % 2 == 0 else -cof)
-    return total
-
-
-def _solve_cramer(mat: List[List[ScalarExpr]], rhs: List[ScalarExpr],
-                  det: ScalarExpr) -> List[ScalarExpr]:
-    n = len(mat)
-    det_inv = det.recip()
-    out = []
-    for j in range(n):
-        col = [[rhs[i] if k == j else mat[i][k] for k in range(n)] for i in range(n)]
-        out.append(_det(col) * det_inv)
-    return out
-
-
 def contact_to_jacobi(chart: Chart, theta: DiffForm, sampler: Sampler
                       ) -> Tuple[MultiVector, MultiVector]:
     """Reeb field and bivector of a contact form; returns (pi, E).
 
-    E solves d theta(E,-) = 0, theta(E) = 1 via the flat map
-    b(X) = d theta(X,-) + theta(X) theta(-).  The bivector is the axiom-valid
-    sign pi(a,b) = -d theta(b^-1 a, b^-1 b); the opposite sign satisfies
-    [pi,pi] = -2E^pi instead and fails verification.
+    With n = 2m + 1 and the volume T = theta ^ (d theta)^m, both are duals of
+    exterior powers (phi_T = phi against T):
+        E = phi_T^-1((d theta)^m),   pi = -m phi_T^-1(theta ^ (d theta)^(m-1)).
+    E is the Reeb field: iota_E T = (d theta)^m exactly when theta(E) = 1 and
+    iota_E d theta = 0.  The sign of pi is the axiom-valid one; the opposite
+    sign satisfies [pi,pi] = -2E^pi instead and fails verification.
     """
     if chart.n % 2 == 0:
         raise NotContact("contact charts have odd dimension")
     if theta.grade != 1:
         raise NotContact("theta must be a 1-form")
-    n = chart.n
-    half = (n - 1) // 2
+    m = chart.n // 2
     dtheta = exterior_derivative(theta)
-    topform = wedge(theta, power(dtheta, half))
-    witness = vanishing_point(_coefficients(topform), chart, sampler)
+    dtheta_m = power(dtheta, m)
+    top = wedge(theta, dtheta_m)
+    witness = vanishing_point(_coefficients(top), chart, sampler)
     if witness is not None:
         raise NotContact("theta ^ (d theta)^m vanishes at a sample point", witness)
-
-    th = [theta.coefficient(1 << i) for i in range(n)]
-    dth = [[dtheta.coefficient((1 << i) | (1 << j)) if i < j else ScalarExpr.zero()
-            for j in range(n)] for i in range(n)]
-    flat = [[(dth[i][j] if i < j else -dth[j][i] if j < i else ScalarExpr.zero())
-             + th[i] * th[j] for j in range(n)] for i in range(n)]
-    det = _det(flat)
-    if det.is_zero_form:
-        raise SingularFlat("flat matrix has zero determinant in normal form")
-    flat_t = [[flat[j][i] for j in range(n)] for i in range(n)]
-    e_comp = _solve_cramer(flat_t, th, det)
-    E = MultiVector(chart, 1, {1 << i: c for i, c in enumerate(e_comp)})
-    inv_cols = [_solve_cramer(flat_t, [ScalarExpr.const(1 if r == k else 0)
-                                       for r in range(n)], det) for k in range(n)]
-
-    def pair_dtheta(u, v):
-        acc = ScalarExpr.zero()
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = acc + dth[i][j] * (u[i] * v[j] - u[j] * v[i])
-        return acc
-
-    terms: Dict[int, ScalarExpr] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = -pair_dtheta(inv_cols[i], inv_cols[j])
-            if not c.is_zero_form:
-                terms[(1 << i) | (1 << j)] = c
-    return MultiVector(chart, 2, terms), E
+    ctx = volume_context(chart, top, sampler)  # repeats the check just passed
+    pi = phi_inv(ctx, wedge(theta, power(dtheta, m - 1))).scale(-m) if m \
+        else MultiVector.zero(chart, 2)
+    return pi, phi_inv(ctx, dtheta_m)
 
 
 def lcs_to_jacobi(chart: Chart, omega1: DiffForm, omega2: DiffForm,
                   sampler: Sampler) -> Tuple[MultiVector, MultiVector]:
     """(pi, E) of a locally conformal symplectic pair (omega1 = the closed
-    1-form, omega2 = the nondegenerate 2-form).  Sign pinned by
-    iota_{pi-sharp(a)} omega2 = -a together with the axioms."""
+    1-form, omega2 = the nondegenerate 2-form).
+
+    With n = 2k and the volume T = omega2^k (phi_T = phi against T),
+        pi = k phi_T^-1(omega2^(k-1)),   E = iota_omega1 pi,
+    so iota_{pi-sharp(a)} omega2 = -a; the sign is pinned by that and the
+    axioms.
+    """
     n = chart.n
     if n % 2 != 0:
         raise NotLCS("LCS charts have even dimension")
@@ -335,31 +284,16 @@ def lcs_to_jacobi(chart: Chart, omega1: DiffForm, omega2: DiffForm,
     v2 = element_zero(exterior_derivative(omega2) - wedge(omega1, omega2), sampler)
     if not v2.is_zero:
         raise NotLCS("d Omega = omega ^ Omega fails", v2.witness)
-    witness = vanishing_point(_coefficients(power(omega2, n // 2)), chart, sampler)
+    k = n // 2
+    top = power(omega2, k)
+    witness = vanishing_point(_coefficients(top), chart, sampler)
     if witness is not None:
         raise NotLCS("Omega^(n/2) vanishes at a sample point", witness)
-
-    w = [[omega2.coefficient((1 << i) | (1 << j)) if i < j else ScalarExpr.zero()
-          for j in range(n)] for i in range(n)]
-    full = [[w[i][j] if i < j else (-w[j][i] if j < i else ScalarExpr.zero())
-             for j in range(n)] for i in range(n)]
-    det = _det(full)
-    if det.is_zero_form:
-        raise SingularMatrix("Omega coefficient matrix is singular in normal form")
-    om = [omega1.coefficient(1 << i) for i in range(n)]
-    inv_cols = [_solve_cramer(full, [ScalarExpr.const(1 if r == k else 0)
-                                     for r in range(n)], det) for k in range(n)]
-    # E = W^-1 omega ; pi matrix C = -W^-1
-    e_comp = [sum((inv_cols[k][i] * om[k] for k in range(n)), ScalarExpr.zero())
-              for i in range(n)]
-    E = MultiVector(chart, 1, {1 << i: c for i, c in enumerate(e_comp)})
-    terms: Dict[int, ScalarExpr] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = -inv_cols[j][i]  # (W^-1)[i][j] = inv_cols[j][i]
-            if not c.is_zero_form:
-                terms[(1 << i) | (1 << j)] = c
-    return MultiVector(chart, 2, terms), E
+    ctx = volume_context(chart, top, sampler)  # repeats the check just passed
+    pi = phi_inv(ctx, power(omega2, k - 1)).scale(k)
+    # omega = 0 may arrive as a grade-0 form, whose contraction is grade 2
+    e = contract_form_into_mv(omega1, pi) if omega1.terms else MultiVector.zero(chart, 1)
+    return pi, e
 
 
 # --- defining pairs and the GV representative ---------------------------------

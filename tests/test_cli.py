@@ -114,6 +114,36 @@ class TestExecute:
         assert report.exit_status == 0
         assert report.printouts["pi"] == "d/dx1^d/dx2"
 
+    @pytest.mark.parametrize("text", [
+        "chart x0 x1 x2\n"
+        "theta = exp(x2)*(x1*dx2 + exp(x0)*dx1 - 1*dx2 + x0*dx2)\nrun poissonize\n",
+        "chart x1 x2 x3\ntheta = (1 - x1^2 - x2^2)*dx3 + x1*dx2\nrun poissonize\n",
+    ], ids=["exp-factors", "vanishing-factor"])
+    def test_contact_forms_poissonize(self, text):
+        # pi and E printed over squared denominators gave float residuals of
+        # [Lambda,Lambda] and [pi,pi] - 2E^pi above tol on both files
+        report = run_text(text)
+        assert report.exit_status == 0
+        assert [r.name for r in report.records] == ["input.contact",
+                                                    "poissonization.poisson"]
+
+    @pytest.mark.parametrize("text, error", [
+        ("chart x1 x2 x3\ntheta = dx1\nrun poissonize\n",
+         "NotContact: theta ^ (d theta)^m vanishes"),
+        ("chart x1 x2 x3 x4\nomega = 0\nOmega = dx1^dx2\nrun poissonize\n",
+         "NotLCS: Omega^(n/2) vanishes"),
+    ], ids=["closed-theta", "degenerate-Omega"])
+    def test_degenerate_input_fails_its_nonvanishing_check(self, tmp_path, capsys,
+                                                           text, error):
+        # the solve's volume is the checked top power, so a degenerate input
+        # is a failed check (exit 1), never a volume error (exit 2)
+        p = tmp_path / "degenerate.gvk"
+        p.write_text(text)
+        assert main([str(p)]) == 1
+        captured = capsys.readouterr()
+        assert f"[FAIL] poissonize.error         tier=numeric   {error}" in captured.out
+        assert captured.err == ""
+
     def test_bridge_rejected_on_lcs_input(self):
         text = "chart x1 x2 x3\npi = d/dx1^d/dx2\nrun bridge\n"
         report = run_text(text)

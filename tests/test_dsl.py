@@ -93,6 +93,15 @@ class TestTensorSyntax:
         got = parse_multivector(C3, "exp(x1)*d/dx0^d/dx2")
         assert got == MultiVector.basis(C3, [0, 2], exp_(ScalarExpr.var("x1")))
 
+    @pytest.mark.parametrize("text, index, var", [
+        ("d/dx1*x2", 1, "x2"),   # tensor * scalar
+        ("x1^d/dx2", 2, "x1"),   # scalar ^ tensor acts by multiplication
+        ("d/dx1^x2", 1, "x2"),   # tensor ^ scalar likewise
+    ])
+    def test_scalar_operand_scales_a_basis_element(self, text, index, var):
+        got = parse_multivector(C3, text)
+        assert got == MultiVector.basis(C3, [index], ScalarExpr.var(var))
+
     def test_self_wedge_parses_to_zero(self):
         got = parse_multivector(C3, "d/dx1^d/dx1")
         assert got.is_identically_zero

@@ -30,6 +30,11 @@ class TestVolumeContext:
         ctx = volume_context(C2, DiffForm(C2, 2, {0b11: rho}), sampler)
         assert apply_vol(ctx, ctx.top_inverse).is_one
 
+    def test_certificate_of_a_power_of_a_reciprocal_is_one(self, sampler):
+        rho = (2 + ScalarExpr.var("x1") ** 2 + ScalarExpr.var("x2") ** 2) ** -2
+        ctx = volume_context(C2, DiffForm(C2, 2, {0b11: rho}), sampler)
+        assert apply_vol(ctx, ctx.top_inverse).is_one
+
     def test_rejects_multi_term_vol(self, sampler):
         bad = DiffForm(C3, 2, {0b011: ScalarExpr.one()})
         with pytest.raises(VolumeError):

@@ -86,6 +86,15 @@ class TestNormalForm:
         assert (p.recip() * p).is_one
         assert str(p.recip() * (X1 ** 4 + X1 ** 3)) == "x1^2"
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_power_of_a_multivariate_reciprocal_cancels(self, k):
+        # exact division needs its leading terms in a monomial order; the
+        # print order is not one, and in it (2 + x1^2 + x2^2)^2 did not
+        # divide by 2 + x1^2 + x2^2
+        q = (2 + X1 ** 2 + X2 ** 2).recip() ** k
+        assert (q * q.recip()).is_one
+        assert (q * (2 + X1 ** 2 + X2 ** 2) ** k).is_one
+
     def test_recip_roundtrip_nested(self):
         p = 1 + X1 ** 2
         q = p.recip() + 1          # (1 + (1+x1^2)^-1)

@@ -188,6 +188,12 @@ class TestLcsToJacobi:
         assert e.is_identically_zero
         assert pi == wedge(mv(chart, 0), mv(chart, 1))
 
+    def test_zero_omega_of_grade_zero_gives_a_vector_field(self, sampler):
+        # the DSL parses `omega = 0` as a grade-0 form
+        chart = Chart(("x1", "x2"))
+        _, e = lcs_to_jacobi(chart, DiffForm.zero(chart, 0), form(chart, 0, 1), sampler)
+        assert (e.grade, e.is_identically_zero) == (1, True)
+
     def test_exponential_conformal_factor(self, sampler):
         chart = Chart(("x1", "x2"))
         om = form(chart, 0)
@@ -440,6 +446,19 @@ class TestPoissonization:
             wedge(lift_to(ext, f.E), mv(ext, ext.n - 1))
         assert pz.lam == expected
 
+    def test_lift_variable_steps_past_a_chart_variable_t(self, sampler):
+        chart = Chart(("t", "x1", "x2"))
+        ctx = volume_context(chart, form(chart, 0, 1, 2), sampler)
+        theta = form(chart, 0) + form(chart, 2).scale(ScalarExpr.var("x1"))
+        pi, e = contact_to_jacobi(chart, theta, sampler)
+        pz = poissonize(verify_jacobi(ctx, pi, e, sampler), sampler)
+        assert pz.t_name == "t_"
+        assert pz.chart.vars == ("t", "x1", "x2", "t_")
+        assert pz.poisson_check.passed
+        ext = pz.chart
+        assert pz.lam == lift_to(ext, pi).scale(ScalarExpr.var("t_") ** -1) + \
+            wedge(lift_to(ext, e), mv(ext, 3))
+
     def test_opposite_sign_fails_poisson(self, sampler):
         from gvkernel.jacobi import lift_to
         f, ctx = fixture_setup("contact-r3-ext", sampler)
@@ -647,7 +666,7 @@ class TestNonzeroRepresentative:
 
 class TestConstructionsAtHigherRank:
     def test_rank5_contact_form_through_pipeline(self, sampler):
-        # 5x5 symbolic flat-matrix solve, then the full machinery on R6
+        # the rank-5 contact solve, then the full machinery on R6
         from gvkernel.jacobi import lift_to
         base = Chart(("x0", "x1", "x2", "x3", "x4"))
         theta = DiffForm(base, 1, {1: ScalarExpr.one(),
