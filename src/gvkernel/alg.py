@@ -164,6 +164,8 @@ class GradedElement:
 
     def scale(self, factor):
         factor = factor if isinstance(factor, ScalarExpr) else ScalarExpr.const(factor)
+        if factor.is_one:
+            return self
         return self._like({m: factor * c for m, c in self.terms.items()})
 
     def _check_mate(self, other, same_grade: bool = True):

@@ -106,7 +106,7 @@ class _ExprParser:
     def expect_op(self, op: str):
         t = self.next()
         if t.kind != "op" or t.text != op:
-            raise DslError(f"got {t.text!r}", t.line, t.col, (op,))
+            raise DslError(f"got {t.text or 'end of input'!r}", t.line, t.col, (op,))
 
     def parse(self) -> Value:
         v = self.expr(0)
@@ -378,10 +378,8 @@ def _split_commands(rest: str, line_no: int, col0: int
     i = 0
     n = len(rest)
     while i < n:
-        while i < n and rest[i].isspace():
+        while i < n and rest[i].isspace():  # rest ends in a non-space
             i += 1
-        if i >= n:
-            break
         m = re.match(r"[a-z0-9]+", rest[i:])
         if not m:
             raise DslError(f"bad command text {rest[i:]!r}", line_no, col0 + i + 1,

@@ -142,11 +142,11 @@ class Atom:
 
     Atoms are hash-consed: the constructor returns the live atom with the
     same (kind, name, arg) if there is one, so equal atoms are the same
-    object.  `==` is identity, and the hash and the sort key `key` are
+    object.  `==` and the hash are identity's, and the sort key `key` is
     computed once, at construction.  The table holds atoms weakly; an atom
     no expression refers to any more is dropped from it."""
 
-    __slots__ = ("kind", "name", "arg", "key", "_hash", "__weakref__")
+    __slots__ = ("kind", "name", "arg", "key", "__weakref__")
 
     kind: str  # "var" | "exp" | "sin" | "cos" | "ln" | "poly"
     name: str
@@ -169,16 +169,13 @@ class Atom:
             if atom is None:
                 atom = object.__new__(cls)
                 for slot, value in (("kind", kind), ("name", name), ("arg", arg),
-                                    ("key", key), ("_hash", hash(ident))):
+                                    ("key", key)):
                     object.__setattr__(atom, slot, value)
                 _ATOMS[ident] = atom
         return atom
 
     def __setattr__(self, name, value):
         raise AttributeError("Atom is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (Atom, (self.kind, self.name, self.arg))

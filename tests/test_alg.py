@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gvkernel import expr
 from gvkernel.alg import (AlgebraError, DiffForm, MultiVector,
                           contract_form_into_mv, contract_mv_into_form,
                           contract_sign, divided_powers, indices_mask,
@@ -113,6 +114,22 @@ class TestConstruction:
         f = DiffForm(C3, 2, {0b101: ScalarExpr.var("x1")})
         assert str(f) == "x1*dx0^dx2"
         assert str(MultiVector.zero(C3, 2)) == "0"
+
+    def test_scale_by_one_is_the_element(self):
+        mv = MultiVector(C3, 2, {0b101: 1 - ScalarExpr.var("x2") ** 2})
+        assert mv.scale(1) is mv
+        assert mv.scale(ScalarExpr.one()) is mv
+
+    def test_scale_by_one_makes_no_product(self, monkeypatch):
+        # a wrapped-polynomial coefficient would take the full expansion
+        calls = []
+        raw_mul = expr._raw_mul
+        monkeypatch.setattr(expr, "_raw_mul", lambda *a: calls.append(a) or raw_mul(*a))
+        wrapped = (1 + ScalarExpr.var("x2") ** 2) ** -1
+        f = DiffForm(C3, 1, {0b010: wrapped})
+        calls.clear()
+        assert f.scale(1) == f
+        assert calls == []
 
 
 class TestWedge:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import gvkernel
 from gvkernel import expr, jacobi
-from gvkernel.alg import DiffForm, contract_form_into_mv
+from gvkernel.alg import DiffForm, MultiVector, contract_form_into_mv
 from gvkernel.calculus import exterior_derivative
 from gvkernel.cli import emit, execute, fixture_problem, main
 from gvkernel.dsl import (COMMANDS, MAX_NESTING, MAX_POINTS, parse_multivector, parse_problem,
@@ -54,6 +54,9 @@ pi = 1/100000*d/dx1^d/dx2
 E = 1/100000*d/dx3
 run verify
 """
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_text(text, **kw):
@@ -518,15 +521,31 @@ class TestStagesRunOnce:
 
     def test_each_stage_once_per_session(self, monkeypatch):
         # contact-model-r5 runs verify pair gv codim1 poissonize bridge; the
-        # two star companions are the pair's and the lift's, and the two
-        # wedge powers are (d beta)^q and Lambda^(m+1): P comes with the
-        # structure and Lambda^(m+2) is Lambda^(m+1) ^ Lambda
+        # two star companions are the pair's and the lift's, the one wedge
+        # power is (d beta)^q, and the two divided-power walks are the rank
+        # loop's (it leaves P on the structure) and the bridge's, whose
+        # D_(m+1)(Lambda) ^ Lambda gives Lambda^(m+2)
         calls = self._count(monkeypatch, ("verify_jacobi", "defining_pair",
-                                          "poissonize", "star", "power"))
+                                          "poissonize", "star", "power",
+                                          "divided_powers"))
         report = execute(fixture_problem(get_fixture("contact-model-r5")))
         assert report.exit_status == 0
         assert calls == {"verify_jacobi": 1, "defining_pair": 1,
-                         "poissonize": 1, "star": 2, "power": 2}
+                         "poissonize": 1, "star": 2, "power": 1,
+                         "divided_powers": 2}
+
+    @pytest.mark.parametrize("path", ["contact-form-n5.gvk", "lcs-form-r4.gvk"])
+    def test_input_form_walked_once(self, monkeypatch, path):
+        # the solves take every power of d theta or Omega from one walk; the
+        # only other walk is the rank loop's, over pi
+        walked = []
+        for name in ("power", "divided_powers"):
+            def recording(b, *args, fn=getattr(jacobi, name)):
+                walked.append(type(b))
+                return fn(b, *args)
+            monkeypatch.setattr(jacobi, name, recording)
+        assert run_text((GOLDEN / path).read_text()).exit_status == 0
+        assert walked == [DiffForm, MultiVector]
 
     @pytest.mark.parametrize("fixture", ["contact-model-r5", "lcs-model-r4"])
     def test_model_sessions_expand_no_product(self, monkeypatch, fixture):

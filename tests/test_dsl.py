@@ -223,6 +223,49 @@ class TestProblemFiles:
         with pytest.raises(DslError, match=re.escape(message)):
             parse_problem(text)
 
+    @pytest.mark.parametrize("text, line, col, message", [
+        ("chart x1 x2\npi = x1 $ d/dx1^d/dx2\n", 2, 9, "unexpected character '$'"),
+        ("chart x1 x2\npi = (x1*d/dx1^d/dx2\n", 2, 21,
+         "got 'end of input' (expected ))"),
+        ("chart x1 x2\npi = x1*d/dx1^d/dx2)\n", 2, 20,
+         "trailing input ')' (expected +, -, *, ^, end of expression)"),
+        ("chart x1 x2\npi = 1/x1*d/dx1^d/dx2\n", 2, 8,
+         "malformed rational literal (expected integer denominator)"),
+        ("chart x1 x2\npi = 1/0*d/dx1^d/dx2\n", 2, 8, "zero denominator"),
+        ("chart x1 x2\npi = exp(d/dx1)*d/dx2\n", 2, 6, "exp() takes a scalar argument"),
+        ("chart x1 x2\npi = x1^2/3*d/dx1^d/dx2\n", 2, 10, "exponents must be integers"),
+        ("chart x1 x2\npi = (x1 - x1)^-1*d/dx1^d/dx2\n", 2, 15,
+         "negative power of the zero expression"),
+        ("chart x1 x2\npi = d/dx1^-d/dx2\n", 2, 11,
+         "'-' after ^ needs an integer exponent"),
+        ("chart x1 x2\npi = x1 + d/dx1^d/dx2\n", 2, 9,
+         "cannot add a scalar and a graded element"),
+        ("chart x1 x2\npi = d/dx1 + d/dx1^d/dx2\n", 2, 12, "grade mismatch: 1 vs 2"),
+        ("chart x1 x2\ntheta = d/dx1\n", 2, 9, "expected a differential-form expression"),
+        ("chart x1 x2\npi = d/dx1^d/dx2\nrun Verify\n", 3, 5,
+         "bad command text 'Verify' (expected verify, pair,"),
+        ("chart x1 x2\nchart x1 x2\n", 2, 1, "duplicate chart declaration"),
+        ("chart x1 x2\nvol dx1^dx2\nvol dx1^dx2\n", 3, 1, "duplicate vol declaration"),
+        ("chart\n", 1, 1, "chart needs variable names"),
+        ("vol dx1^dx2\nchart x1 x2\n", 1, 1, "chart must be declared before vol"),
+        ("# only a comment\n", 0, 0, "missing chart declaration"),
+        ("chart x1 x2 x3\ntheta = dx1\nE = d/dx1\n", 0, 0, "E only combines with pi"),
+        ("chart x1 x2 x3\npi = d/dx1^d/dx2\nE = d/dx1^d/dx3\n", 3, 5,
+         "E must have grade 1, got 2"),
+        ("chart x1 x2\nomega = dx1^dx2\nOmega = dx1^dx2\n", 2, 9, "omega must be a 1-form"),
+        ("chart x1 x2\nomega = dx1\nOmega = dx1\n", 3, 9, "Omega must be a 2-form"),
+    ], ids=["character", "unclosed", "trailing", "rational", "zero-denominator",
+            "function-argument", "rational-exponent", "zero-to-negative", "minus-wedge",
+            "scalar-plus-graded", "graded-sum", "theta-multivector", "command-text",
+            "duplicate-chart", "duplicate-vol", "empty-chart", "vol-before-chart",
+            "missing-chart", "E-with-theta", "E-grade", "omega-grade", "Omega-grade"])
+    def test_error_branches(self, text, line, col, message):
+        with pytest.raises(DslError) as ei:
+            parse_problem(text)
+        assert (ei.value.line, ei.value.col) == (line, col)
+        loc = f"line {line}, col {col}: " if line else ""
+        assert str(ei.value).startswith(loc + message)
+
     def test_points_capped(self):
         pf = parse_problem(f"chart a b\npi = d/da^d/db\npoints {MAX_POINTS}\n")
         assert pf.points == MAX_POINTS

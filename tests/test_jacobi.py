@@ -74,10 +74,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_stored_P_is_the_reference_power(self, sampler, name):
-        # P = pi^m (LCS) or pi^m ^ E (contact), kept from classification
+        # P = pi^m / m! (LCS) or pi^m / m! ^ E (contact), kept from
+        # classification
         f, ctx = fixture_setup(name, sampler)
         j = verify_jacobi(ctx, f.pi, f.E, sampler)
-        reference = power(j.pi, j.m)
+        reference = power(j.pi, j.m).scale(Fraction(1, math.factorial(j.m)))
         if j.kind == "contact":
             reference = wedge(reference, j.E)
         assert j.P == reference
@@ -275,6 +276,18 @@ class TestDefiningPair:
             dp = defining_pair(j, ctx, sampler)
             assert all(c.passed for c in dp.checks), name
 
+    @pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES
+                                      if 0 < get_fixture(n).q < get_fixture(n).chart.n])
+    def test_alpha_is_phi_of_the_power_over_m_factorial(self, sampler, name):
+        # alpha = phi(pi^m [^ E]) / m!, pinned apart from the stored P
+        f, ctx = fixture_setup(name, sampler)
+        j = verify_jacobi(ctx, f.pi, f.E, sampler)
+        p = power(j.pi, j.m)
+        if j.kind == "contact":
+            p = wedge(p, j.E)
+        dp = defining_pair(j, ctx, sampler)
+        assert dp.alpha == phi(ctx, p).scale(Fraction(1, math.factorial(j.m)))
+
     def test_nontrivial_contact_pair(self, sampler):
         j2, ctx = rescaled_contact(sampler)
         dp = defining_pair(j2, ctx, sampler)
@@ -317,17 +330,14 @@ class TestTheoremProofSteps:
     def test_eq_contraction_identities(self, sampler, builder):
         j, ctx = builder(sampler)
         dp = defining_pair(j, ctx, sampler)
-        p = power(j.pi, j.m)
-        if j.kind == "contact":
-            p = wedge(p, j.E)
+        p = j.P  # pi^m / m! (^ E), so that alpha = phi(P)
         comp = dp.companion_used.companion
         # iota_alpha(psi(*P) ^ P) = 0
         e5 = contract_form_into_mv(dp.alpha, wedge(psi(ctx, comp), p))
         assert element_zero(e5, sampler).is_zero
-        # iota_alpha(*P ^ psi(P)) = psi(P) / m!
+        # iota_alpha(*P ^ psi(P)) = psi(P)
         e6 = contract_form_into_mv(dp.alpha, wedge(comp, psi(ctx, p)))
-        target = psi(ctx, p).scale(Fraction(1, math.factorial(j.m)))
-        assert element_zero(e6 - target, sampler).is_zero
+        assert element_zero(e6 - psi(ctx, p), sampler).is_zero
 
     def test_leafwise_annihilations(self, sampler):
         for name in FIXTURE_NAMES:

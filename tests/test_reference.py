@@ -22,6 +22,12 @@ The axiom cannot fix the sign of the LCS pi, since (pi, E) and (-pi, -E)
 both satisfy it; that sign is the normalisation that dx1^dx2 has the
 bivector d/dx1^d/dx2.
 
+The defining pair is checked the same way: each input's (pi, E) is lifted
+to two more variables y1, y2 (codimension q = 2, where the sign
+(-1)^(q+1) of beta matters) and rescaled by exp(x_a y1 + x_b y2), and
+d alpha - beta ^ alpha and d(beta ^ (d beta)^q) of the kernel's pair are
+rebuilt with a sympy exterior derivative on mask -> coefficient dicts.
+
 The kernel's coefficients are read back through their printed form and
 compared with `sympy.cancel` of the difference, after every exp atom is
 replaced by a symbol; `simplify` is never called.
@@ -35,9 +41,12 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
+from gvkernel.alg import DiffForm  # noqa: E402
 from gvkernel.dsl import parse_problem  # noqa: E402
-from gvkernel.expr import Sampler  # noqa: E402
-from gvkernel.jacobi import contact_to_jacobi, lcs_to_jacobi  # noqa: E402
+from gvkernel.duality import volume_context  # noqa: E402
+from gvkernel.expr import Sampler, ScalarExpr, exp_  # noqa: E402
+from gvkernel.jacobi import (conformal_rescale, contact_to_jacobi,  # noqa: E402
+                             defining_pair, lcs_to_jacobi, lift_to, verify_jacobi)
 
 
 def _dsl(expr) -> str:
@@ -54,12 +63,16 @@ def _atoms_to_symbols(expr):
     return sp.expand_power_exp(expr).replace(lambda e: isinstance(e, sp.exp), symbol)
 
 
-def _from_kernel(el):
+def _read(el):
     """mask -> coefficient of a kernel element, as a sympy expression."""
     names = {v: sp.Symbol(v) for v in el.chart.vars}
     names.update(exp=sp.exp, ln=sp.log, sin=sp.sin, cos=sp.cos)
-    return {mask: _atoms_to_symbols(sp.sympify(str(c).replace("^", "**"), locals=names))
+    return {mask: sp.sympify(str(c).replace("^", "**"), locals=names)
             for mask, c in el.terms.items()}
+
+
+def _from_kernel(el):
+    return {mask: _atoms_to_symbols(c) for mask, c in _read(el).items()}
 
 
 def _assert_equal(el, want):
@@ -264,3 +277,76 @@ def test_lcs_solve_matches_the_inverse_of_omega(text, xs, omega, big):
     _assert_equal(e, _vector(E))
     _assert_equal(pi, _bivector(P))
 
+
+
+# --- the defining pair: d alpha = beta ^ alpha, d(beta ^ (d beta)^q) = 0 ------
+
+def _below(mask, i):
+    """How many indices of mask lie below i."""
+    return bin(mask & ((1 << i) - 1)).count("1")
+
+
+def _d(form, xs):
+    """Exterior derivative of a form given as mask -> coefficient:
+    d(c dx_I) = sum_i dc/dx_i dx_i ^ dx_I."""
+    out = {}
+    for mask, c in form.items():
+        for i, x in enumerate(xs):
+            if not mask >> i & 1:
+                key = mask | 1 << i
+                out[key] = out.get(key, 0) + (-1) ** _below(mask, i) * sp.diff(c, x)
+    return out
+
+
+def _wedge_forms(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if not ma & mb:
+                swaps = sum(_below(mb, i) for i in range(ma.bit_length()) if ma >> i & 1)
+                out[ma | mb] = out.get(ma | mb, 0) + (-1) ** swaps * ca * cb
+    return out
+
+
+def _assert_zero(form):
+    for mask, c in form.items():
+        assert sp.cancel(_atoms_to_symbols(c)) == 0, (mask, c)
+
+
+def _kernel_pair(chart, pi, e):
+    """The kernel's pair of (pi, E) lifted to chart x (y1, y2) and rescaled by
+    exp(x_a y1 + x_b y2), with x_a, x_b the first two variables."""
+    ext = chart.extend("y1").extend("y2")
+    sampler = Sampler()
+    ctx = volume_context(ext, DiffForm.basis(ext, range(ext.n)), sampler)
+    j = verify_jacobi(ctx, lift_to(ext, pi), lift_to(ext, e), sampler)
+    v = [ScalarExpr.var(x) for x in (*chart.vars[:2], "y1", "y2")]
+    j = conformal_rescale(j, exp_(v[0] * v[2] + v[1] * v[3]), ctx, sampler).structure
+    assert j.q == 2
+    return defining_pair(j, ctx, sampler)
+
+
+PAIR_CASES = [c[0] for c in CONTACT_CASES + LCS_CASES]
+
+
+@pytest.mark.parametrize("text", PAIR_CASES,
+                         ids=[f"{'contact' if i < len(CONTACT_CASES) else 'lcs'}-{i}"
+                              for i in range(len(PAIR_CASES))])
+def test_pair_is_defining_and_gv_closed(text):
+    p = parse_problem(text)
+    if p.style == "theta":
+        pi, e = contact_to_jacobi(p.chart, p.theta, Sampler())
+    else:
+        pi, e = lcs_to_jacobi(p.chart, p.omega1, p.omega2, Sampler())
+    dp = _kernel_pair(p.chart, pi, e)
+    xs = sp.symbols([*p.chart.vars, "y1", "y2"])
+    alpha, beta = _read(dp.alpha), _read(dp.beta)
+    resid = _d(alpha, xs)
+    for mask, c in _wedge_forms(beta, alpha).items():
+        resid[mask] = resid.get(mask, 0) - c
+    _assert_zero(resid)
+    dbeta = _d(beta, xs)
+    gv = _wedge_forms(beta, _wedge_forms(dbeta, dbeta))
+    _assert_zero(_d(gv, xs))
+    kernel_gv = _read(dp.gv)
+    _assert_zero({m: kernel_gv.get(m, 0) - gv.get(m, 0) for m in set(gv) | set(kernel_gv)})
