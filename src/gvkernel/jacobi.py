@@ -7,11 +7,9 @@ leaves) or nowhere (contact type, odd leaves); the codimension is
 q = n - 2m resp. n - 2m - 1 and must satisfy 0 < q < n for the
 Godbillon-Vey machinery.
 
-Wedge powers are carried as divided powers D_k(b) = b^k / k!
-(alg.divided_powers), the normalisation of the main construction, and are
-never rescaled here.  Defining pairs take P = D_m(pi) (LCS) or
-P = D_m(pi) ^ E (contact) and one sign rule for both kinds (see _beta):
-  alpha = phi(P),   beta = phi((-1)^(q+1) [P, *P])
+Defining pairs follow the main construction, with P = pi^m (LCS) or
+P = pi^m ^ E (contact) and one sign rule for both kinds (see _beta):
+  alpha = phi(P / m!),   beta = phi((-1)^(q+1) [P, *P])
 with gv = beta ^ (d beta)^q closed in both cases.  verify_jacobi builds P
 while it classifies the structure and carries it on JacobiStructure, so
 defining_pair reads it there instead of building it again.
@@ -19,27 +17,32 @@ defining_pair reads it there instead of building it again.
 Numeric verdicts read their sample points through expr.first_row.  Ranks
 and spans are read off exterior powers, never off sampled matrices: P is
 decomposable, nonvanishing, and spans the characteristic distribution, so
-  - E lies in Im pi-sharp (LCS type) when E ^ D_m(pi) = 0 in normal form; a
+  - E lies in Im pi-sharp (LCS type) when E ^ pi^m = 0 in normal form; a
     top that is only below tol at the sample points is held there to
-    dist(E, Im pi-sharp) = |E ^ D_m(pi)| / |D_m(pi)| under lstsq's rule;
+    dist(E, Im pi-sharp) = |E ^ pi^m| / |pi^m| under lstsq's rule;
   - a conformal rescale keeps the distribution when P' = a^k P, with k = m
     (LCS) or m + 1 (contact);
-  - rank Lambda-sharp = 2m + 2 on the Poisson lift when D_(m+1)(Lambda)
+  - rank Lambda-sharp = 2m + 2 on the Poisson lift when Lambda^(m+1)
     vanishes nowhere and Lambda^(m+2) = 0.
+Wedge powers are read off divided powers D_k = b^k / k! (alg.divided_powers),
+one walk per base.  P, the solves' volume T and the bridge's Lambda^(m+1)
+stay at the ordinary scale k! D_k: the nonvanishing checks compare them
+with an absolute tol, which the divided scale would shift by k!.
 
 Poissonization note: with the bracket conventions fixed by the axiom
 [pi,pi] = 2 E^pi (the ones the model structures satisfy), the bivector
 t^-1 pi + E ^ d/dt is the Poisson lift; the frequently printed variant
 t^-1 pi + d/dt ^ E fails [L,L] = 0 whenever E ^ pi != 0.  See the bridge
 check for the matching correction to the pullback statement.  The bridge
-takes D_(m+1)(Lambda) from one walk and checks Lambda^(m+2) = 0 on
-D_(m+1)(Lambda) ^ Lambda.
+builds Lambda^(m+1) once and checks Lambda^(m+2) = 0 on
+Lambda^(m+1) ^ Lambda.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import islice
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -151,7 +154,7 @@ class JacobiStructure:
     m: int
     kind: str  # "lcs" | "contact"
     q: int
-    P: MultiVector  # D_m(pi) (LCS) or D_m(pi) ^ E (contact), built by verify_jacobi
+    P: MultiVector  # pi^m (LCS) or pi^m ^ E (contact), built by verify_jacobi
     checks: Tuple[CheckResult, ...]
 
     @property
@@ -179,10 +182,10 @@ def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
     if not ax2.is_zero:
         raise AxiomViolation("[pi,E] = 0", ax2.witness)
 
-    # rank exponent: the number m of nonzero divided powers D_k(pi)
+    # rank exponent: the number m of nonzero divided powers pi^k / k!
     powers = list(divided_powers(pi))
     m = len(powers)
-    pim = powers[-1] if powers else MultiVector.scalar(chart, 1)
+    pim = powers[-1].scale(math.factorial(m)) if powers else MultiVector.scalar(chart, 1)
     witness = vanishing_point(_coefficients(pim), chart, sampler)
     if witness is not None:
         raise NotRegular(f"pi^{m} vanishes at a sample point", witness)
@@ -237,10 +240,10 @@ def contact_to_jacobi(chart: Chart, theta: DiffForm, sampler: Sampler
                       ) -> Tuple[MultiVector, MultiVector]:
     """Reeb field and bivector of a contact form; returns (pi, E).
 
-    With n = 2m + 1, D_k = D_k(d theta) from one walk and the volume
-    T = theta ^ D_m, both are duals of divided powers (phi_T = phi against T):
-        E = phi_T^-1(D_m),   pi = -phi_T^-1(theta ^ D_(m-1)).
-    E is the Reeb field: iota_E T = D_m exactly when theta(E) = 1 and
+    With n = 2m + 1, D_j = (d theta)^j / j! (one walk) and the volume
+    T = theta ^ (d theta)^m, both are duals of powers (phi_T = phi against T):
+        E = phi_T^-1((d theta)^m),   pi = -m! phi_T^-1(theta ^ D_(m-1)).
+    E is the Reeb field: iota_E T = (d theta)^m exactly when theta(E) = 1 and
     iota_E d theta = 0.  The sign of pi is the axiom-valid one; the opposite
     sign satisfies [pi,pi] = -2E^pi instead and fails verification.
     """
@@ -250,13 +253,15 @@ def contact_to_jacobi(chart: Chart, theta: DiffForm, sampler: Sampler
         raise NotContact("theta must be a 1-form")
     m = chart.n // 2
     d = [DiffForm.scalar(chart, 1), *divided_powers(exterior_derivative(theta))]
-    top = wedge(theta, d[m]) if m < len(d) else DiffForm.zero(chart, chart.n)
+    f = math.factorial(m)
+    dtheta_m = d[m].scale(f) if m < len(d) else DiffForm.zero(chart, 2 * m)
+    top = wedge(theta, dtheta_m)
     witness = vanishing_point(_coefficients(top), chart, sampler)
     if witness is not None:
         raise NotContact("theta ^ (d theta)^m vanishes at a sample point", witness)
     ctx = volume_context(chart, top, sampler)  # repeats the check just passed
-    pi = -phi_inv(ctx, wedge(theta, d[m - 1])) if m else MultiVector.zero(chart, 2)
-    return pi, phi_inv(ctx, d[m])
+    pi = phi_inv(ctx, wedge(theta, d[m - 1])).scale(-f) if m else MultiVector.zero(chart, 2)
+    return pi, phi_inv(ctx, dtheta_m)
 
 
 def lcs_to_jacobi(chart: Chart, omega1: DiffForm, omega2: DiffForm,
@@ -264,9 +269,9 @@ def lcs_to_jacobi(chart: Chart, omega1: DiffForm, omega2: DiffForm,
     """(pi, E) of a locally conformal symplectic pair (omega1 = the closed
     1-form, omega2 = the nondegenerate 2-form).
 
-    With n = 2k, D_j = D_j(omega2) from one walk and the volume T = D_k
-    (phi_T = phi against T),
-        pi = phi_T^-1(D_(k-1)),   E = iota_omega1 pi,
+    With n = 2k, D_j = omega2^j / j! (one walk) and phi_T = phi against
+    T = omega2^k = k! D_k,
+        pi = k! phi_T^-1(D_(k-1)),   E = iota_omega1 pi,
     so iota_{pi-sharp(a)} omega2 = -a; the sign is pinned by that and the
     axioms.
     """
@@ -283,12 +288,13 @@ def lcs_to_jacobi(chart: Chart, omega1: DiffForm, omega2: DiffForm,
         raise NotLCS("d Omega = omega ^ Omega fails", v2.witness)
     k = n // 2
     d = [DiffForm.scalar(chart, 1), *divided_powers(omega2)]
-    top = d[k] if k < len(d) else DiffForm.zero(chart, n)
+    f = math.factorial(k)
+    top = d[k].scale(f) if k < len(d) else DiffForm.zero(chart, n)
     witness = vanishing_point(_coefficients(top), chart, sampler)
     if witness is not None:
         raise NotLCS("Omega^(n/2) vanishes at a sample point", witness)
     ctx = volume_context(chart, top, sampler)  # repeats the check just passed
-    pi = phi_inv(ctx, d[k - 1])
+    pi = phi_inv(ctx, d[k - 1]).scale(f)
     # omega = 0 may arrive as a grade-0 form, whose contraction is grade 2
     e = contract_form_into_mv(omega1, pi) if omega1.terms else MultiVector.zero(chart, 1)
     return pi, e
@@ -323,7 +329,7 @@ def defining_pair(j: JacobiStructure, ctx: VolumeContext, sampler: Sampler,
     require_codim(j)
     comp = star(ctx, j.P, sampler, choice=star_choice)
     beta = _beta(ctx, j.P, comp, j.q)
-    alpha = phi(ctx, j.P)
+    alpha = phi(ctx, j.P).scale(Fraction(1, math.factorial(j.m)))
     dbeta = exterior_derivative(beta)
     dbq = power(dbeta, j.q)
     gv = wedge(beta, dbq)
@@ -454,12 +460,9 @@ def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
     m = j.m
 
     checks: List[CheckResult] = []
-    lam_m1 = next(islice(divided_powers(pz.lam), m, None),
-                  MultiVector.zero(ext, 2 * m + 2))
+    lam_m1 = power(pz.lam, m + 1)
     top = wedge(lift_to(ext, dp.companion_used.base), MultiVector.basis(ext, [t_idx]))
-    v = element_zero(lam_m1 - top.scale(t_inv ** m), sampler)
-    # D_(m+1)(Lambda) = t^-m P ^ dt; the printed detail is that identity times
-    # (m+1)!, and golden reports pin it
+    v = element_zero(lam_m1 - top.scale(ScalarExpr.const(m + 1) * t_inv ** m), sampler)
     checks.append(_record("bridge.power", v,
                           "Lambda^(m+1) = (m+1) t^-m pi^m ^ E ^ dt"))
     top_v = element_zero(wedge(lam_m1, pz.lam), sampler)
@@ -468,7 +471,7 @@ def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
     comp_ext = star(ctx_ext, lam_m1, sampler,
                     force_complement=dp.companion_used.complement_mask)
     b_form = _beta(ctx_ext, lam_m1, comp_ext, j.q)  # the lift has codimension q too
-    a_form = phi(ctx_ext, lam_m1)
+    a_form = phi(ctx_ext, lam_m1).scale(Fraction(1, math.factorial(m + 1)))
     v = element_zero(exterior_derivative(a_form) - wedge(b_form, a_form), sampler)
     checks.append(_record("bridge.pair", v, "dA = B ^ A on the Poissonization"))
 
@@ -523,7 +526,7 @@ def conformal_rescale(j: JacobiStructure, a: ScalarExpr, ctx: VolumeContext,
         raise InvariantFailure("conformal rescale changed (m, kind, q)")
 
     # P' = a^k P, k = m (LCS) or m + 1 (contact): for contact type
-    # D_m(pi) ^ iota_{da} pi = iota_{da} D_(m+1)(pi) = 0
+    # pi^m ^ iota_{da} pi = iota_{da}(pi^(m+1)) / (m+1) = 0
     k = j.m + (j.kind == "contact")
     v = element_zero(j2.P - j.P.scale(a ** k), sampler)
     checks.append(_record("rescale.distribution", v, "Im pi-sharp + <E> unchanged"))

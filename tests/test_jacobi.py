@@ -74,11 +74,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_stored_P_is_the_reference_power(self, sampler, name):
-        # P = pi^m / m! (LCS) or pi^m / m! ^ E (contact), kept from
-        # classification
+        # P = pi^m (LCS) or pi^m ^ E (contact), kept from classification
         f, ctx = fixture_setup(name, sampler)
         j = verify_jacobi(ctx, f.pi, f.E, sampler)
-        reference = power(j.pi, j.m).scale(Fraction(1, math.factorial(j.m)))
+        reference = power(j.pi, j.m)
         if j.kind == "contact":
             reference = wedge(reference, j.E)
         assert j.P == reference
@@ -330,14 +329,17 @@ class TestTheoremProofSteps:
     def test_eq_contraction_identities(self, sampler, builder):
         j, ctx = builder(sampler)
         dp = defining_pair(j, ctx, sampler)
-        p = j.P  # pi^m / m! (^ E), so that alpha = phi(P)
+        p = power(j.pi, j.m)
+        if j.kind == "contact":
+            p = wedge(p, j.E)
         comp = dp.companion_used.companion
         # iota_alpha(psi(*P) ^ P) = 0
         e5 = contract_form_into_mv(dp.alpha, wedge(psi(ctx, comp), p))
         assert element_zero(e5, sampler).is_zero
-        # iota_alpha(*P ^ psi(P)) = psi(P)
+        # iota_alpha(*P ^ psi(P)) = psi(P) / m!
         e6 = contract_form_into_mv(dp.alpha, wedge(comp, psi(ctx, p)))
-        assert element_zero(e6 - psi(ctx, p), sampler).is_zero
+        target = psi(ctx, p).scale(Fraction(1, math.factorial(j.m)))
+        assert element_zero(e6 - target, sampler).is_zero
 
     def test_leafwise_annihilations(self, sampler):
         for name in FIXTURE_NAMES:

@@ -38,14 +38,13 @@ import itertools
 import random
 
 import pytest
+import sympy as sp
 
-sp = pytest.importorskip("sympy")
-
-from gvkernel.alg import DiffForm  # noqa: E402
-from gvkernel.dsl import parse_problem  # noqa: E402
-from gvkernel.duality import volume_context  # noqa: E402
-from gvkernel.expr import Sampler, ScalarExpr, exp_  # noqa: E402
-from gvkernel.jacobi import (conformal_rescale, contact_to_jacobi,  # noqa: E402
+from gvkernel.alg import DiffForm
+from gvkernel.dsl import parse_problem
+from gvkernel.duality import volume_context
+from gvkernel.expr import Sampler, ScalarExpr, exp_
+from gvkernel.jacobi import (conformal_rescale, contact_to_jacobi,
                              defining_pair, lcs_to_jacobi, lift_to, verify_jacobi)
 
 
