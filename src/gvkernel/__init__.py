@@ -19,7 +19,7 @@ from .duality import (NoCompanion, StarCompanion, VolumeContext, VolumeError,
                       phi, phi_inv, psi, star, volume_context)
 from .expr import (Chart, CheckFailure, DomainError, ExprError, InsufficientSamples,
                    KernelError, Point, Sampler, ScalarExpr, ZeroVerdict, cos_, diff,
-                   eval_at, evaluate, exp_, first_row, is_zero, ln_, sin_,
+                   evaluate, exp_, first_row, is_zero, ln_, sin_,
                    vanishing_point)
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
 from .jacobi import (AxiomViolation, CheckResult, CodimOutOfRange,
@@ -35,7 +35,7 @@ __all__ = [
     # expr
     "Chart", "CheckFailure", "DomainError", "ExprError", "InsufficientSamples",
     "KernelError", "Point", "Sampler", "ScalarExpr", "ZeroVerdict", "cos_", "diff",
-    "eval_at", "evaluate", "exp_", "first_row", "is_zero", "ln_", "sin_",
+    "evaluate", "exp_", "first_row", "is_zero", "ln_", "sin_",
     "vanishing_point",
     # alg
     "AlgebraError", "DiffForm", "GradedElement", "MultiVector",

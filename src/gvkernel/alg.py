@@ -28,7 +28,7 @@ makes k-fold fewer; `power(b, k)` is k! D_k.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .expr import Chart, KernelError, ScalarExpr
 
@@ -215,17 +215,14 @@ def wedge(a: GradedElement, b: GradedElement) -> GradedElement:
     """Graded-commutative exterior product; zero beyond the top grade."""
     a._check_mate(b, same_grade=False)
     grade = a.grade + b.grade
-    out: Dict[int, ScalarExpr] = {}
+    out: Dict[int, List[ScalarExpr]] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             s = wedge_sign(ma, mb)
             if s == 0:
                 continue
-            mask = ma | mb
-            term = ca * cb if s > 0 else -(ca * cb)
-            acc = out.get(mask)
-            out[mask] = term if acc is None else acc + term
-    return type(a)(a.chart, grade, out)
+            out.setdefault(ma | mb, []).append(ca * cb if s > 0 else -(ca * cb))
+    return type(a)(a.chart, grade, _summed(out))
 
 
 def divided_powers(b: GradedElement) -> Iterator[GradedElement]:
@@ -237,17 +234,15 @@ def divided_powers(b: GradedElement) -> Iterator[GradedElement]:
     d = b
     while d.terms:
         yield d
-        out: Dict[int, ScalarExpr] = {}
+        out: Dict[int, List[ScalarExpr]] = {}
         for mask, cm in d.terms.items():
             below = (mask & -mask) - 1
             for t, ct in base:
                 if t & mask or not t & below:
                     continue
-                term = cm * ct if wedge_sign(t, mask) > 0 else -(cm * ct)
-                key = t | mask
-                acc = out.get(key)
-                out[key] = term if acc is None else acc + term
-        d = type(b)(b.chart, d.grade + 2, out)
+                out.setdefault(t | mask, []).append(
+                    cm * ct if wedge_sign(t, mask) > 0 else -(cm * ct))
+        d = type(b)(b.chart, d.grade + 2, _summed(out))
 
 
 def power(base: GradedElement, k: int) -> GradedElement:
@@ -265,17 +260,20 @@ def power(base: GradedElement, k: int) -> GradedElement:
     return type(base).zero(base.chart, 2 * k)
 
 
+def _summed(parts: Mapping[int, List[ScalarExpr]]) -> Dict[int, ScalarExpr]:
+    """Each mask's coefficient: the sum of its products, built once."""
+    return {mask: ScalarExpr.sum(terms) for mask, terms in parts.items()}
+
+
 def _contract(contractor_terms, target, result_cls, result_grade):
-    out: Dict[int, ScalarExpr] = {}
+    out: Dict[int, List[ScalarExpr]] = {}
     for mc, cc in contractor_terms:
         for mt, ct in target.terms.items():
             s, rest = contract_sign(mc, mt)
             if s == 0:
                 continue
-            term = cc * ct if s > 0 else -(cc * ct)
-            acc = out.get(rest)
-            out[rest] = term if acc is None else acc + term
-    return result_cls(target.chart, result_grade, out)
+            out.setdefault(rest, []).append(cc * ct if s > 0 else -(cc * ct))
+    return result_cls(target.chart, result_grade, _summed(out))
 
 
 def contract_form_into_mv(alpha: DiffForm, u: MultiVector) -> MultiVector:

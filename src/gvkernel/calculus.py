@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .alg import (AlgebraError, DiffForm, MultiVector, contract_mv_into_form,
-                  mask_indices, wedge, wedge_sign)
+from .alg import (AlgebraError, DiffForm, MultiVector, _summed,
+                  contract_mv_into_form, mask_indices, wedge, wedge_sign)
 from .expr import Chart, ScalarExpr, diff
 
 
@@ -24,7 +24,7 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
     chart = omega.chart
     if omega.grade >= chart.n:
         return DiffForm.zero(chart, chart.n)
-    out: Dict[int, ScalarExpr] = {}
+    out: Dict[int, List[ScalarExpr]] = {}
     for mask, coeff in omega.terms.items():
         for i, var in enumerate(chart.vars):
             if mask & (1 << i):
@@ -32,17 +32,14 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
             d = diff(coeff, var)
             if d.is_zero_form:
                 continue
-            s = wedge_sign(1 << i, mask)
-            term = d if s > 0 else -d
-            new = mask | (1 << i)
-            acc = out.get(new)
-            out[new] = term if acc is None else acc + term
-    return DiffForm(chart, omega.grade + 1, out)
+            out.setdefault(mask | (1 << i), []).append(
+                d if wedge_sign(1 << i, mask) > 0 else -d)
+    return DiffForm(chart, omega.grade + 1, _summed(out))
 
 
 def _peeled_term_bracket(chart: Chart, f: ScalarExpr, imask: int,
-                         g: ScalarExpr, jmask: int, out: Dict[int, ScalarExpr]):
-    """[f*d_I, g*d_J] accumulated into `out` (masks -> coefficients).
+                         g: ScalarExpr, jmask: int, out: Dict[int, List[ScalarExpr]]):
+    """The products of [f*d_I, g*d_J], appended to `out` (mask -> products).
 
     Derived by peeling coefficients with the Leibniz rule:
       [f d_I, g d_J] = sum_r (-1)^(k-r) f (d_{i_r} g) d_{I\\i_r} ^ d_J
@@ -52,13 +49,6 @@ def _peeled_term_bracket(chart: Chart, f: ScalarExpr, imask: int,
     ivars = mask_indices(imask)
     jvars = mask_indices(jmask)
     k, l = len(ivars), len(jvars)
-
-    def accumulate(coeff: ScalarExpr, mask: int):
-        if coeff.is_zero_form:
-            return
-        acc = out.get(mask)
-        out[mask] = coeff if acc is None else acc + coeff
-
     for r, i in enumerate(ivars, start=1):
         d = diff(g, chart.vars[i])
         if d.is_zero_form:
@@ -68,7 +58,7 @@ def _peeled_term_bracket(chart: Chart, f: ScalarExpr, imask: int,
         if s == 0:
             continue
         sign = s if (k - r) % 2 == 0 else -s
-        accumulate(f * d if sign > 0 else -(f * d), rest | jmask)
+        out.setdefault(rest | jmask, []).append(f * d if sign > 0 else -(f * d))
     pref = -1 if ((k - 1) * (l - 1)) % 2 == 0 else 1
     for s_pos, j in enumerate(jvars, start=1):
         d = diff(f, chart.vars[j])
@@ -79,7 +69,7 @@ def _peeled_term_bracket(chart: Chart, f: ScalarExpr, imask: int,
         if s == 0:
             continue
         sign = pref * s if (l - s_pos) % 2 == 0 else -pref * s
-        accumulate(g * d if sign > 0 else -(g * d), rest | imask)
+        out.setdefault(rest | imask, []).append(g * d if sign > 0 else -(g * d))
 
 
 def schouten(u: MultiVector, v: MultiVector) -> MultiVector:
@@ -88,11 +78,11 @@ def schouten(u: MultiVector, v: MultiVector) -> MultiVector:
         raise AlgebraError("chart mismatch")
     chart = u.chart
     grade = max(u.grade + v.grade - 1, 0)
-    out: Dict[int, ScalarExpr] = {}
+    out: Dict[int, List[ScalarExpr]] = {}
     for imask, f in u.terms.items():
         for jmask, g in v.terms.items():
             _peeled_term_bracket(chart, f, imask, g, jmask, out)
-    return MultiVector(chart, grade, out)
+    return MultiVector(chart, grade, _summed(out))
 
 
 def lie_derivative(x: MultiVector, omega: DiffForm) -> DiffForm:

@@ -19,8 +19,9 @@ nonzero rational keeps every monomial and their order, and neither creates
 nor removes a cancellable denominator), and two single monomials merge
 into one monomial (nothing to expand, nothing to cancel).  Such results
 are stored with `_normalized=True`, which means "already a normal form, in
-normal-form order".  A product with a wrapped polynomial, zero times a
-non-constant, and every sum still take the general route.
+normal-form order".  A product with a wrapped polynomial and zero times a
+non-constant still take the general route.  A sum is built from all its
+summands' terms at once (`ScalarExpr.sum`), skipping zero summands.
 
 Numeric verdicts read seeded sample points (`Sampler`, a plain value).  A
 chart's head block, its first `points` draws with their memoised atom
@@ -359,6 +360,18 @@ def _cancel_denominators(terms: dict) -> dict:
     return out
 
 
+def _cancelled(items: dict) -> dict:
+    """Cancel wrapped-poly reciprocals to a fixed point: merging groups can
+    expose a newly divisible numerator (each pass strictly shrinks the
+    multiset of denominator powers when it changes anything)."""
+    while any(a.kind == "poly" and e < 0 for m in items for a, e in m):
+        reduced = _cancel_denominators(items)
+        if reduced == items:
+            break
+        items = reduced
+    return items
+
+
 # --- the expression type --------------------------------------------------
 
 class ScalarExpr:
@@ -372,16 +385,7 @@ class ScalarExpr:
         if _normalized:
             object.__setattr__(self, "_terms", tuple(terms.items()))
         else:
-            items = {m: c for m, c in terms.items() if c}
-            # cancel wrapped-poly reciprocals to a fixed point: merging groups
-            # can expose a newly divisible numerator (each pass strictly
-            # shrinks the multiset of denominator powers when it changes
-            # anything)
-            while any(a.kind == "poly" and e < 0 for m in items for a, e in m):
-                reduced = _cancel_denominators(items)
-                if reduced == items:
-                    break
-                items = reduced
+            items = _cancelled({m: c for m, c in terms.items() if c})
             object.__setattr__(self, "_terms",
                                tuple(sorted(items.items(), key=lambda p: _mono_key(p[0]))))
         object.__setattr__(self, "_hash", None)
@@ -420,16 +424,31 @@ class ScalarExpr:
         return not self._terms or (len(self._terms) == 1 and self._terms[0][0] == _EMPTY_MONO)
 
     # arithmetic
-    def __add__(self, other) -> "ScalarExpr":
-        other = _coerce(other)
-        out = dict(self._terms)
-        for m, c in other._terms:
-            c2 = out.get(m, _ZERO_FRAC) + c
-            if c2:
-                out[m] = c2
-            elif m in out:
-                del out[m]
+    @staticmethod
+    def sum(exprs) -> "ScalarExpr":
+        """The sum's normal form, built from all the summands' terms in one
+        dict; zero summands are skipped and a lone one is returned as it is.
+        Cancelling wrapped-poly reciprocals depends on grouping (with
+        p = 1 + x^2, x^2/p + 1/p + x/p folds to 1 + x/p, but nothing divides
+        (x^2 + 1 + x)/p), so the terms are cancelled again after each inner
+        summand holding one: the sum is the left fold of `+`, term for term."""
+        parts = [e for e in map(_coerce, exprs) if e._terms]
+        if len(parts) < 2:
+            return parts[0] if parts else _ZERO
+        out = dict(parts[0]._terms)
+        for k, e in enumerate(parts[1:], 2):
+            for m, c in e._terms:
+                c2 = out.get(m, _ZERO_FRAC) + c
+                if c2:
+                    out[m] = c2
+                elif m in out:
+                    del out[m]
+            if k < len(parts) and not _plain_terms(e._terms):
+                out = _cancelled(out)
         return ScalarExpr(out)
+
+    def __add__(self, other) -> "ScalarExpr":
+        return ScalarExpr.sum((self, other))
 
     __radd__ = __add__
 
@@ -645,7 +664,7 @@ def diff(e: ScalarExpr, var: str, chart: Optional[Chart] = None) -> ScalarExpr:
     hit = memo.get(var)
     if hit is not None:
         return hit
-    total = _ZERO
+    parts = []
     for m, c in e._terms:
         for i, (a, k) in enumerate(m):
             da = _diff_atom(a, var)
@@ -655,8 +674,8 @@ def diff(e: ScalarExpr, var: str, chart: Optional[Chart] = None) -> ScalarExpr:
                 _expand_mono({b: eb for j, (b, eb) in enumerate(m) if j != i}, c * k))
             powpart = ScalarExpr(
                 _expand_mono({a: k if a.kind == "exp" else k - 1}, _ONE_FRAC))
-            total = total + rest_expr * powpart * da
-    memo[var] = total
+            parts.append(rest_expr * powpart * da)
+    memo[var] = total = ScalarExpr.sum(parts)
     return total
 
 
@@ -731,12 +750,6 @@ def _eval_atom(a: Atom, env: Mapping[str, float]) -> float:
     if x <= 0:
         raise DomainError(f"ln of non-positive value {x} in {a}", a)
     return math.log(x)
-
-
-def eval_at(e: ScalarExpr, chart: Chart, point: Sequence[float]) -> float:
-    """`evaluate` at a point given by its chart coordinates: the scalar
-    reference that the block evaluator is checked against, bit for bit."""
-    return evaluate(e, chart.env(point))
 
 
 def _either(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarray]:

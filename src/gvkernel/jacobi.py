@@ -157,10 +157,6 @@ class JacobiStructure:
     P: MultiVector  # pi^m (LCS) or pi^m ^ E (contact), built by verify_jacobi
     checks: Tuple[CheckResult, ...]
 
-    @property
-    def rank(self) -> int:
-        return 2 * self.m + (1 if self.kind == "contact" else 0)
-
 
 def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
                   sampler: Sampler) -> JacobiStructure:
@@ -383,10 +379,6 @@ class Poissonization:
     lam: MultiVector
     source: JacobiStructure
     poisson_check: CheckResult
-
-    @property
-    def base_vars(self) -> Tuple[str, ...]:
-        return self.source.chart.vars
 
 
 def _fresh_t(chart: Chart) -> str:

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from gvkernel.alg import DiffForm, MultiVector, wedge
+from gvkernel.alg import (DiffForm, MultiVector, contract_form_into_mv,
+                          divided_powers, wedge)
 from gvkernel.calculus import (exterior_derivative, lie_derivative, schouten,
                                schouten_bruteforce)
-from gvkernel.expr import Chart, ScalarExpr
+from gvkernel.expr import Chart, ScalarExpr, diff, exp_
+from gvkernel.fixtures import get_fixture
 
 from conftest import rand_form, rand_mv, rand_scalar
 
@@ -167,3 +169,45 @@ class TestLieDerivative:
             lhs = lie_derivative(v, iota(u, vol))
             rhs = iota(schouten(v, u), vol) + iota(u, lie_derivative(v, vol))
             assert (lhs - rhs).is_identically_zero
+
+
+class TestOneSummationPath:
+    """Each coefficient an operation sums is one `ScalarExpr.sum` of its
+    products, not a running `+`.  Every input below lands several products
+    on one output coefficient."""
+
+    def test_no_running_sums(self, monkeypatch):
+        x0, x1, x2 = (ScalarExpr.var(f"x{i}") for i in range(3))
+        f = exp_(x2) * (1 + x1 ** 2).recip()
+        pi4 = MultiVector(C4, 2, {(1 << i) | (1 << j): f * (i + j)
+                                  for i in range(4) for j in range(i + 1, 4)})
+        pi5 = get_fixture("contact-model-r5").pi
+        alpha = (form(pi5.chart, 0) + form(pi5.chart, 1)).scale(f)
+        omega = form(C4, 0).scale(x1 * exp_(x0)) + form(C4, 1).scale(x0 * f)
+        e = x1 ** 2 * exp_(x1) + x1 * (1 + x1 ** 2).recip() + x1 * x2
+        ops = {"wedge": lambda: wedge(pi4, pi4),
+               "divided_powers": lambda: list(divided_powers(pi4)),
+               "contract": lambda: contract_form_into_mv(alpha, pi5),
+               "d": lambda: d(omega),
+               "schouten": lambda: schouten(pi5, pi5),
+               "diff": lambda: diff(e, "x1")}
+        adds, widest = [], []
+        add, total = ScalarExpr.__add__, ScalarExpr.sum
+
+        def counted_add(a, b):
+            adds.append(1)
+            return add(a, b)
+
+        def counted_sum(exprs):
+            exprs = list(exprs)
+            widest.append(len(exprs))
+            return total(exprs)
+
+        monkeypatch.setattr(ScalarExpr, "__add__", counted_add)
+        monkeypatch.setattr(ScalarExpr, "sum", staticmethod(counted_sum))
+        for name, op in ops.items():
+            adds.clear()
+            widest.clear()
+            op()
+            assert not adds, name
+            assert max(widest) >= 2, name

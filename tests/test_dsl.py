@@ -148,6 +148,24 @@ E = d/dx0
 run verify pair gv
 """
 
+THETA_TEXT = "chart x0 x1 x2\ntheta = (1 + x1^2)*(dx0 - x2*dx1)\nrun verify poissonize\n"
+LCS_TEXT = """\
+chart x1 x2 x3 x4
+omega = 2*x1*(2 + x1^2)^-1*dx1
+Omega = (2 + x1^2)*(dx1^dx2 + dx3^dx4)
+run verify rescale(exp(x3)) unimodular(d/dx1^d/dx2)
+"""
+SETTINGS_TEXT = """\
+chart a b c
+vol 2*da^db^dc
+pi = d/da^d/db
+E = d/dc
+seed 7
+points 32
+tol 1e-06
+run verify
+"""
+
 
 class TestProblemFiles:
     def test_contact_fixture_roundtrip(self):
@@ -159,10 +177,12 @@ class TestProblemFiles:
         assert pf.pi == want_pi
 
     def test_canonical_text_is_stable(self):
-        pf = parse_problem(FIXTURE_TEXT)
-        text1 = pf.canonical_text()
-        pf2 = parse_problem(text1)
-        assert pf2.canonical_text() == text1
+        for text in (FIXTURE_TEXT, THETA_TEXT, LCS_TEXT, SETTINGS_TEXT):
+            pf = parse_problem(text)
+            text1 = pf.canonical_text()
+            pf2 = parse_problem(text1)
+            assert pf2.canonical_text() == text1
+            assert pf2 == pf
 
     def test_empty_run_list_valid(self):
         pf = parse_problem("chart x0 x1\npi = d/dx0^d/dx1\n")

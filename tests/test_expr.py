@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import functools
 import gc
 import itertools
 import math
+import operator
 import pickle
 import random
 import sys
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from gvkernel import expr as expr_mod
 from gvkernel.expr import (MIN_VALID_SHARE, Atom, Chart, CheckFailure, DomainError,
                            ExprError, InsufficientSamples, Sampler, ScalarExpr, _Block,
-                           _head_block, cos_, diff, eval_at, evaluate, evaluate_block,
+                           _head_block, cos_, diff, evaluate, evaluate_block,
                            exp_, is_zero, ln_, sin_, vanishing_point)
 
 from conftest import rand_scalar
@@ -191,6 +193,78 @@ class TestProductShortcuts:
         assert str(Fraction(-1, 2) * (X1 + X2)) == "-1/2*x1 - 1/2*x2"
 
 
+def _fold(xs):
+    """The left fold of the two-summand sum: term dicts merged and
+    normalised after every summand, as a running sum builds them."""
+    out = ScalarExpr.zero()
+    for x in xs:
+        terms = dict(out._terms)
+        for m, c in x._terms:
+            terms[m] = terms.get(m, Fraction(0)) + c
+        out = ScalarExpr(terms)
+    return out
+
+
+_X1SQ = _full_mul(X1, X1)
+_POLYS = (_fold([ScalarExpr.one(), _X1SQ]), _fold([ScalarExpr.const(2), _X1SQ]),
+          _fold([ScalarExpr.one(), _X1SQ, _full_mul(X2, X2)]))
+_RECIPROCALS = (*(_full_pow(p, -1) for p in _POLYS), _full_pow(_POLYS[0], -2))
+_SUMMANDS = st.builds(
+    lambda c, v, k, f: _full_mul(_full_mul(c, _full_pow(v, k)), f),
+    st.sampled_from([1, -1, 2, Fraction(1, 2)]).map(ScalarExpr.const),
+    st.sampled_from([X1, X2]), st.integers(0, 2),
+    st.sampled_from([ScalarExpr.one(), exp_(X1), _full_mul(exp_(X1), _RECIPROCALS[0]),
+                     *_RECIPROCALS]))
+
+
+@st.composite
+def _summand_lists(draw):
+    """0-6 summands: fresh ones, zeros, exact negatives of earlier ones, and
+    the terms of a wrapped polynomial over its reciprocal, which sum to 1."""
+    xs = []
+    for kind in draw(st.lists(st.sampled_from(["new", "new", "zero", "neg", "split"]),
+                              max_size=6)):
+        if kind == "neg" and xs:
+            xs.append(ScalarExpr({m: -c for m, c in draw(st.sampled_from(xs))._terms}))
+        elif kind == "split":
+            i = draw(st.integers(0, len(_POLYS) - 1))
+            f = draw(st.sampled_from([ScalarExpr.one(), X2, exp_(X1)]))
+            xs.extend(_full_mul(_full_mul(ScalarExpr({m: c}), _RECIPROCALS[i]), f)
+                      for m, c in _POLYS[i]._terms)
+        else:
+            xs.append(ScalarExpr.zero() if kind == "zero" else draw(_SUMMANDS))
+    return xs[:6]
+
+
+class TestSum:
+    """`ScalarExpr.sum` builds a sum from all its summands at once; it must
+    give the normal form the running sum gives, summand by summand."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_summand_lists())
+    def test_sum_is_the_left_fold(self, xs):
+        got = ScalarExpr.sum(xs)
+        _same(got, _fold(xs))
+        _same(got, functools.reduce(operator.add, xs, ScalarExpr.zero()))
+
+    def test_cancellation_depends_on_grouping(self):
+        # x1^2/p + 1/p cancels to 1 and x1/p stays apart; nothing divides
+        # (x1^2 + 1 + x1)/p, so summing all terms at once would keep three
+        p = _RECIPROCALS[0]
+        xs = [_full_mul(_X1SQ, p), p, _full_mul(X1, p)]
+        assert str(ScalarExpr.sum(xs)) == "1 + x1*(1 + x1^2)^-1"
+        assert str(_fold([xs[0], _fold(xs[1:])])) == (
+            "(1 + x1^2)^-1 + x1*(1 + x1^2)^-1 + x1^2*(1 + x1^2)^-1")
+
+    @settings(max_examples=50, deadline=None)
+    @given(_SUMMANDS)
+    def test_empty_lone_and_zero_summands(self, e):
+        assert ScalarExpr.sum([]).is_zero_form
+        assert ScalarExpr.sum([e]) is e
+        assert ScalarExpr.sum([e, ScalarExpr.zero()]) is e
+        assert ScalarExpr.sum([0, e, 0]) is e
+
+
 class TestDiff:
     def test_product_base_case(self):
         assert diff(X1 * X2, "x1") == X2
@@ -273,7 +347,7 @@ def test_diff_is_linear(e, f):
 
 class TestEval:
     def test_sum(self):
-        assert eval_at(X1 + X2, CHART, (1.0, 2.0, 0.0)) == 3.0
+        assert evaluate(X1 + X2, CHART.env((1.0, 2.0, 0.0))) == 3.0
 
     def test_exp_zero(self):
         assert evaluate(exp_(ScalarExpr.zero()), {}) == 1.0
@@ -314,8 +388,8 @@ class TestEval:
             e = rand_scalar(rng, CHART, 3, 4)
             f = rand_scalar(rng, CHART, 3, 4)
             p = tuple(rng.uniform(-1, 1) for _ in range(3))
-            lhs = eval_at(e * f + f, CHART, p)
-            rhs = eval_at(f * (e + 1), CHART, p)
+            lhs = evaluate(e * f + f, CHART.env(p))
+            rhs = evaluate(f * (e + 1), CHART.env(p))
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
@@ -406,7 +480,7 @@ class TestEvaluateBlock:
         expected = []
         for p in sampler.draw(CHART, 10 * points):
             try:
-                vals = [eval_at(e, CHART, p) for e in exprs]
+                vals = [evaluate(e, CHART.env(p)) for e in exprs]
             except DomainError:
                 continue
             expected.append((p, vals))
@@ -782,7 +856,7 @@ class TestBoundsOverTheSampleBox:
     def test_coefficient_beyond_float_range_is_a_domain_error(self):
         e = ScalarExpr.const(10 ** 400) * X1
         with pytest.raises(DomainError, match="beyond float range"):
-            eval_at(e, CHART, (0.5, 0.5, 0.5))
+            evaluate(e, CHART.env((0.5, 0.5, 0.5)))
         _, ok = evaluate_block([e, X2], _Block(CHART, [(0.5, 0.5, 0.5), (0.1, 0.2, 0.3)]))
         assert not ok.any()
         assert not expr_mod._bounded_away([e + 1], CHART, 1e-9)
@@ -866,7 +940,7 @@ class TestIsZero:
         v = is_zero([X1], CHART, sampler)
         assert v.kind == "nonzero"
         assert v.witness is not None and len(v.witness) == 3
-        assert abs(eval_at(X1, CHART, v.witness) - v.value) < 1e-15
+        assert abs(evaluate(X1, CHART.env(v.witness)) - v.value) < 1e-15
 
     def test_polynomial_zero_iff_symbolic(self, sampler):
         # exact arithmetic: a nonzero polynomial never reports symbolic zero

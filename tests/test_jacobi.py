@@ -712,7 +712,7 @@ class TestConstructionsAtHigherRank:
         f, ctx = fixture_setup("poisson-r3", sampler)
         j = verify_jacobi(ctx, f.pi, f.E, sampler)
         pz = poissonize(j, sampler)
-        assert pz.base_vars == f.chart.vars
+        assert pz.source.chart.vars == f.chart.vars
         assert pz.chart.vars == f.chart.vars + (pz.t_name,)
 
 
