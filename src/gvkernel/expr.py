@@ -8,20 +8,31 @@ coefficients.  Monomials map atoms to nonzero integer exponents; negative
 exponents encode reciprocals (there is no division node), e.g. 1/t is the
 monomial t^-1.
 
-Because construction normalizes eagerly, two structurally equal expressions
-are the same normal form and print identically.  Atoms are interned
-(hash-consed), so equal atoms are one object and compare by identity.
+Construction normalizes eagerly: like terms merge, and a wrapped-polynomial
+reciprocal is divided out of each group of terms that share it and sum to
+an exact multiple of the polynomial (`_cancelled`).  Two expressions
+without such reciprocals that are equal as Laurent polynomials in their
+atoms are one normal form and print identically.  With reciprocals the
+normal form depends on how a sum was grouped: with p = 1 + x^2,
+(x^2/p + 1/p) + x/p is 1 + x/p, while x^2/p + (1/p + x/p) keeps three
+terms over p, because nothing divides (x^2 + 1 + x)/p.
+Cancellation tries a division only where one can succeed: a group whose
+exponents of some atom spread less than the polynomial's is no multiple of
+it (`_may_divide`), and it stops at the first pass that divides nothing.
+Atoms are interned (hash-consed), so equal atoms are one object and compare
+by identity.
 
-Most products of operands without wrapped polynomials are built directly,
-without expanding or cancelling, because the operands already fix the
-normal form: a nonzero constant scales the other operand's terms (a
-nonzero rational keeps every monomial and their order, and neither creates
-nor removes a cancellable denominator), and two single monomials merge
-into one monomial (nothing to expand, nothing to cancel).  Such results
-are stored with `_normalized=True`, which means "already a normal form, in
-normal-form order".  A product with a wrapped polynomial and zero times a
-non-constant still take the general route.  A sum is built from all its
-summands' terms at once (`ScalarExpr.sum`), skipping zero summands.
+Some products are built directly, without expanding or cancelling, because
+the operands already fix the normal form: a nonzero constant scales the
+other operand's terms (a nonzero rational keeps every monomial and their
+order, and whether a division is exact does not depend on it, so the
+scaled terms are still cancelled as far as they go), and two single
+monomials without wrapped polynomials merge into one monomial (nothing to
+expand, nothing to cancel).  Such results are stored with
+`_normalized=True`, which means "already a normal form, in normal-form
+order".  Zero times a non-constant and the other products holding a wrapped
+polynomial take the general route.  A sum is built from all its summands'
+terms at once (`ScalarExpr.sum`), skipping zero summands.
 
 Numeric verdicts read seeded sample points (`Sampler`, a plain value).  A
 chart's head block, its first `points` draws with their memoised atom
@@ -53,7 +64,8 @@ import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -145,14 +157,17 @@ class Atom:
     same (kind, name, arg) if there is one, so equal atoms are the same
     object.  `==` and the hash are identity's, and the sort key `key` is
     computed once, at construction.  The table holds atoms weakly; an atom
-    no expression refers to any more is dropped from it."""
+    no expression refers to any more is dropped from it.  A wrapped
+    polynomial's data as a divisor (`_divisor`) is set on its atom at first
+    use and dies with it."""
 
-    __slots__ = ("kind", "name", "arg", "key", "__weakref__")
+    __slots__ = ("kind", "name", "arg", "key", "divisor", "__weakref__")
 
     kind: str  # "var" | "exp" | "sin" | "cos" | "ln" | "poly"
     name: str
     arg: Optional["ScalarExpr"]
     key: tuple
+    divisor: Optional["_Divisor"]
 
     def __new__(cls, kind: str, name: str = "", arg: Optional["ScalarExpr"] = None):
         ident = (kind, name, arg)
@@ -170,7 +185,7 @@ class Atom:
             if atom is None:
                 atom = object.__new__(cls)
                 for slot, value in (("kind", kind), ("name", name), ("arg", arg),
-                                    ("key", key)):
+                                    ("key", key), ("divisor", None)):
                     object.__setattr__(atom, slot, value)
                 _ATOMS[ident] = atom
         return atom
@@ -277,20 +292,57 @@ def _lead_key(m: Monomial):
     return (sum(e for _, e in m), tuple((a.key, e) for a, e in reversed(m)))
 
 
-def _exact_div(num: Mapping[Monomial, Fraction], den: Mapping[Monomial, Fraction]):
+class _Divisor(NamedTuple):
+    """A wrapped polynomial as a divisor: its terms, its leading term under
+    `_lead_key` (exponents as a dict, and coefficient), and every atom whose
+    exponent varies across its terms, with the spread (max minus min)."""
+
+    terms: dict
+    lead: dict
+    lead_coeff: Fraction
+    spreads: Tuple[Tuple[Atom, int], ...]
+
+
+def _divisor(atom: Atom) -> _Divisor:
+    """The poly atom's divisor data, computed at first use and held by the
+    atom."""
+    div = atom.divisor
+    if div is None:
+        terms = dict(atom.arg._terms)
+        lead = max(terms, key=_lead_key)
+        spreads = tuple((a, s) for a in {a for m in terms for a, _ in m}
+                        if (s := _spread(terms, a)))
+        div = _Divisor(terms, dict(lead), terms[lead], spreads)
+        object.__setattr__(atom, "divisor", div)
+    return div
+
+
+def _spread(monos, atom: Atom) -> int:
+    """Max minus min exponent of `atom` over the monomials (absent is 0)."""
+    exps = [e for m in monos for a, e in m if a is atom]
+    if len(exps) < len(monos):  # a monomial without the atom
+        exps.append(0)
+    return max(exps) - min(exps)
+
+
+def _may_divide(num, div: _Divisor) -> bool:
+    """False when `num` is no multiple of the divisor: over Laurent
+    polynomials the spread of each atom's exponents adds under
+    multiplication, so a multiple spreads at least as far as the divisor in
+    every atom.  A single term spreads nowhere."""
+    return all(_spread(num, a) >= s for a, s in div.spreads)
+
+
+def _exact_div(num: Mapping[Monomial, Fraction], den: _Divisor):
     """Exact polynomial division num/den over nonnegative-exponent monomials.
 
     Returns the quotient dict, or None if the division is not exact.  With a
     single divisor and a monomial order, leading-term reduction is complete
     for exact division.
     """
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
     rem = dict(num)
     quo: dict = {}
-    lead_den = max(den, key=_lead_key)
-    cd = den[lead_den]
-    dexp = dict(lead_den)
+    dexp, cd = den.lead, den.lead_coeff
     guard = 0
     while rem:
         guard += 1
@@ -311,7 +363,7 @@ def _exact_div(num: Mapping[Monomial, Fraction], den: Mapping[Monomial, Fraction
         t = _freeze(texp)
         c = rem[lead] / cd
         quo[t] = quo.get(t, _ZERO_FRAC) + c
-        for m, cden in den.items():
+        for m, cden in den.terms.items():
             mm = _freeze(_merge_exponents(m, t))
             c2 = rem.get(mm, _ZERO_FRAC) - c * cden
             if c2:
@@ -321,54 +373,72 @@ def _exact_div(num: Mapping[Monomial, Fraction], den: Mapping[Monomial, Fraction
     return quo
 
 
-def _cancel_denominators(terms: dict) -> dict:
-    """Divide out wrapped-poly reciprocals where the cofactor sum allows it."""
+def _divided(num: dict, den: _Divisor) -> Optional[dict]:
+    """num/den for a numerator over Laurent monomials, reciprocals included,
+    or None if it is not exact: negative exponents are cleared first, so
+    the division sees a polynomial, and restored on the quotient."""
+    union = {a for mm in num for a, _ in mm}
+    mins = {a: min(dict(mm).get(a, 0) for mm in num) for a in union}
+    clear = _freeze({a: -e for a, e in mins.items() if e < 0})
+    quo = _exact_div({_freeze(_merge_exponents(m, clear)): c for m, c in num.items()}, den)
+    if quo is None:
+        return None
+    back = _freeze({a: e for a, e in mins.items() if e < 0})
+    return {_freeze(_merge_exponents(m, back)): c for m, c in quo.items()}
+
+
+def _is_recip(p: Tuple[Atom, int]) -> bool:
+    return p[0].kind == "poly" and p[1] < 0
+
+
+def _cancel_denominators(terms: dict) -> Tuple[dict, bool]:
+    """Divide out wrapped-poly reciprocals where the cofactor sum allows it.
+
+    Terms are grouped by their reciprocals, which every term of a group
+    shares, and each group is divided by each wrapped polynomial while
+    `_may_divide` allows it and the division is exact; the powers divided
+    out are then taken off the group's reciprocals.  Returns the terms and
+    whether any division went through; a pass that divides nothing returns
+    `terms` itself, and the groups it did not divide keep their monomials."""
     groups: dict = {}
     for m, c in terms.items():
-        den = tuple(p for p in m if p[0].kind == "poly" and p[1] < 0)
-        rest = tuple(p for p in m if not (p[0].kind == "poly" and p[1] < 0))
-        groups.setdefault(den, {})[rest] = c
-    out: dict = {}
-    for den, num in groups.items():
-        den_left = dict(den)
+        groups.setdefault(tuple(filter(_is_recip, m)), {})[m] = c
+    divided: dict = {}
+    for den, group in groups.items():
+        num, lift = group, {}
         for atom, e in den:
-            k = -e
-            while k > 0:
-                # clear negative non-poly exponents so division sees a polynomial
-                union = {a for mm in num for a, _ in mm}
-                mins = {a: min(dict(mm).get(a, 0) for mm in num) for a in union}
-                clear = _freeze({a: -e2 for a, e2 in mins.items() if e2 < 0})
-                cleared = {_freeze(_merge_exponents(m, clear)): c for m, c in num.items()}
-                quo = _exact_div(cleared, dict(atom.arg._terms))
+            div, k = _divisor(atom), 0
+            while k < -e and _may_divide(num, div):
+                quo = _divided(num, div)
                 if quo is None:
                     break
-                back = _freeze({a: e2 for a, e2 in mins.items() if e2 < 0})
-                num = {_freeze(_merge_exponents(m, back)): c for m, c in quo.items()}
-                k -= 1
-            if k == 0:
-                del den_left[atom]
-            else:
-                den_left[atom] = -k
-        den_mono = _freeze(den_left)
-        for m, c in num.items():
-            mm = _freeze(_merge_exponents(m, den_mono))
-            c2 = out.get(mm, _ZERO_FRAC) + c
+                num, k = quo, k + 1
+            if k:
+                lift[atom] = k
+        if lift:
+            lift = _freeze(lift)
+            divided[den] = {_freeze(_merge_exponents(m, lift)): c for m, c in num.items()}
+    if not divided:
+        return terms, False
+    out: dict = {}
+    for den, group in groups.items():
+        for m, c in divided.get(den, group).items():
+            c2 = out.get(m, _ZERO_FRAC) + c
             if c2:
-                out[mm] = c2
-            elif mm in out:
-                del out[mm]
-    return out
+                out[m] = c2
+            elif m in out:
+                del out[m]
+    return out, True
 
 
 def _cancelled(items: dict) -> dict:
     """Cancel wrapped-poly reciprocals to a fixed point: merging groups can
-    expose a newly divisible numerator (each pass strictly shrinks the
-    multiset of denominator powers when it changes anything)."""
-    while any(a.kind == "poly" and e < 0 for m in items for a, e in m):
-        reduced = _cancel_denominators(items)
-        if reduced == items:
-            break
-        items = reduced
+    expose a newly divisible numerator.  A pass that divides something
+    strictly shrinks the multiset of denominator powers, so it changes the
+    terms, and the loop ends at the first pass that divides nothing."""
+    divided = True
+    while divided and any(_is_recip(p) for m in items for p in m):
+        items, divided = _cancel_denominators(items)
     return items
 
 
@@ -462,15 +532,15 @@ class ScalarExpr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "ScalarExpr":
-        """The product's normal form.  A nonzero constant and two single
-        monomials fix it directly when neither operand holds a wrapped
+        """The product's normal form.  A nonzero constant fixes it directly,
+        and so do two single monomials when neither holds a wrapped
         polynomial (see the module docstring); every other product expands
         and cancels."""
         other = _coerce(other)
         a, b = self._terms, other._terms
-        if len(b) == 1 and not b[0][0] and _plain_terms(a):
+        if len(b) == 1 and not b[0][0]:
             return self._scaled(b[0][1])
-        if len(a) == 1 and not a[0][0] and _plain_terms(b):
+        if len(a) == 1 and not a[0][0]:
             return other._scaled(a[0][1])
         if len(a) == 1 and len(b) == 1 and _plain(a[0][0]) and _plain(b[0][0]):
             (ma, ca), (mb, cb) = a[0], b[0]
@@ -523,7 +593,7 @@ class ScalarExpr:
                            math.lcm(*(c.denominator for _, c in shifted._terms)))
         if lead_c < 0:
             content = -content
-        primitive = ScalarExpr({m: c / content for m, c in shifted._terms})
+        primitive = shifted._scaled(1 / content)
         atom = Atom("poly", arg=primitive)
         inv_exps = _merge_exponents(_freeze({a: -e for a, e in m0}), ((atom, -1),))
         return ScalarExpr(_expand_mono(inv_exps, 1 / content))

@@ -553,6 +553,14 @@ class TestStagesRunOnce:
         assert execute(fixture_problem(get_fixture(fixture))).exit_status == 0
         assert calls == {"_raw_mul": 0}
 
+    def test_divisions_are_prefiltered(self, monkeypatch):
+        # this run meets 424 groups of terms sharing a wrapped-polynomial
+        # reciprocal; most cannot divide, and the spread test skips those
+        # without calling the division
+        calls = self._count(monkeypatch, ("_exact_div",), module=expr)
+        assert run_text((GOLDEN / "contact-form-n5.gvk").read_text()).exit_status == 0
+        assert calls["_exact_div"] <= 100
+
     @pytest.mark.parametrize("command, error", [("bridge", "ParityObstruction"),
                                                 ("codim1", "NotCodimOne")])
     def test_structure_refusal_comes_before_pair_and_lift(self, monkeypatch,
