@@ -7,7 +7,9 @@ over honest vector-field commutators.  The two must agree everywhere and
 the test suite collides them on randomized inputs.
 
 Base cases: [X, f] = Xf for a vector field X and function f, [f, g] = 0.
-Graded antisymmetry: [U, V] = -(-1)^((k-1)(l-1)) [V, U].
+Graded antisymmetry: [U, V] = -(-1)^((k-1)(l-1)) [V, U].  The production
+route takes a self-bracket [U, U] over unordered pairs of terms: it is zero
+at odd grade, and sum_I [t_I, t_I] + 2 sum_{I<J} [t_I, t_J] at even grade.
 """
 
 from __future__ import annotations
@@ -38,50 +40,63 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
 
 
 def _peeled_term_bracket(chart: Chart, f: ScalarExpr, imask: int,
-                         g: ScalarExpr, jmask: int, out: Dict[int, List[ScalarExpr]]):
-    """The products of [f*d_I, g*d_J], appended to `out` (mask -> products).
+                         g: ScalarExpr, jmask: int, weight: int,
+                         out: Dict[int, List[ScalarExpr]]):
+    """The products of weight * [f*d_I, g*d_J], appended to `out` (mask ->
+    products).
 
     Derived by peeling coefficients with the Leibniz rule:
       [f d_I, g d_J] = sum_r (-1)^(k-r) f (d_{i_r} g) d_{I\\i_r} ^ d_J
         - (-1)^((k-1)(l-1)) sum_s (-1)^(l-s) g (d_{j_s} f) d_{J\\j_s} ^ d_I
-    with 1-based positions r, s along the sorted index tuples.
+    with 1-based positions r, s along the sorted index tuples.  A derivative
+    is taken only where its wedge does not vanish.
     """
     ivars = mask_indices(imask)
     jvars = mask_indices(jmask)
     k, l = len(ivars), len(jvars)
     for r, i in enumerate(ivars, start=1):
-        d = diff(g, chart.vars[i])
-        if d.is_zero_form:
-            continue
         rest = imask & ~(1 << i)
         s = wedge_sign(rest, jmask)
         if s == 0:
             continue
-        sign = s if (k - r) % 2 == 0 else -s
-        out.setdefault(rest | jmask, []).append(f * d if sign > 0 else -(f * d))
-    pref = -1 if ((k - 1) * (l - 1)) % 2 == 0 else 1
-    for s_pos, j in enumerate(jvars, start=1):
-        d = diff(f, chart.vars[j])
+        d = diff(g, chart.vars[i])
         if d.is_zero_form:
             continue
+        sign = s if (k - r) % 2 == 0 else -s
+        out.setdefault(rest | jmask, []).append((f * d)._scaled(sign * weight))
+    pref = -1 if ((k - 1) * (l - 1)) % 2 == 0 else 1
+    for s_pos, j in enumerate(jvars, start=1):
         rest = jmask & ~(1 << j)
         s = wedge_sign(rest, imask)
         if s == 0:
             continue
+        d = diff(f, chart.vars[j])
+        if d.is_zero_form:
+            continue
         sign = pref * s if (l - s_pos) % 2 == 0 else -pref * s
-        out.setdefault(rest | imask, []).append(g * d if sign > 0 else -(g * d))
+        out.setdefault(rest | imask, []).append((g * d)._scaled(sign * weight))
 
 
 def schouten(u: MultiVector, v: MultiVector) -> MultiVector:
-    """Schouten bracket of multivector fields, grade k+l-1."""
+    """Schouten bracket of multivector fields, grade k+l-1.
+
+    A self-bracket (`u is v`) follows graded antisymmetry: of odd grade it
+    is zero, and of even grade [t_I, t_J] = [t_J, t_I], so each unordered
+    pair of terms is bracketed once, I < J with weight 2."""
     if u.chart != v.chart:
         raise AlgebraError("chart mismatch")
     chart = u.chart
     grade = max(u.grade + v.grade - 1, 0)
+    self_bracket = u is v
+    if self_bracket and u.grade % 2:
+        return MultiVector.zero(chart, grade)
     out: Dict[int, List[ScalarExpr]] = {}
-    for imask, f in u.terms.items():
-        for jmask, g in v.terms.items():
-            _peeled_term_bracket(chart, f, imask, g, jmask, out)
+    for a, (imask, f) in enumerate(u.terms.items()):
+        for b, (jmask, g) in enumerate(v.terms.items()):
+            if self_bracket and b < a:
+                continue
+            _peeled_term_bracket(chart, f, imask, g, jmask,
+                                 2 if self_bracket and b > a else 1, out)
     return MultiVector(chart, grade, _summed(out))
 
 

@@ -27,12 +27,15 @@ the operands already fix the normal form: a nonzero constant scales the
 other operand's terms (a nonzero rational keeps every monomial and their
 order, and whether a division is exact does not depend on it, so the
 scaled terms are still cancelled as far as they go), and two single
-monomials without wrapped polynomials merge into one monomial (nothing to
-expand, nothing to cancel).  Such results are stored with
+monomials merge into one monomial.  Nothing is left to expand, because a
+normal form holds wrapped polynomials only at negative exponents (positive
+powers are expanded), so the merged exponents stay negative; nothing is
+left to cancel, because a single term spreads nowhere and so is no
+multiple of any wrapped polynomial.  Such results are stored with
 `_normalized=True`, which means "already a normal form, in normal-form
-order".  Zero times a non-constant and the other products holding a wrapped
-polynomial take the general route.  A sum is built from all its summands'
-terms at once (`ScalarExpr.sum`), skipping zero summands.
+order".  Every other product, zero times a non-constant included, takes
+the general route.  A sum is built from all its summands' terms at once
+(`ScalarExpr.sum`), skipping zero summands.
 
 Numeric verdicts read seeded sample points (`Sampler`, a plain value).  A
 chart's head block, its first `points` draws with their memoised atom
@@ -221,14 +224,9 @@ def _mono_key(m: Monomial):
     return (sum(e for _, e in m), tuple((a.key, e) for a, e in m))
 
 
-def _plain(m: Monomial) -> bool:
-    """No wrapped-poly atom in the monomial."""
-    return all(a.kind != "poly" for a, _ in m)
-
-
 def _plain_terms(terms) -> bool:
     """No wrapped-poly atom in any monomial of the terms."""
-    return all(_plain(m) for m, _ in terms)
+    return all(a.kind != "poly" for m, _ in terms for a, _ in m)
 
 
 def _merge_exponents(*monos: Monomial) -> dict:
@@ -533,16 +531,16 @@ class ScalarExpr:
 
     def __mul__(self, other) -> "ScalarExpr":
         """The product's normal form.  A nonzero constant fixes it directly,
-        and so do two single monomials when neither holds a wrapped
-        polynomial (see the module docstring); every other product expands
-        and cancels."""
+        and so do two single monomials, wrapped-polynomial reciprocals and
+        all: a single term never divides (see the module docstring).  Every
+        other product expands and cancels."""
         other = _coerce(other)
         a, b = self._terms, other._terms
         if len(b) == 1 and not b[0][0]:
             return self._scaled(b[0][1])
         if len(a) == 1 and not a[0][0]:
             return other._scaled(a[0][1])
-        if len(a) == 1 and len(b) == 1 and _plain(a[0][0]) and _plain(b[0][0]):
+        if len(a) == 1 and len(b) == 1:
             (ma, ca), (mb, cb) = a[0], b[0]
             return ScalarExpr({_freeze(_merge_exponents(ma, mb)): ca * cb},
                               _normalized=True)

@@ -209,6 +209,47 @@ class TestProductShortcuts:
         _same(3 * (X1 * X2), _full_mul(ScalarExpr.const(3), _full_mul(X1, X2)))
         assert str(Fraction(-1, 2) * (X1 + X2)) == "-1/2*x1 - 1/2*x2"
 
+    @staticmethod
+    def _single_terms_with_reciprocals():
+        """Pairs of single monomials, at least one holding a wrapped
+        polynomial: one polynomial at two powers, two polynomials, and a
+        plain operand, with plain exponents that cancel or add."""
+        p, q, p2 = _RECIPROCALS[0], _RECIPROCALS[1], _RECIPROCALS[3]
+        a = _full_mul(_full_mul(ScalarExpr.const(3), _full_mul(X1, X2)), p)
+        inv_x1 = _full_pow(X1, -1)
+        return [(a, p2), (a, _full_mul(inv_x1, p2)), (p, p),
+                (a, _full_mul(ScalarExpr.const(Fraction(-1, 2)), q)),
+                (_full_mul(inv_x1, q), _full_mul(p, exp_(X1))),
+                (a, inv_x1), (a, _full_mul(exp_(X1), _full_pow(X2, 2))), (p2, X3)]
+
+    def test_single_terms_with_reciprocals_merge(self):
+        # positive powers of a wrapped polynomial are expanded, so merged
+        # exponents stay negative, and a single term never divides
+        for a, b in self._single_terms_with_reciprocals():
+            assert len(a._terms) == len(b._terms) == 1
+            want = _full_mul(a, b)
+            _same(a * b, want)
+            _same(b * a, want)
+
+    def test_single_terms_with_reciprocals_skip_expansion(self, monkeypatch):
+        pairs = self._single_terms_with_reciprocals()
+        calls = []
+
+        def counted(name):
+            inner = getattr(expr_mod, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return inner(*args)
+            return wrapper
+
+        for name in ("_raw_mul", "_cancelled"):
+            monkeypatch.setattr(expr_mod, name, counted(name))
+        for a, b in pairs:
+            a * b
+            b * a
+        assert calls == []
+
 
 _SUMMANDS = st.builds(
     lambda c, v, k, f: _full_mul(_full_mul(c, _full_pow(v, k)), f),
