@@ -8,8 +8,10 @@ the test suite collides them on randomized inputs.
 
 Base cases: [X, f] = Xf for a vector field X and function f, [f, g] = 0.
 Graded antisymmetry: [U, V] = -(-1)^((k-1)(l-1)) [V, U].  The production
-route takes a self-bracket [U, U] over unordered pairs of terms: it is zero
-at odd grade, and sum_I [t_I, t_I] + 2 sum_{I<J} [t_I, t_J] at even grade.
+route takes a self-bracket [U, U] over unordered pairs of distinct terms: it
+is zero at odd grade, and 2 sum_{I<J} [t_I, t_J] at even grade, since a
+single term's [t_I, t_I] is zero there (every wedge d_{I\\i} ^ d_I of the
+peeled bracket overlaps).
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ def schouten(u: MultiVector, v: MultiVector) -> MultiVector:
     """Schouten bracket of multivector fields, grade k+l-1.
 
     A self-bracket (`u is v`) follows graded antisymmetry: of odd grade it
-    is zero, and of even grade [t_I, t_J] = [t_J, t_I], so each unordered
-    pair of terms is bracketed once, I < J with weight 2."""
+    is zero, and of even grade [t_J, t_I] = [t_I, t_J] and [t_I, t_I] = 0,
+    so each pair of terms I < J is bracketed once, with weight 2."""
     if u.chart != v.chart:
         raise AlgebraError("chart mismatch")
     chart = u.chart
@@ -93,10 +95,10 @@ def schouten(u: MultiVector, v: MultiVector) -> MultiVector:
     out: Dict[int, List[ScalarExpr]] = {}
     for a, (imask, f) in enumerate(u.terms.items()):
         for b, (jmask, g) in enumerate(v.terms.items()):
-            if self_bracket and b < a:
+            if self_bracket and b <= a:
                 continue
             _peeled_term_bracket(chart, f, imask, g, jmask,
-                                 2 if self_bracket and b > a else 1, out)
+                                 2 if self_bracket else 1, out)
     return MultiVector(chart, grade, _summed(out))
 
 

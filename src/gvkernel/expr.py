@@ -22,19 +22,23 @@ it (`_may_divide`), and it stops at the first pass that divides nothing.
 Atoms are interned (hash-consed), so equal atoms are one object and compare
 by identity.
 
-Some products are built directly, without expanding or cancelling, because
-the operands already fix the normal form: a nonzero constant scales the
-other operand's terms (a nonzero rational keeps every monomial and their
-order, and whether a division is exact does not depend on it, so the
-scaled terms are still cancelled as far as they go), and two single
-monomials merge into one monomial.  Nothing is left to expand, because a
-normal form holds wrapped polynomials only at negative exponents (positive
-powers are expanded), so the merged exponents stay negative; nothing is
-left to cancel, because a single term spreads nowhere and so is no
+A normal form holds wrapped polynomials only at negative exponents, and a
+wrapped polynomial's argument holds none.  Only `recip` creates a positive
+power of one (inverting a monomial, shifting a multi-term argument to
+nonnegative exponents, and inverting the monomial its terms share), and it
+multiplies each such power out at once (`_expanded`).  So the product of
+two normal-form monomials (`_mono_mul`) keeps every wrapped polynomial at a
+negative exponent, and a product is taken monomial by monomial with
+nothing to expand.  Some products are also built without cancelling,
+because the operands already fix the normal form: a nonzero constant
+scales the other operand's terms (a nonzero rational keeps every monomial
+and their order, and whether a division is exact does not depend on it, so
+the scaled terms are still cancelled as far as they go), and two single
+monomials merge into one monomial, which spreads nowhere and so is no
 multiple of any wrapped polynomial.  Such results are stored with
 `_normalized=True`, which means "already a normal form, in normal-form
-order".  Every other product, zero times a non-constant included, takes
-the general route.  A sum is built from all its summands' terms at once
+order".  Every other product, zero times a non-constant included, is
+cancelled.  A sum is built from all its summands' terms at once
 (`ScalarExpr.sum`), skipping zero summands.
 
 Numeric verdicts read seeded sample points (`Sampler`, a plain value).  A
@@ -229,50 +233,68 @@ def _plain_terms(terms) -> bool:
     return all(a.kind != "poly" for m, _ in terms for a, _ in m)
 
 
-def _merge_exponents(*monos: Monomial) -> dict:
-    exps: dict = {}
-    for m in monos:
-        for a, e in m:
-            exps[a] = exps.get(a, 0) + e
-    return {a: e for a, e in exps.items() if e != 0}
-
-
 def _freeze(exps: Mapping[Atom, int]) -> Monomial:
     return tuple(sorted(((a, e) for a, e in exps.items() if e != 0),
                         key=lambda p: p[0].key))
 
 
+def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two monomials."""
+    if not b:
+        return a
+    if not a:
+        return b
+    exps = dict(a)
+    for atom, e in b:
+        exps[atom] = exps.get(atom, 0) + e
+    return _freeze(exps)
+
+
+def _mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
+    """The quotient a / b, or None where an exponent would go negative: b
+    raises an atom higher than a does (an atom a lacks is at 0)."""
+    exps = dict(a)
+    for atom, e in b:
+        r = exps.get(atom, 0) - e
+        if r < 0:
+            return None
+        exps[atom] = r
+    return _freeze(exps)
+
+
 # --- raw term-dict arithmetic (monomial -> Fraction) ---------------------
 
-def _expand_mono(exps: Mapping[Atom, int], coeff: Fraction) -> dict:
-    """Rewrite poly-atoms with positive exponents back into polynomial form."""
-    plain = {}
-    expansions = []
-    for a, e in exps.items():
-        if e == 0:
-            continue
-        if a.kind == "poly" and e >= 1:
-            expansions.append((a.arg, e))
-        else:
-            plain[a] = e
-    out = {_freeze(plain): coeff}
-    for arg, e in expansions:
-        for _ in range(e):
-            out = _raw_mul(out, dict(arg._terms))
-    return out
+def _add_into(out: dict, terms) -> None:
+    """Add the (monomial, coefficient) pairs into the term dict `out`,
+    dropping the monomials whose coefficients sum to 0."""
+    for m, c in terms:
+        c2 = out.get(m, _ZERO_FRAC) + c
+        if c2:
+            out[m] = c2
+        elif m in out:
+            del out[m]
 
 
 def _raw_mul(A: Mapping[Monomial, Fraction], B: Mapping[Monomial, Fraction]) -> dict:
+    """The product of two term dicts, monomial by monomial."""
     out: dict = {}
     for ma, ca in A.items():
-        for mb, cb in B.items():
-            piece = _expand_mono(_merge_exponents(ma, mb), ca * cb)
-            for m, c in piece.items():
-                c2 = out.get(m, _ZERO_FRAC) + c
-                if c2:
-                    out[m] = c2
-                elif m in out:
-                    del out[m]
+        _add_into(out, [(_mono_mul(ma, mb), ca * cb) for mb, cb in B.items()])
+    return out
+
+
+def _expanded(terms: Mapping[Monomial, Fraction]) -> dict:
+    """The terms with each positive power of a wrapped polynomial multiplied
+    out.  Only `recip` makes such powers (see the module docstring); the
+    arguments it multiplies in hold no wrapped polynomial."""
+    out: dict = {}
+    for m, c in terms.items():
+        piece = {tuple(p for p in m if not (p[0].kind == "poly" and p[1] > 0)): c}
+        for a, e in m:
+            if a.kind == "poly" and e > 0:
+                for _ in range(e):
+                    piece = _raw_mul(piece, dict(a.arg._terms))
+        _add_into(out, piece.items())
     return out
 
 
@@ -292,11 +314,11 @@ def _lead_key(m: Monomial):
 
 class _Divisor(NamedTuple):
     """A wrapped polynomial as a divisor: its terms, its leading term under
-    `_lead_key` (exponents as a dict, and coefficient), and every atom whose
-    exponent varies across its terms, with the spread (max minus min)."""
+    `_lead_key` (monomial and coefficient), and every atom whose exponent
+    varies across its terms, with the spread (max minus min)."""
 
     terms: dict
-    lead: dict
+    lead: Monomial
     lead_coeff: Fraction
     spreads: Tuple[Tuple[Atom, int], ...]
 
@@ -310,7 +332,7 @@ def _divisor(atom: Atom) -> _Divisor:
         lead = max(terms, key=_lead_key)
         spreads = tuple((a, s) for a in {a for m in terms for a, _ in m}
                         if (s := _spread(terms, a)))
-        div = _Divisor(terms, dict(lead), terms[lead], spreads)
+        div = _Divisor(terms, lead, terms[lead], spreads)
         object.__setattr__(atom, "divisor", div)
     return div
 
@@ -340,34 +362,18 @@ def _exact_div(num: Mapping[Monomial, Fraction], den: _Divisor):
     """
     rem = dict(num)
     quo: dict = {}
-    dexp, cd = den.lead, den.lead_coeff
     guard = 0
     while rem:
         guard += 1
         if guard > 10_000:
             return None
         lead = max(rem, key=_lead_key)
-        nexp = _merge_exponents(lead)
-        texp = {}
-        for a, e in dexp.items():
-            r = nexp.get(a, 0) - e
-            if r < 0:
-                return None
-            nexp[a] = r
-        for a, e in nexp.items():
-            if e:
-                texp[a] = e
-        # remaining exponents of the lead not present in den stay as-is
-        t = _freeze(texp)
-        c = rem[lead] / cd
+        t = _mono_div(lead, den.lead)
+        if t is None:
+            return None
+        c = rem[lead] / den.lead_coeff
         quo[t] = quo.get(t, _ZERO_FRAC) + c
-        for m, cden in den.terms.items():
-            mm = _freeze(_merge_exponents(m, t))
-            c2 = rem.get(mm, _ZERO_FRAC) - c * cden
-            if c2:
-                rem[mm] = c2
-            elif mm in rem:
-                del rem[mm]
+        _add_into(rem, [(_mono_mul(m, t), -c * cden) for m, cden in den.terms.items()])
     return quo
 
 
@@ -378,11 +384,11 @@ def _divided(num: dict, den: _Divisor) -> Optional[dict]:
     union = {a for mm in num for a, _ in mm}
     mins = {a: min(dict(mm).get(a, 0) for mm in num) for a in union}
     clear = _freeze({a: -e for a, e in mins.items() if e < 0})
-    quo = _exact_div({_freeze(_merge_exponents(m, clear)): c for m, c in num.items()}, den)
+    quo = _exact_div({_mono_mul(m, clear): c for m, c in num.items()}, den)
     if quo is None:
         return None
     back = _freeze({a: e for a, e in mins.items() if e < 0})
-    return {_freeze(_merge_exponents(m, back)): c for m, c in quo.items()}
+    return {_mono_mul(m, back): c for m, c in quo.items()}
 
 
 def _is_recip(p: Tuple[Atom, int]) -> bool:
@@ -415,17 +421,12 @@ def _cancel_denominators(terms: dict) -> Tuple[dict, bool]:
                 lift[atom] = k
         if lift:
             lift = _freeze(lift)
-            divided[den] = {_freeze(_merge_exponents(m, lift)): c for m, c in num.items()}
+            divided[den] = {_mono_mul(m, lift): c for m, c in num.items()}
     if not divided:
         return terms, False
     out: dict = {}
     for den, group in groups.items():
-        for m, c in divided.get(den, group).items():
-            c2 = out.get(m, _ZERO_FRAC) + c
-            if c2:
-                out[m] = c2
-            elif m in out:
-                del out[m]
+        _add_into(out, divided.get(den, group).items())
     return out, True
 
 
@@ -505,12 +506,7 @@ class ScalarExpr:
             return parts[0] if parts else _ZERO
         out = dict(parts[0]._terms)
         for k, e in enumerate(parts[1:], 2):
-            for m, c in e._terms:
-                c2 = out.get(m, _ZERO_FRAC) + c
-                if c2:
-                    out[m] = c2
-                elif m in out:
-                    del out[m]
+            _add_into(out, e._terms)
             if k < len(parts) and not _plain_terms(e._terms):
                 out = _cancelled(out)
         return ScalarExpr(out)
@@ -530,10 +526,12 @@ class ScalarExpr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "ScalarExpr":
-        """The product's normal form.  A nonzero constant fixes it directly,
-        and so do two single monomials, wrapped-polynomial reciprocals and
-        all: a single term never divides (see the module docstring).  Every
-        other product expands and cancels."""
+        """The product's normal form, monomial by monomial: no product of
+        normal forms makes a positive power of a wrapped polynomial, so
+        nothing is expanded (see the module docstring).  A nonzero constant
+        fixes the normal form directly, and so do two single monomials,
+        wrapped-polynomial reciprocals and all, since a single term never
+        divides.  Every other product is cancelled."""
         other = _coerce(other)
         a, b = self._terms, other._terms
         if len(b) == 1 and not b[0][0]:
@@ -542,8 +540,7 @@ class ScalarExpr:
             return other._scaled(a[0][1])
         if len(a) == 1 and len(b) == 1:
             (ma, ca), (mb, cb) = a[0], b[0]
-            return ScalarExpr({_freeze(_merge_exponents(ma, mb)): ca * cb},
-                              _normalized=True)
+            return ScalarExpr({_mono_mul(ma, mb): ca * cb}, _normalized=True)
         return ScalarExpr(_raw_mul(dict(a), dict(b)))
 
     __rmul__ = __mul__
@@ -571,21 +568,22 @@ class ScalarExpr:
 
     def recip(self) -> "ScalarExpr":
         """Multiplicative inverse.  Single monomials invert exactly; a
-        multi-term expression becomes a wrapped-poly atom to the power -1."""
+        multi-term expression becomes a wrapped-poly atom to the power -1,
+        times the inverse of the monomial and rational content common to its
+        terms.  The only positive powers of wrapped polynomials arise here,
+        and each is expanded at once (see the module docstring): in an
+        inverted monomial, in the argument shifted to nonnegative exponents,
+        and in the inverse of the common monomial."""
         if not self._terms:
             raise ZeroDivisionError("reciprocal of zero expression")
         if len(self._terms) == 1:
             m, c = self._terms[0]
-            inv = {a: -e for a, e in m}
-            return ScalarExpr(_expand_mono(inv, 1 / c))
+            return ScalarExpr(_expanded({tuple((a, -e) for a, e in m): 1 / c}))
         # factor out the common monomial part and rational content
-        mins: dict = {}
         atoms = {a for m, _ in self._terms for a, _ in m}
-        for a in atoms:
-            mins[a] = min(dict(m).get(a, 0) for m, _ in self._terms)
-        m0 = _freeze(mins)
-        unshift = _freeze({a: -e for a, e in mins.items()})
-        shifted = ScalarExpr(_raw_mul(dict(self._terms), {unshift: _ONE_FRAC}))
+        unshift = _freeze({a: -min(dict(m).get(a, 0) for m, _ in self._terms)
+                           for a in atoms})
+        shifted = ScalarExpr(_expanded({_mono_mul(m, unshift): c for m, c in self._terms}))
         lead_c = shifted._terms[-1][1]
         content = Fraction(math.gcd(*(c.numerator for _, c in shifted._terms)),
                            math.lcm(*(c.denominator for _, c in shifted._terms)))
@@ -593,8 +591,7 @@ class ScalarExpr:
             content = -content
         primitive = shifted._scaled(1 / content)
         atom = Atom("poly", arg=primitive)
-        inv_exps = _merge_exponents(_freeze({a: -e for a, e in m0}), ((atom, -1),))
-        return ScalarExpr(_expand_mono(inv_exps, 1 / content))
+        return ScalarExpr(_expanded({_mono_mul(unshift, ((atom, -1),)): 1 / content}))
 
     # structure
     def __eq__(self, other) -> bool:
@@ -720,7 +717,10 @@ def diff(e: ScalarExpr, var: str, chart: Optional[Chart] = None) -> ScalarExpr:
     names (otherwise absent names differentiate to zero as constants).
     Derivatives are memoised on the expression itself (`_diff`), so a memo
     dies with the expressions that share it; atom arguments are shared
-    through interning, so the chain rule reuses their memos."""
+    through interning, so the chain rule reuses their memos.  The derivative
+    of a term c*m along its atom a^k is one monomial times c*k, m with a's
+    exponent lowered by one (exp keeps its exponent), times a's derivative;
+    lowering keeps a wrapped polynomial negative, so nothing is expanded."""
     if chart is not None and var not in chart.vars:
         raise ExprError(f"unknown variable {var!r} on chart {chart.vars}")
     memo = e._diff
@@ -734,15 +734,12 @@ def diff(e: ScalarExpr, var: str, chart: Optional[Chart] = None) -> ScalarExpr:
         return hit
     parts = []
     for m, c in e._terms:
-        for i, (a, k) in enumerate(m):
+        for a, k in m:
             da = _diff_atom(a, var)
             if da is None:
                 continue
-            rest_expr = ScalarExpr(
-                _expand_mono({b: eb for j, (b, eb) in enumerate(m) if j != i}, c * k))
-            powpart = ScalarExpr(
-                _expand_mono({a: k if a.kind == "exp" else k - 1}, _ONE_FRAC))
-            parts.append(rest_expr * powpart * da)
+            lowered = m if a.kind == "exp" else _mono_mul(m, ((a, -1),))
+            parts.append(ScalarExpr({lowered: c * k}, _normalized=True) * da)
     memo[var] = total = ScalarExpr.sum(parts)
     return total
 

@@ -183,6 +183,24 @@ class TestSelfBracket:
         assert any(not schouten(u, u).is_identically_zero
                    for u in _self_bracket_operands(2))
 
+    @pytest.mark.parametrize("grade", [0, 2, 4])
+    def test_single_term_self_bracket_is_zero(self, grade):
+        # the diagonal [t_I, t_I] that schouten(u, u) skips; on 8 variables
+        # the grade 2k - 1 of the bracket fits the chart
+        chart = Chart(tuple(f"x{i}" for i in range(8)))
+        rng = random.Random(60 + grade)
+        checked = 0
+        while checked < 6:
+            idx = sorted(rng.sample(range(8), grade))
+            near = [ScalarExpr.var(chart.vars[i]) for i in idx or [0]]
+            coeff = rand_scalar(rng, chart) * (2 + sum(v ** 2 for v in near)).recip()
+            if coeff.is_zero_form:
+                continue
+            t = MultiVector(chart, grade, {sum(1 << i for i in idx): coeff})
+            assert schouten_bruteforce(t, t).is_identically_zero
+            assert schouten(t, t).is_identically_zero
+            checked += 1
+
 
 class TestLieDerivative:
     def test_flat_direction(self):

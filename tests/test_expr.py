@@ -251,6 +251,67 @@ class TestProductShortcuts:
         assert calls == []
 
 
+def _assert_wrapped_negative(e):
+    """Every wrapped polynomial in e, inside atom arguments too, sits at a
+    negative exponent, and no monomial of its argument holds one."""
+    for m, _ in e._terms:
+        for a, k in m:
+            if a.kind == "poly":
+                assert k < 0, f"{a}^{k} in {e}"
+                assert all(b.kind != "poly" for mm, _ in a.arg._terms for b, _ in mm), (
+                    f"wrapped polynomial inside {a}")
+            if a.arg is not None:
+                _assert_wrapped_negative(a.arg)
+
+
+_WRAPPED_OPERANDS = st.one_of(
+    st.sampled_from([*_RECIPROCALS, _OVER_P, _full_pow(_NUMERATORS[1], -2)]), _OPERANDS)
+_STEPS = st.one_of(
+    st.tuples(st.sampled_from(["*", "+", "-"]), _WRAPPED_OPERANDS),
+    st.tuples(st.just("**"), st.integers(-3, 3)),
+    st.tuples(st.just("diff"), st.sampled_from(["x1", "x2", "x3"])),
+    st.tuples(st.sampled_from(["recip", "exp", "ln"]), st.none()))
+
+
+def _step(e, op, arg):
+    if op in ("*", "+", "-"):
+        return {"*": operator.mul, "+": operator.add, "-": operator.sub}[op](e, arg)
+    if op == "**":
+        return e ** arg
+    if op == "diff":
+        return diff(e, arg)
+    if op == "recip":
+        return e.recip()
+    return exp_(e) if op == "exp" else ln_(1 + exp_(e))
+
+
+class TestWrappedPolynomialsStayNegative:
+    """The invariant that lets products skip expansion: no arithmetic,
+    derivative or function call leaves a wrapped polynomial at a positive
+    exponent or inside another's argument; `recip`, which alone makes
+    positive powers, expands them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_WRAPPED_OPERANDS, st.lists(_STEPS, max_size=4))
+    def test_every_result_holds_wrapped_polynomials_negatively(self, e, steps):
+        _assert_wrapped_negative(e)
+        for op, arg in steps:
+            if len(e._terms) > 12 and op in ("*", "**"):
+                continue  # keep the expansion small
+            if e.is_zero_form and (op == "recip" or op == "**" and arg < 0):
+                continue
+            e = _step(e, op, arg)
+            _assert_wrapped_negative(e)
+
+    def test_recip_expands_what_it_unshifts(self):
+        # 1/p + 1/p^2 shifts to p + 1, and 1/(x1/p) inverts p^-1: both hold
+        # p^1 before recip expands it
+        p = _RECIPROCALS[0]
+        for e in (p + _RECIPROCALS[3], X1 * p, (X1 + p) * p):
+            _assert_wrapped_negative(e.recip())
+            assert (e * e.recip()).is_one
+
+
 _SUMMANDS = st.builds(
     lambda c, v, k, f: _full_mul(_full_mul(c, _full_pow(v, k)), f),
     st.sampled_from([1, -1, 2, Fraction(1, 2)]).map(ScalarExpr.const),
@@ -310,22 +371,37 @@ class TestSum:
 # The cancellation loop without the spread test and the pass flag, as the
 # oracle: every group sharing a reciprocal is divided until the division
 # fails, and the loop stops at the first pass that leaves the terms equal.
+# It multiplies monomials by its own product, not the kernel's.
+def _ref_monomial(exps):
+    """The monomial of an atom -> exponent dict: zero exponents dropped,
+    atoms in key order."""
+    return tuple(sorted(((a, e) for a, e in exps.items() if e),
+                        key=lambda p: p[0].key))
+
+
+def _ref_times(m1, m2):
+    exps = dict(m1)
+    for a, e in m2:
+        exps[a] = exps.get(a, 0) + e
+    return _ref_monomial(exps)
+
+
 def _reference_exact_div(num, den):
     rem, quo = dict(num), {}
     lead_den = max(den, key=expr_mod._lead_key)
     cd, dexp = den[lead_den], dict(lead_den)
     while rem:
         lead = max(rem, key=expr_mod._lead_key)
-        nexp = expr_mod._merge_exponents(lead)
+        nexp = dict(lead)
         for a, e in dexp.items():
             if nexp.get(a, 0) < e:
                 return None
             nexp[a] = nexp.get(a, 0) - e
-        t = expr_mod._freeze(nexp)
+        t = _ref_monomial(nexp)
         c = rem[lead] / cd
         quo[t] = quo.get(t, Fraction(0)) + c
         for m, cden in den.items():
-            mm = expr_mod._freeze(expr_mod._merge_exponents(m, t))
+            mm = _ref_times(m, t)
             c2 = rem.get(mm, Fraction(0)) - c * cden
             if c2:
                 rem[mm] = c2
@@ -348,23 +424,21 @@ def _reference_pass(terms):
             while k > 0:
                 union = {a for mm in num for a, _ in mm}
                 mins = {a: min(dict(mm).get(a, 0) for mm in num) for a in union}
-                clear = expr_mod._freeze({a: -e2 for a, e2 in mins.items() if e2 < 0})
-                cleared = {expr_mod._freeze(expr_mod._merge_exponents(m, clear)): c
-                           for m, c in num.items()}
+                clear = _ref_monomial({a: -e2 for a, e2 in mins.items() if e2 < 0})
+                cleared = {_ref_times(m, clear): c for m, c in num.items()}
                 quo = _reference_exact_div(cleared, dict(atom.arg._terms))
                 if quo is None:
                     break
-                back = expr_mod._freeze({a: e2 for a, e2 in mins.items() if e2 < 0})
-                num = {expr_mod._freeze(expr_mod._merge_exponents(m, back)): c
-                       for m, c in quo.items()}
+                back = _ref_monomial({a: e2 for a, e2 in mins.items() if e2 < 0})
+                num = {_ref_times(m, back): c for m, c in quo.items()}
                 k -= 1
             if k == 0:
                 del den_left[atom]
             else:
                 den_left[atom] = -k
-        den_mono = expr_mod._freeze(den_left)
+        den_mono = _ref_monomial(den_left)
         for m, c in num.items():
-            mm = expr_mod._freeze(expr_mod._merge_exponents(m, den_mono))
+            mm = _ref_times(m, den_mono)
             c2 = out.get(mm, Fraction(0)) + c
             if c2:
                 out[mm] = c2

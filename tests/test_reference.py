@@ -1,4 +1,5 @@
-"""An independent sympy reference for the contact and LCS solves.
+"""An independent sympy reference for the contact and LCS solves, and for
+`diff`.
 
 `contact_to_jacobi` and `lcs_to_jacobi` read (pi, E) off exterior powers.
 Here the same pairs are rebuilt from sympy matrices on seeded inputs, with
@@ -28,6 +29,10 @@ to two more variables y1, y2 (codimension q = 2, where the sign
 d alpha - beta ^ alpha and d(beta ^ (d beta)^q) of the kernel's pair are
 rebuilt with a sympy exterior derivative on mask -> coefficient dicts.
 
+`diff` is checked against `sympy.diff` on seeded sums of polynomials times
+wrapped-polynomial reciprocals, powers of exp, ln, sin and cos, each built
+twice, once in kernel arithmetic and once in sympy.
+
 The kernel's coefficients are read back through their printed form and
 compared with `sympy.cancel` of the difference, after every exp atom is
 replaced by a symbol; `simplify` is never called.
@@ -43,7 +48,8 @@ import sympy as sp
 from gvkernel.alg import DiffForm
 from gvkernel.dsl import parse_problem
 from gvkernel.duality import volume_context
-from gvkernel.expr import Sampler, ScalarExpr, exp_
+from gvkernel.expr import (Sampler, ScalarExpr, cos_, diff, exp_, ln_,
+                           sin_)
 from gvkernel.jacobi import (conformal_rescale, contact_to_jacobi,
                              defining_pair, lcs_to_jacobi, lift_to, verify_jacobi)
 
@@ -62,12 +68,16 @@ def _atoms_to_symbols(expr):
     return sp.expand_power_exp(expr).replace(lambda e: isinstance(e, sp.exp), symbol)
 
 
+def _sympified(c, names):
+    """A kernel scalar, read back through its printed form."""
+    names = {v: sp.Symbol(v) for v in names}
+    names.update(exp=sp.exp, ln=sp.log, sin=sp.sin, cos=sp.cos)
+    return sp.sympify(str(c).replace("^", "**"), locals=names)
+
+
 def _read(el):
     """mask -> coefficient of a kernel element, as a sympy expression."""
-    names = {v: sp.Symbol(v) for v in el.chart.vars}
-    names.update(exp=sp.exp, ln=sp.log, sin=sp.sin, cos=sp.cos)
-    return {mask: sp.sympify(str(c).replace("^", "**"), locals=names)
-            for mask, c in el.terms.items()}
+    return {mask: _sympified(c, el.chart.vars) for mask, c in el.terms.items()}
 
 
 def _from_kernel(el):
@@ -349,3 +359,60 @@ def test_pair_is_defining_and_gv_closed(text):
     _assert_zero(_d(gv, xs))
     kernel_gv = _read(dp.gv)
     _assert_zero({m: kernel_gv.get(m, 0) - gv.get(m, 0) for m in set(gv) | set(kernel_gv)})
+
+
+# --- diff ---------------------------------------------------------------------
+
+_DIFF_VARS = ("x1", "x2", "x3")
+
+
+def _twin_polynomial(rng, constant=True):
+    """A seeded polynomial in x1, x2, x3 as (kernel, sympy) twins."""
+    k, s = ScalarExpr.zero(), sp.Integer(0)
+    for _ in range(rng.randint(1, 3)):
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        exps = [rng.randint(0, 2) for _ in _DIFF_VARS]
+        if not constant and not any(exps):
+            exps[rng.randrange(3)] = 1
+        kt, st = ScalarExpr.const(c), sp.Integer(c)
+        for v, e in zip(_DIFF_VARS, exps):
+            kt, st = kt * ScalarExpr.var(v) ** e, st * sp.Symbol(v) ** e
+        k, s = k + kt, s + st
+    return k, s
+
+
+def _twin_factors(rng):
+    """The factors of the seeded expressions, as (kernel, sympy) twins."""
+    x = [ScalarExpr.var(v) for v in _DIFF_VARS]
+    y = sp.symbols(_DIFF_VARS)
+    u, us = _twin_polynomial(rng, constant=False)
+    positive = 2 + x[0] ** 2 + x[1] * x[2] ** 2
+    return [((2 + x[0] ** 2).recip(), 1 / (2 + y[0] ** 2)),
+            ((1 + x[0] ** 2 + x[1] ** 2) ** -2, (1 + y[0] ** 2 + y[1] ** 2) ** -2),
+            (exp_(u) ** 2, sp.exp(us) ** 2),
+            (exp_(u) ** -1, sp.exp(us) ** -1),
+            (ln_(positive, frozenset(_DIFF_VARS)), sp.log(2 + y[0] ** 2 + y[1] * y[2] ** 2)),
+            (sin_(u), sp.sin(us)),
+            (cos_(u), sp.cos(us))]
+
+
+def _diff_case(seed):
+    """A sum of two or three polynomials, each times one or two factors."""
+    rng = random.Random(seed)
+    factors = _twin_factors(rng)
+    k, s = ScalarExpr.zero(), sp.Integer(0)
+    for _ in range(rng.randint(2, 3)):
+        kt, st = _twin_polynomial(rng)
+        for kf, sf in rng.sample(factors, rng.randint(1, 2)):
+            kt, st = kt * kf, st * sf
+        k, s = k + kt, s + st
+    return k, s
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_diff_matches_sympy(seed):
+    e, ref = _diff_case(seed)
+    pairs = [(e, ref)] + [(diff(e, v), sp.diff(ref, sp.Symbol(v))) for v in _DIFF_VARS]
+    for got, want in pairs:  # the twins first, then each derivative
+        difference = _sympified(got, _DIFF_VARS) - want
+        assert sp.cancel(_atoms_to_symbols(difference)) == 0, (seed, str(e), str(got))
