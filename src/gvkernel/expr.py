@@ -8,6 +8,18 @@ coefficients.  Monomials map atoms to nonzero integer exponents; negative
 exponents encode reciprocals (there is no division node), e.g. 1/t is the
 monomial t^-1.
 
+Coefficients are integer numerators over one shared positive denominator:
+`_terms` pairs each monomial with an `int`, and `_den` holds the
+denominator.  The form is reduced, gcd(_den, *numerators) == 1, so `==`
+and the hash are structural; every constructor path reduces once.  A
+product multiplies numerators and denominators, a sum brings its summands'
+numerators over the lcm of their denominators, and the term loops below
+run on `int`s alone.  `Fraction` stays at the boundary: `ScalarExpr.const`
+takes rationals, and printing shows each coefficient as
+Fraction(numerator, _den).  Evaluation divides each numerator by `_den` in
+Python's correctly rounded `int` true division, which is `float` of the
+Fraction.
+
 Construction normalizes eagerly: like terms merge, and a wrapped-polynomial
 reciprocal is divided out of each group of terms that share it and sum to
 an exact multiple of the polynomial (`_cancelled`).  Two expressions
@@ -19,6 +31,10 @@ terms over p, because nothing divides (x^2 + 1 + x)/p.
 Cancellation tries a division only where one can succeed: a group whose
 exponents of some atom spread less than the polynomial's is no multiple of
 it (`_may_divide`), and it stops at the first pass that divides nothing.
+A wrapped polynomial is primitive (integer coefficients with gcd 1, as
+`recip` makes it), so by Gauss's lemma an integer polynomial that is a
+multiple of it is an integer multiple: division stays in the integers and
+ends at the first leading coefficient it does not divide (`_exact_div`).
 Atoms are interned (hash-consed), so equal atoms are one object and compare
 by identity.
 
@@ -37,9 +53,9 @@ the scaled terms are still cancelled as far as they go), and two single
 monomials merge into one monomial, which spreads nowhere and so is no
 multiple of any wrapped polynomial.  Such results are stored with
 `_normalized=True`, which means "already a normal form, in normal-form
-order".  Every other product, zero times a non-constant included, is
-cancelled.  A sum is built from all its summands' terms at once
-(`ScalarExpr.sum`), skipping zero summands.
+order" (it is still reduced).  Zero times anything is zero at once, and
+every other product is cancelled.  A sum is built from all its summands'
+terms at once (`ScalarExpr.sum`), skipping zero summands.
 
 Numeric verdicts read seeded sample points (`Sampler`, a plain value).  A
 chart's head block, its first `points` draws with their memoised atom
@@ -262,20 +278,20 @@ def _mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
     return _freeze(exps)
 
 
-# --- raw term-dict arithmetic (monomial -> Fraction) ---------------------
+# --- raw term-dict arithmetic (monomial -> int numerator) ------------------
 
 def _add_into(out: dict, terms) -> None:
-    """Add the (monomial, coefficient) pairs into the term dict `out`,
-    dropping the monomials whose coefficients sum to 0."""
+    """Add the (monomial, numerator) pairs into the term dict `out`,
+    dropping the monomials whose numerators sum to 0."""
     for m, c in terms:
-        c2 = out.get(m, _ZERO_FRAC) + c
+        c2 = out.get(m, 0) + c
         if c2:
             out[m] = c2
         elif m in out:
             del out[m]
 
 
-def _raw_mul(A: Mapping[Monomial, Fraction], B: Mapping[Monomial, Fraction]) -> dict:
+def _raw_mul(A: Mapping[Monomial, int], B: Mapping[Monomial, int]) -> dict:
     """The product of two term dicts, monomial by monomial."""
     out: dict = {}
     for ma, ca in A.items():
@@ -283,10 +299,11 @@ def _raw_mul(A: Mapping[Monomial, Fraction], B: Mapping[Monomial, Fraction]) -> 
     return out
 
 
-def _expanded(terms: Mapping[Monomial, Fraction]) -> dict:
+def _expanded(terms: Mapping[Monomial, int]) -> dict:
     """The terms with each positive power of a wrapped polynomial multiplied
     out.  Only `recip` makes such powers (see the module docstring); the
-    arguments it multiplies in hold no wrapped polynomial."""
+    arguments it multiplies in hold no wrapped polynomial, and their
+    denominator is 1."""
     out: dict = {}
     for m, c in terms.items():
         piece = {tuple(p for p in m if not (p[0].kind == "poly" and p[1] > 0)): c}
@@ -296,10 +313,6 @@ def _expanded(terms: Mapping[Monomial, Fraction]) -> dict:
                     piece = _raw_mul(piece, dict(a.arg._terms))
         _add_into(out, piece.items())
     return out
-
-
-_ZERO_FRAC = Fraction(0)
-_ONE_FRAC = Fraction(1)
 
 
 # --- exact division (for cancelling wrapped-poly reciprocals) ------------
@@ -319,7 +332,7 @@ class _Divisor(NamedTuple):
 
     terms: dict
     lead: Monomial
-    lead_coeff: Fraction
+    lead_coeff: int
     spreads: Tuple[Tuple[Atom, int], ...]
 
 
@@ -353,12 +366,17 @@ def _may_divide(num, div: _Divisor) -> bool:
     return all(_spread(num, a) >= s for a, s in div.spreads)
 
 
-def _exact_div(num: Mapping[Monomial, Fraction], den: _Divisor):
-    """Exact polynomial division num/den over nonnegative-exponent monomials.
+def _exact_div(num: Mapping[Monomial, int], den: _Divisor):
+    """Exact polynomial division num/den over nonnegative-exponent monomials,
+    of an integer numerator by a primitive divisor.
 
     Returns the quotient dict, or None if the division is not exact.  With a
     single divisor and a monomial order, leading-term reduction is complete
-    for exact division.
+    for exact division.  By Gauss's lemma the quotient of an exact division
+    has integer coefficients, and each remainder is the divisor times the
+    rest of it, so every leading coefficient the reduction meets is an
+    integer multiple of the divisor's: the first that is not ends the
+    division.
     """
     rem = dict(num)
     quo: dict = {}
@@ -371,8 +389,10 @@ def _exact_div(num: Mapping[Monomial, Fraction], den: _Divisor):
         t = _mono_div(lead, den.lead)
         if t is None:
             return None
-        c = rem[lead] / den.lead_coeff
-        quo[t] = quo.get(t, _ZERO_FRAC) + c
+        c, r = divmod(rem[lead], den.lead_coeff)
+        if r:
+            return None
+        quo[t] = quo.get(t, 0) + c
         _add_into(rem, [(_mono_mul(m, t), -c * cden) for m, cden in den.terms.items()])
     return quo
 
@@ -444,19 +464,29 @@ def _cancelled(items: dict) -> dict:
 # --- the expression type --------------------------------------------------
 
 class ScalarExpr:
-    """Immutable normal-form scalar expression."""
+    """Immutable normal-form scalar expression: integer numerators over the
+    one positive denominator `_den`, reduced (see the module docstring)."""
 
-    __slots__ = ("_terms", "_hash", "_str", "_diff", "__weakref__")
+    __slots__ = ("_terms", "_den", "_hash", "_str", "_diff", "__weakref__")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction], _normalized: bool = False):
-        """`_normalized=True` says `terms` is already a normal form, in
-        normal-form order: it is stored as it is."""
+    def __init__(self, terms: Mapping[Monomial, int], den: int = 1,
+                 _normalized: bool = False):
+        """The expression sum(terms) / den, for int numerators and a positive
+        int `den`.  `_normalized=True` says `terms` is already a normal form,
+        in normal-form order: it is stored as it is, but for the
+        reduction."""
         if _normalized:
-            object.__setattr__(self, "_terms", tuple(terms.items()))
+            items = tuple(terms.items())
         else:
-            items = _cancelled({m: c for m, c in terms.items() if c})
-            object.__setattr__(self, "_terms",
-                               tuple(sorted(items.items(), key=lambda p: _mono_key(p[0]))))
+            cancelled = _cancelled({m: c for m, c in terms.items() if c})
+            items = tuple(sorted(cancelled.items(), key=lambda p: _mono_key(p[0])))
+        if den != 1:
+            g = math.gcd(den, *(c for _, c in items))
+            if g != 1:
+                items = tuple((m, c // g) for m, c in items)
+                den //= g
+        object.__setattr__(self, "_terms", items)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_str", None)
         object.__setattr__(self, "_diff", None)  # {var: derivative}, see diff
@@ -465,11 +495,11 @@ class ScalarExpr:
     @staticmethod
     def const(value) -> "ScalarExpr":
         c = Fraction(value)
-        return ScalarExpr({_EMPTY_MONO: c} if c else {})
+        return ScalarExpr({_EMPTY_MONO: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def var(name: str) -> "ScalarExpr":
-        return ScalarExpr({((Atom("var", name), 1),): _ONE_FRAC})
+        return ScalarExpr({((Atom("var", name), 1),): 1})
 
     @staticmethod
     def zero() -> "ScalarExpr":
@@ -486,30 +516,41 @@ class ScalarExpr:
 
     @property
     def is_one(self) -> bool:
-        return self._terms == ((_EMPTY_MONO, _ONE_FRAC),)
+        return self._terms == ((_EMPTY_MONO, 1),) and self._den == 1
 
     @property
     def is_rational_const(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and self._terms[0][0] == _EMPTY_MONO)
 
     # arithmetic
+    def _over(self, den: int):
+        """The terms with their numerators over `den`, a multiple of
+        `_den`."""
+        f = den // self._den
+        return self._terms if f == 1 else [(m, c * f) for m, c in self._terms]
+
     @staticmethod
     def sum(exprs) -> "ScalarExpr":
         """The sum's normal form, built from all the summands' terms in one
-        dict; zero summands are skipped and a lone one is returned as it is.
-        Cancelling wrapped-poly reciprocals depends on grouping (with
-        p = 1 + x^2, x^2/p + 1/p + x/p folds to 1 + x/p, but nothing divides
-        (x^2 + 1 + x)/p), so the terms are cancelled again after each inner
-        summand holding one: the sum is the left fold of `+`, term for term."""
+        dict, over the lcm of their denominators; zero summands are skipped
+        and a lone one is returned as it is.  Cancelling wrapped-poly
+        reciprocals depends on grouping (with p = 1 + x^2, x^2/p + 1/p + x/p
+        folds to 1 + x/p, but nothing divides (x^2 + 1 + x)/p), so the terms
+        are cancelled again after each inner summand holding one: the sum is
+        the left fold of `+`, term for term.  (Scaling every numerator by
+        one factor changes no division, so the shared denominator does not
+        change what cancels.)"""
         parts = [e for e in map(_coerce, exprs) if e._terms]
         if len(parts) < 2:
             return parts[0] if parts else _ZERO
-        out = dict(parts[0]._terms)
+        den = math.lcm(*(e._den for e in parts))
+        out = dict(parts[0]._over(den))
         for k, e in enumerate(parts[1:], 2):
-            _add_into(out, e._terms)
-            if k < len(parts) and not _plain_terms(e._terms):
+            terms = e._over(den)
+            _add_into(out, terms)
+            if k < len(parts) and not _plain_terms(terms):
                 out = _cancelled(out)
-        return ScalarExpr(out)
+        return ScalarExpr(out, den)
 
     def __add__(self, other) -> "ScalarExpr":
         return ScalarExpr.sum((self, other))
@@ -517,7 +558,7 @@ class ScalarExpr:
     __radd__ = __add__
 
     def __neg__(self) -> "ScalarExpr":
-        return ScalarExpr({m: -c for m, c in self._terms}, _normalized=True)
+        return ScalarExpr({m: -c for m, c in self._terms}, self._den, _normalized=True)
 
     def __sub__(self, other) -> "ScalarExpr":
         return self + (-_coerce(other))
@@ -528,28 +569,36 @@ class ScalarExpr:
     def __mul__(self, other) -> "ScalarExpr":
         """The product's normal form, monomial by monomial: no product of
         normal forms makes a positive power of a wrapped polynomial, so
-        nothing is expanded (see the module docstring).  A nonzero constant
-        fixes the normal form directly, and so do two single monomials,
-        wrapped-polynomial reciprocals and all, since a single term never
-        divides.  Every other product is cancelled."""
+        nothing is expanded (see the module docstring).  Numerators multiply
+        and so do denominators.  A zero operand is the product, a nonzero
+        constant fixes the normal form directly, and so do two single
+        monomials, wrapped-polynomial reciprocals and all, since a single
+        term never divides.  Every other product is cancelled."""
         other = _coerce(other)
         a, b = self._terms, other._terms
+        if not a:
+            return self
+        if not b:
+            return other
         if len(b) == 1 and not b[0][0]:
-            return self._scaled(b[0][1])
+            return self._scaled(b[0][1], other._den)
         if len(a) == 1 and not a[0][0]:
-            return other._scaled(a[0][1])
+            return other._scaled(a[0][1], self._den)
+        den = self._den * other._den
         if len(a) == 1 and len(b) == 1:
             (ma, ca), (mb, cb) = a[0], b[0]
-            return ScalarExpr({_mono_mul(ma, mb): ca * cb}, _normalized=True)
-        return ScalarExpr(_raw_mul(dict(a), dict(b)))
+            return ScalarExpr({_mono_mul(ma, mb): ca * cb}, den, _normalized=True)
+        return ScalarExpr(_raw_mul(dict(a), dict(b)), den)
 
     __rmul__ = __mul__
 
-    def _scaled(self, c: Fraction) -> "ScalarExpr":
-        """c * self for a nonzero rational c: the same monomials, in order."""
-        if c == 1:
+    def _scaled(self, p: int, q: int = 1) -> "ScalarExpr":
+        """(p/q) * self for a nonzero rational p/q, q > 0: the same
+        monomials, in order."""
+        if p == 1 and q == 1:
             return self
-        return ScalarExpr({m: c * cm for m, cm in self._terms}, _normalized=True)
+        return ScalarExpr({m: p * c for m, c in self._terms}, q * self._den,
+                          _normalized=True)
 
     def __pow__(self, k: int) -> "ScalarExpr":
         if not isinstance(k, int):
@@ -562,49 +611,54 @@ class ScalarExpr:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def recip(self) -> "ScalarExpr":
         """Multiplicative inverse.  Single monomials invert exactly; a
         multi-term expression becomes a wrapped-poly atom to the power -1,
         times the inverse of the monomial and rational content common to its
-        terms.  The only positive powers of wrapped polynomials arise here,
-        and each is expanded at once (see the module docstring): in an
-        inverted monomial, in the argument shifted to nonnegative exponents,
-        and in the inverse of the common monomial."""
+        terms.  The wrapped polynomial is primitive: integer coefficients
+        with gcd 1 and a positive last coefficient in print order.  The only
+        positive powers of wrapped polynomials arise here, and each is
+        expanded at once (see the module docstring): in an inverted
+        monomial, in the argument shifted to nonnegative exponents, and in
+        the inverse of the common monomial."""
         if not self._terms:
             raise ZeroDivisionError("reciprocal of zero expression")
         if len(self._terms) == 1:
             m, c = self._terms[0]
-            return ScalarExpr(_expanded({tuple((a, -e) for a, e in m): 1 / c}))
-        # factor out the common monomial part and rational content
+            inverse = {tuple((a, -e) for a, e in m): self._den if c > 0 else -self._den}
+            return ScalarExpr(_expanded(inverse), abs(c))
+        # factor out the common monomial part and the content: self is
+        # sign * content * primitive / (_den * unshift)
         atoms = {a for m, _ in self._terms for a, _ in m}
         unshift = _freeze({a: -min(dict(m).get(a, 0) for m, _ in self._terms)
                            for a in atoms})
         shifted = ScalarExpr(_expanded({_mono_mul(m, unshift): c for m, c in self._terms}))
-        lead_c = shifted._terms[-1][1]
-        content = Fraction(math.gcd(*(c.numerator for _, c in shifted._terms)),
-                           math.lcm(*(c.denominator for _, c in shifted._terms)))
-        if lead_c < 0:
-            content = -content
-        primitive = shifted._scaled(1 / content)
+        content = math.gcd(*(c for _, c in shifted._terms))
+        sign = -1 if shifted._terms[-1][1] < 0 else 1
+        primitive = ScalarExpr({m: c // (sign * content) for m, c in shifted._terms},
+                               _normalized=True)
         atom = Atom("poly", arg=primitive)
-        return ScalarExpr(_expanded({_mono_mul(unshift, ((atom, -1),)): 1 / content}))
+        return ScalarExpr(_expanded({_mono_mul(unshift, ((atom, -1),)): sign * self._den}),
+                          content)
 
     # structure
     def __eq__(self, other) -> bool:
-        return isinstance(other, ScalarExpr) and self._terms == other._terms
+        return (isinstance(other, ScalarExpr) and self._terms == other._terms
+                and self._den == other._den)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._terms))
+            object.__setattr__(self, "_hash", hash((self._terms, self._den)))
         return self._hash
 
     def __str__(self) -> str:
         if self._str is None:
-            object.__setattr__(self, "_str", _render(self._terms))
+            object.__setattr__(self, "_str", _render(self._terms, self._den))
         return self._str
 
     __repr__ = __str__
@@ -612,11 +666,11 @@ class ScalarExpr:
     def __reduce__(self):
         # rebuild through the constructor: atoms re-intern, the hash and the
         # memo are recomputed in the receiving process
-        return (ScalarExpr, (dict(self._terms), True))
+        return (ScalarExpr, (dict(self._terms), self._den, True))
 
 
 _ZERO = ScalarExpr({})
-_ONE = ScalarExpr({_EMPTY_MONO: _ONE_FRAC})
+_ONE = ScalarExpr({_EMPTY_MONO: 1})
 
 
 def _coerce(x) -> ScalarExpr:
@@ -627,12 +681,12 @@ def _coerce(x) -> ScalarExpr:
     raise ExprError(f"cannot use {type(x).__name__} as a scalar")
 
 
-def _render(terms) -> str:
+def _render(terms, den: int) -> str:
     if not terms:
         return "0"
     parts = []
     for m, c in terms:
-        body = _mono_str(m, abs(c))
+        body = _mono_str(m, Fraction(abs(c), den))
         if not parts:
             parts.append(("-" + body) if c < 0 else body)
         else:
@@ -656,21 +710,21 @@ def exp_(e: ScalarExpr) -> ScalarExpr:
         return _ONE
     if len(e._terms) == 1 and e._terms[0][0] != _EMPTY_MONO:
         m, c = e._terms[0]
-        if c == 1 and len(m) == 1 and m[0][0].kind == "ln" and m[0][1] == 1:
+        if c == e._den == 1 and len(m) == 1 and m[0][0].kind == "ln" and m[0][1] == 1:
             return m[0][0].arg
-    return ScalarExpr({((Atom("exp", arg=e), 1),): _ONE_FRAC})
+    return ScalarExpr({((Atom("exp", arg=e), 1),): 1})
 
 
 def sin_(e: ScalarExpr) -> ScalarExpr:
     if e.is_zero_form:
         return _ZERO
-    return ScalarExpr({((Atom("sin", arg=e), 1),): _ONE_FRAC})
+    return ScalarExpr({((Atom("sin", arg=e), 1),): 1})
 
 
 def cos_(e: ScalarExpr) -> ScalarExpr:
     if e.is_zero_form:
         return _ONE
-    return ScalarExpr({((Atom("cos", arg=e), 1),): _ONE_FRAC})
+    return ScalarExpr({((Atom("cos", arg=e), 1),): 1})
 
 
 def ln_(e: ScalarExpr, positive_vars: frozenset = frozenset()) -> ScalarExpr:
@@ -680,14 +734,15 @@ def ln_(e: ScalarExpr, positive_vars: frozenset = frozenset()) -> ScalarExpr:
         return _ZERO
     if len(e._terms) == 1:
         m, c = e._terms[0]
-        if c == 1 and len(m) == 1 and m[0][0].kind == "exp" and m[0][1] == 1:
+        if c == e._den == 1 and len(m) == 1 and m[0][0].kind == "exp" and m[0][1] == 1:
             return m[0][0].arg
-    return ScalarExpr({((Atom("ln", arg=e), 1),): _ONE_FRAC})
+    return ScalarExpr({((Atom("ln", arg=e), 1),): 1})
 
 
 def is_syntactically_positive(e: ScalarExpr, positive_vars: frozenset = frozenset()) -> bool:
-    """Conservative positivity: every term has a positive coefficient and
-    only exp-atoms, positive-declared variables, or positive wrapped polys."""
+    """Conservative positivity: every term has a positive coefficient (a
+    positive numerator, the denominator being positive) and only exp-atoms,
+    positive-declared variables, or positive wrapped polys."""
     if not e._terms:
         return False
     for m, c in e._terms:
@@ -720,7 +775,8 @@ def diff(e: ScalarExpr, var: str, chart: Optional[Chart] = None) -> ScalarExpr:
     through interning, so the chain rule reuses their memos.  The derivative
     of a term c*m along its atom a^k is one monomial times c*k, m with a's
     exponent lowered by one (exp keeps its exponent), times a's derivative;
-    lowering keeps a wrapped polynomial negative, so nothing is expanded."""
+    lowering keeps a wrapped polynomial negative, so nothing is expanded.
+    The numerators c*k stay over the expression's denominator."""
     if chart is not None and var not in chart.vars:
         raise ExprError(f"unknown variable {var!r} on chart {chart.vars}")
     memo = e._diff
@@ -733,13 +789,14 @@ def diff(e: ScalarExpr, var: str, chart: Optional[Chart] = None) -> ScalarExpr:
     if hit is not None:
         return hit
     parts = []
+    den = e._den
     for m, c in e._terms:
         for a, k in m:
             da = _diff_atom(a, var)
             if da is None:
                 continue
             lowered = m if a.kind == "exp" else _mono_mul(m, ((a, -1),))
-            parts.append(ScalarExpr({lowered: c * k}, _normalized=True) * da)
+            parts.append(ScalarExpr({lowered: c * k}, den, _normalized=True) * da)
     memo[var] = total = ScalarExpr.sum(parts)
     return total
 
@@ -773,11 +830,13 @@ _TINY = 1e-12
 def evaluate(e: ScalarExpr, env: Mapping[str, float]) -> float:
     """The float value of `e` at the point `env` (variable -> value), or
     DomainError.  This scalar evaluator is the reference that the block
-    evaluator (`evaluate_block`) is checked against, bit for bit."""
-    total = 0.0
+    evaluator (`evaluate_block`) is checked against, bit for bit.  Each
+    coefficient is its numerator over `_den` in `int` true division, which
+    rounds correctly and raises OverflowError beyond float range."""
+    total, den = 0.0, e._den
     for m, c in e._terms:
         try:
-            v = float(c)
+            v = c / den
         except OverflowError:
             raise DomainError("coefficient beyond float range", e) from None
         for a, k in m:
@@ -848,8 +907,9 @@ class _Walk:
     them).
 
     A domain supplies `start`, the value of the empty sum; `term(total, c,
-    m)`, the sum `total` plus the coefficient `c` times the walk's `power`
-    of each (atom, k) of the monomial `m`, multiplied left to right (the
+    den, m)`, the sum `total` plus the coefficient c/den (an int numerator
+    over the expression's denominator) times the walk's `power` of each
+    (atom, k) of the monomial `m`, multiplied left to right (the
     domain folds a whole monomial, so it multiplies inline); `raised(value,
     k)`, an atom value to an integer power k != 1; `variable(name)`; and
     `call(kind, value)`, exp, sin, cos or ln of a value."""
@@ -860,9 +920,9 @@ class _Walk:
         self.memo: dict = {}
 
     def expr(self, e: ScalarExpr):
-        total, term = self.start, self.term
+        total, term, den = self.start, self.term, e._den
         for m, c in e._terms:
-            total = term(total, c, m)
+            total = term(total, c, den, m)
         return total
 
     def power(self, a: Atom, k: int):
@@ -900,10 +960,10 @@ class _Block(_Walk):
         self.rows = len(points)
         self.start = np.zeros(self.rows), None
 
-    def term(self, total, c: Fraction, m: Monomial):
+    def term(self, total, c: int, den: int, m: Monomial):
         total, bad = total
         try:
-            v = float(c)
+            v = c / den
         except OverflowError:  # as in evaluate: fails at every point
             return total, np.ones(self.rows, bool)
         for a, k in m:
@@ -967,7 +1027,7 @@ def evaluate_block(exprs: Sequence[ScalarExpr],
 
 # Both ends of every bound move outward by this share of their size, plus
 # _ABS_SLACK, at every step: far above the rounding of float arithmetic,
-# float(Fraction), C pow and libm (each within a few units in the last
+# int true division, C pow and libm (each within a few units in the last
 # place, or a few subnormal steps), so the float `evaluate` computes at a
 # box point lies inside the bound of each subexpression.
 _REL_SLACK = 1e-12
@@ -1028,9 +1088,9 @@ class _Bounds(_Walk):
         super().__init__()
         self.box = _sample_box(chart)
 
-    def term(self, total, c: Fraction, m: Monomial):
+    def term(self, total, c: int, den: int, m: Monomial):
         try:
-            v = float(c)
+            v = c / den
         except OverflowError:
             raise _Undecided from None
         term = _widen(v, v)

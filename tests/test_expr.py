@@ -107,12 +107,28 @@ class TestNormalForm:
         with pytest.raises(ZeroDivisionError):
             ScalarExpr.zero().recip()
 
+    def test_cube_squares_no_further_than_its_last_bit(self, monkeypatch):
+        # b^3 = b * b^2; squaring past the top bit would also build b^4
+        b = X1 + X2
+        want = b * b * b
+        degrees = []
+        mul = ScalarExpr.__mul__
+
+        def counted(x, y):
+            out = mul(x, y)
+            degrees.append(max(sum(e for _, e in m) for m, _ in out._terms))
+            return out
+
+        monkeypatch.setattr(ScalarExpr, "__mul__", counted)
+        assert b ** 3 == want
+        assert degrees and max(degrees) == 3
+
 
 # The unshortcut routes: a product expanded and cancelled term by term, a sum
 # and a negation normalised from their term dicts.  Operands are built
 # through these alone, so a broken shortcut cannot shape both sides.
 def _full_mul(a, b):
-    return ScalarExpr(expr_mod._raw_mul(dict(a._terms), dict(b._terms)))
+    return ScalarExpr(expr_mod._raw_mul(dict(a._terms), dict(b._terms)), a._den * b._den)
 
 
 def _full_pow(a, k):
@@ -129,15 +145,34 @@ def _same(got, want):
     assert hash(got) == hash(want)
 
 
+def _fractions(e):
+    """e's terms as a monomial -> Fraction dict."""
+    return {m: Fraction(c, e._den) for m, c in e._terms}
+
+
+def _from_fractions(terms):
+    """The normal form of a monomial -> rational dict: its coefficients
+    over the lcm of their denominators."""
+    den = math.lcm(*(Fraction(c).denominator for c in terms.values()))
+    return ScalarExpr({m: int(c * den) for m, c in terms.items()}, den)
+
+
+def _merged(*xs):
+    """The expression holding the terms of every x (a later x's term
+    replacing an earlier one's on the same monomial), normalised once."""
+    return _from_fractions({m: c for x in xs for m, c in _fractions(x).items()})
+
+
 def _fold(xs):
-    """The left fold of the two-summand sum: term dicts merged and
-    normalised after every summand, as a running sum builds them."""
+    """The left fold of the two-summand sum: term dicts merged in Fraction
+    arithmetic and normalised after every summand, as a running sum builds
+    them."""
     out = ScalarExpr.zero()
     for x in xs:
-        terms = dict(out._terms)
-        for m, c in x._terms:
+        terms = _fractions(out)
+        for m, c in _fractions(x).items():
             terms[m] = terms.get(m, Fraction(0)) + c
-        out = ScalarExpr(terms)
+        out = _from_fractions(terms)
     return out
 
 
@@ -145,13 +180,11 @@ _X1SQ = _full_mul(X1, X1)
 _POLYS = (_fold([ScalarExpr.one(), _X1SQ]), _fold([ScalarExpr.const(2), _X1SQ]),
           _fold([ScalarExpr.one(), _X1SQ, _full_mul(X2, X2)]))
 _RECIPROCALS = (*(_full_pow(p, -1) for p in _POLYS), _full_pow(_POLYS[0], -2))
-_NUMERATORS = (ScalarExpr({**dict(X1._terms), (): Fraction(1)}),   # x1 + 1
-               ScalarExpr({**dict(_full_mul(X1, X1)._terms),       # x1^2 + x2
-                           **dict(X2._terms)}))
+_NUMERATORS = (_merged(X1, ScalarExpr.one()),     # x1 + 1
+               _merged(_full_mul(X1, X1), X2))     # x1^2 + x2
 # (x1^2 + 1 + x1)/(1 + x1^2): three terms over p that nothing divides, a
 # normal form only this grouping reaches (TestSum)
-_OVER_P = ScalarExpr({m: c for x in (_X1SQ, ScalarExpr.one(), X1)
-                      for m, c in _full_mul(x, _RECIPROCALS[0])._terms})
+_OVER_P = _merged(*(_full_mul(x, _RECIPROCALS[0]) for x in (_X1SQ, ScalarExpr.one(), X1)))
 _FACTORS = st.one_of(
     st.builds(_full_pow, st.sampled_from([X1, X2, X3]), st.integers(-2, 3)),
     st.sampled_from([exp_(X1), sin_(X2), _NUMERATORS[0].recip(),
@@ -170,8 +203,7 @@ def _terms(draw):
 
 
 _OPERANDS = st.one_of(_CONSTS, _terms(),
-                      st.builds(lambda s, t: ScalarExpr({**dict(s._terms), **dict(t._terms)}),
-                                _terms(), _terms()))
+                      st.builds(_merged, _terms(), _terms()))
 # pairs (a, b), half of them with b = c / a, whose exponents cancel a's
 _PAIRS = st.one_of(
     st.tuples(_OPERANDS, _OPERANDS),
@@ -195,11 +227,21 @@ class TestProductShortcuts:
     @settings(max_examples=100, deadline=None)
     @given(_OPERANDS)
     def test_sum_with_zero_and_negation(self, a):
-        _same(a + 0, ScalarExpr(dict(a._terms)))
-        _same(0 + a, ScalarExpr(dict(a._terms)))
-        _same(-a, ScalarExpr({m: -c for m, c in a._terms}))
+        _same(a + 0, ScalarExpr(dict(a._terms), a._den))
+        _same(0 + a, ScalarExpr(dict(a._terms), a._den))
+        _same(-a, ScalarExpr({m: -c for m, c in a._terms}, a._den))
         assert a * 1 is a
         assert 1 * a is a
+
+    def test_zero_times_anything_takes_no_term_loop(self, monkeypatch):
+        a = _merged(X1, _full_mul(X2, exp_(X1)), _RECIPROCALS[0])
+        calls = []
+        raw_mul = expr_mod._raw_mul
+        monkeypatch.setattr(expr_mod, "_raw_mul", lambda *a: calls.append(a) or raw_mul(*a))
+        for zero in (0, ScalarExpr.zero(), ScalarExpr.const(Fraction(0))):
+            assert (a * zero).is_zero_form and (zero * a).is_zero_form
+            assert (a * zero)._den == (zero * a)._den == 1
+        assert calls == []
 
     def test_cancelled_exponent_leaves_the_monomial(self):
         _same(X1 * _full_pow(X1, -1), ScalarExpr.one())
@@ -264,6 +306,21 @@ def _assert_wrapped_negative(e):
                 _assert_wrapped_negative(a.arg)
 
 
+def _assert_reduced(e):
+    """e, and every atom argument in it, holds int numerators over a
+    positive int denominator, with no common factor; a wrapped polynomial's
+    argument is primitive, over the denominator 1."""
+    assert type(e._den) is int and e._den > 0, e._den
+    assert all(type(c) is int for _, c in e._terms), e._terms
+    assert math.gcd(e._den, *(c for _, c in e._terms)) == 1, f"unreduced {e}"
+    for m, _ in e._terms:
+        for a, _ in m:
+            if a.kind == "poly":
+                assert a.arg._den == 1 and math.gcd(*(c for _, c in a.arg._terms)) == 1
+            if a.arg is not None:
+                _assert_reduced(a.arg)
+
+
 _WRAPPED_OPERANDS = st.one_of(
     st.sampled_from([*_RECIPROCALS, _OVER_P, _full_pow(_NUMERATORS[1], -2)]), _OPERANDS)
 _STEPS = st.one_of(
@@ -289,12 +346,14 @@ class TestWrappedPolynomialsStayNegative:
     """The invariant that lets products skip expansion: no arithmetic,
     derivative or function call leaves a wrapped polynomial at a positive
     exponent or inside another's argument; `recip`, which alone makes
-    positive powers, expands them."""
+    positive powers, expands them.  Every result is also in the reduced
+    integer form (`_assert_reduced`)."""
 
     @settings(max_examples=300, deadline=None)
     @given(_WRAPPED_OPERANDS, st.lists(_STEPS, max_size=4))
     def test_every_result_holds_wrapped_polynomials_negatively(self, e, steps):
         _assert_wrapped_negative(e)
+        _assert_reduced(e)
         for op, arg in steps:
             if len(e._terms) > 12 and op in ("*", "**"):
                 continue  # keep the expansion small
@@ -302,6 +361,7 @@ class TestWrappedPolynomialsStayNegative:
                 continue
             e = _step(e, op, arg)
             _assert_wrapped_negative(e)
+            _assert_reduced(e)
 
     def test_recip_expands_what_it_unshifts(self):
         # 1/p + 1/p^2 shifts to p + 1, and 1/(x1/p) inverts p^-1: both hold
@@ -328,11 +388,13 @@ def _summand_lists(draw):
     for kind in draw(st.lists(st.sampled_from(["new", "new", "zero", "neg", "split"]),
                               max_size=6)):
         if kind == "neg" and xs:
-            xs.append(ScalarExpr({m: -c for m, c in draw(st.sampled_from(xs))._terms}))
+            x = draw(st.sampled_from(xs))
+            xs.append(ScalarExpr({m: -c for m, c in x._terms}, x._den))
         elif kind == "split":
             i = draw(st.integers(0, len(_POLYS) - 1))
             f = draw(st.sampled_from([ScalarExpr.one(), X2, exp_(X1)]))
-            xs.extend(_full_mul(_full_mul(ScalarExpr({m: c}), _RECIPROCALS[i]), f)
+            xs.extend(_full_mul(_full_mul(ScalarExpr({m: c}, _POLYS[i]._den),
+                                          _RECIPROCALS[i]), f)
                       for m, c in _POLYS[i]._terms)
         else:
             xs.append(ScalarExpr.zero() if kind == "zero" else draw(_SUMMANDS))
@@ -371,7 +433,9 @@ class TestSum:
 # The cancellation loop without the spread test and the pass flag, as the
 # oracle: every group sharing a reciprocal is divided until the division
 # fails, and the loop stops at the first pass that leaves the terms equal.
-# It multiplies monomials by its own product, not the kernel's.
+# It multiplies monomials by its own product, not the kernel's, and divides
+# in Fraction arithmetic, so it checks the kernel's integer division (which
+# ends at the first leading coefficient that does not divide) independently.
 def _ref_monomial(exps):
     """The monomial of an atom -> exponent dict: zero exponents dropped,
     atoms in key order."""
@@ -387,9 +451,9 @@ def _ref_times(m1, m2):
 
 
 def _reference_exact_div(num, den):
-    rem, quo = dict(num), {}
+    rem, quo = {m: Fraction(c) for m, c in num.items()}, {}
     lead_den = max(den, key=expr_mod._lead_key)
-    cd, dexp = den[lead_den], dict(lead_den)
+    cd, dexp = Fraction(den[lead_den]), dict(lead_den)
     while rem:
         lead = max(rem, key=expr_mod._lead_key)
         nexp = dict(lead)
@@ -456,8 +520,10 @@ def _reference_cancelled(items):
     return items
 
 
-# the wrapped atoms of 1 + x1^2, 2 + x1^2 and 1 + x1^2 + x2^2
-_WRAPPED = tuple(r._terms[0][0][0][0] for r in _RECIPROCALS[:3])
+# the wrapped atoms of 1 + x1^2, 2 + x1^2, 1 + x1^2 + x2^2 and 3*x1^2 - 2*x2,
+# the last led by 3*x1^2, so that its divisions need the integer test
+_WRAPPED = tuple(r._terms[0][0][0][0] for r in (*_RECIPROCALS[:3], _full_pow(
+    _merged(_full_mul(ScalarExpr.const(3), _X1SQ), _full_mul(ScalarExpr.const(-2), X2)), -1)))
 _PLAIN_ATOMS = tuple(m[0][0] for x in (X1, X2, X3, exp_(X1)) for m, _ in x._terms)
 
 
@@ -466,7 +532,8 @@ def _monomial(exps):
 
 
 _EXPONENTS = st.tuples(*(st.integers(-2, 2) for _ in _PLAIN_ATOMS))
-_COEFFS = st.sampled_from([1, -1, 2, Fraction(-3, 2), Fraction(1, 3)]).map(Fraction)
+# integer numerators: the rationals 1, -1, 2, -3/2 and 1/3 over the denominator 6
+_COEFFS = st.sampled_from([6, -6, 12, -9, 2])
 # Laurent polynomials in x1, x2, x3 and exp(x1), as term dicts
 _LAURENT = st.dictionaries(_EXPONENTS, _COEFFS, min_size=1, max_size=4).map(
     lambda d: {_monomial(e): c for e, c in d.items()})
@@ -492,8 +559,8 @@ def _reciprocal_term_dicts(draw):
         piece = _times_powers(draw(_LAURENT),
                               [(a, draw(st.integers(0, k))) for a, k in zip(atoms, ks)])
         den = expr_mod._freeze({a: -k for a, k in zip(atoms, ks)})
-        for m, c in expr_mod._raw_mul(piece, {den: Fraction(1)}).items():
-            c2 = out.get(m, Fraction(0)) + c
+        for m, c in expr_mod._raw_mul(piece, {den: 1}).items():
+            c2 = out.get(m, 0) + c
             if c2:
                 out[m] = c2
             else:
@@ -514,7 +581,7 @@ class TestCancellation:
                                          for a in atoms))),
            _EXPONENTS)
     def test_spread_test_passes_every_multiple(self, q, powers, exps):
-        num = expr_mod._raw_mul(_times_powers(q, powers), {_monomial(exps): Fraction(1)})
+        num = expr_mod._raw_mul(_times_powers(q, powers), {_monomial(exps): 1})
         for atom, _ in powers:
             div = expr_mod._divisor(atom)
             assert expr_mod._may_divide(num, div)
@@ -523,9 +590,27 @@ class TestCancellation:
     def test_single_terms_and_short_spreads_are_skipped(self):
         p = expr_mod._divisor(_WRAPPED[0])   # 1 + x1^2 spreads 2 in x1
         assert p.spreads == ((_PLAIN_ATOMS[0], 2),)
-        assert not expr_mod._may_divide({_monomial((3, 1, 0, 0)): Fraction(1)}, p)
+        assert not expr_mod._may_divide({_monomial((3, 1, 0, 0)): 1}, p)
         assert not expr_mod._may_divide(dict((X1 + X2)._terms), p)
         assert expr_mod._may_divide(dict((X1 ** 2 + X2)._terms), p)
+
+    def test_a_leading_coefficient_that_does_not_divide_ends_the_division(self,
+                                                                           monkeypatch):
+        # 1 + 2*x1^2 leads with 2*x1^2, and x1^4 + 1 with x1^4: 1 is no
+        # integer multiple of 2, so by Gauss's lemma no quotient exists and
+        # the first step ends the division.  Over the rationals it would
+        # reduce by 1/2*x1^2 and -1/4 first, and fail on the third step.
+        atom = _full_pow(_merged(ScalarExpr.one(), _full_mul(ScalarExpr.const(2), _X1SQ)),
+                         -1)._terms[0][0][0][0]
+        div = expr_mod._divisor(atom)
+        assert div.lead_coeff == 2
+        num = {_monomial((4, 0, 0, 0)): 1, _monomial((0, 0, 0, 0)): 1}
+        steps = []
+        mono_div = expr_mod._mono_div
+        monkeypatch.setattr(expr_mod, "_mono_div", lambda *a: steps.append(a) or mono_div(*a))
+        assert expr_mod._exact_div(num, div) is None
+        assert len(steps) == 1
+        assert _reference_exact_div(num, div.terms) is None
 
     def test_divisor_data_is_held_by_the_atom(self):
         atom = _WRAPPED[2]
@@ -1144,6 +1229,27 @@ class TestBoundsOverTheSampleBox:
         assert not expr_mod._bounded_away([e + 1], CHART, 1e-9)
         with pytest.raises(InsufficientSamples, match="only 0 of 8"):
             vanishing_point([e], CHART, Sampler(points=8))
+
+    def test_big_numerators_and_denominators_evaluate_exactly(self):
+        # both coefficients are in float range, though the shared denominator
+        # 10^400 is not: each numerator is divided by it in the integers
+        big = 10 ** 400
+        e = ScalarExpr.const(Fraction(big + 1, big)) + ScalarExpr.const(Fraction(1, big)) * X2
+        assert e._den == big and sorted(c for _, c in e._terms) == [1, big + 1]
+        points = [(0.5, 0.25, -0.5), (-1.0, 1.0, 0.0)]
+        block, bounds = _Block(CHART, points), expr_mod._Bounds(CHART)
+        total = 0.0
+        for m, c in e._terms:
+            want = float(Fraction(c, e._den)) * (block.columns["x2"] if m else np.ones(2))
+            total = total + want
+            got, bad = block.term(block.start, c, e._den, m)
+            assert bad is None and got.tolist() == want.tolist()
+            lo, hi = bounds.term(bounds.start, c, e._den, m)
+            assert lo <= want.min() and want.max() <= hi
+        assert [evaluate(e, CHART.env(p)) for p in points] == total.tolist()
+        values, ok = evaluate_block([e], block)
+        assert ok.all() and values[:, 0].tolist() == total.tolist()
+        assert expr_mod._bounded_away([e], CHART, 1e-9)
 
     @pytest.mark.parametrize("e, points, match", [
         (THIN, 64, "only 4 of 64"),
