@@ -7,8 +7,17 @@ over honest vector-field commutators.  The two must agree everywhere and
 the test suite collides them on randomized inputs.
 
 Base cases: [X, f] = Xf for a vector field X and function f, [f, g] = 0.
-Graded antisymmetry: [U, V] = -(-1)^((k-1)(l-1)) [V, U].  The production
-route takes a self-bracket [U, U] over unordered pairs of distinct terms: it
+Graded antisymmetry: [U, V] = -(-1)^((k-1)(l-1)) [V, U].
+
+The production route writes the graded Leibniz rule once, as the peel of
+one term's coefficient,
+
+    P(f, I; g, J) = sum_r (-1)^(k-r) f (d_{i_r} g) d_{I\\i_r} ^ d_J,
+
+with k = |I|, l = |J| and 1-based positions r along the sorted indices I.
+Two terms bracket as [f d_I, g d_J] = P(f, I; g, J) - (-1)^((k-1)(l-1))
+P(g, J; f, I): `_peeled_term_bracket` runs one loop on both orderings.
+A self-bracket [U, U] is taken over unordered pairs of distinct terms: it
 is zero at odd grade, and 2 sum_{I<J} [t_I, t_J] at even grade, since a
 single term's [t_I, t_I] is zero there (every wedge d_{I\\i} ^ d_I of the
 peeled bracket overlaps).
@@ -41,42 +50,32 @@ def exterior_derivative(omega: DiffForm) -> DiffForm:
     return DiffForm(chart, omega.grade + 1, _summed(out))
 
 
-def _peeled_term_bracket(chart: Chart, f: ScalarExpr, imask: int,
-                         g: ScalarExpr, jmask: int, weight: int,
-                         out: Dict[int, List[ScalarExpr]]):
-    """The products of weight * [f*d_I, g*d_J], appended to `out` (mask ->
-    products).
+def _indexed_terms(u: MultiVector) -> list:
+    """Each term as (mask, its indices, coefficient), indexed once for all
+    of its pairs."""
+    return [(mask, mask_indices(mask), c) for mask, c in u.terms.items()]
 
-    Derived by peeling coefficients with the Leibniz rule:
-      [f d_I, g d_J] = sum_r (-1)^(k-r) f (d_{i_r} g) d_{I\\i_r} ^ d_J
-        - (-1)^((k-1)(l-1)) sum_s (-1)^(l-s) g (d_{j_s} f) d_{J\\j_s} ^ d_I
-    with 1-based positions r, s along the sorted index tuples.  A derivative
-    is taken only where its wedge does not vanish.
-    """
-    ivars = mask_indices(imask)
-    jvars = mask_indices(jmask)
-    k, l = len(ivars), len(jvars)
-    for r, i in enumerate(ivars, start=1):
-        rest = imask & ~(1 << i)
-        s = wedge_sign(rest, jmask)
-        if s == 0:
-            continue
-        d = diff(g, chart.vars[i])
-        if d.is_zero_form:
-            continue
-        sign = s if (k - r) % 2 == 0 else -s
-        out.setdefault(rest | jmask, []).append((f * d)._scaled(sign * weight))
-    pref = -1 if ((k - 1) * (l - 1)) % 2 == 0 else 1
-    for s_pos, j in enumerate(jvars, start=1):
-        rest = jmask & ~(1 << j)
-        s = wedge_sign(rest, imask)
-        if s == 0:
-            continue
-        d = diff(f, chart.vars[j])
-        if d.is_zero_form:
-            continue
-        sign = pref * s if (l - s_pos) % 2 == 0 else -pref * s
-        out.setdefault(rest | imask, []).append((g * d)._scaled(sign * weight))
+
+def _peeled_term_bracket(chart: Chart, ti: tuple, tj: tuple, weight: int,
+                         out: Dict[int, List[ScalarExpr]]):
+    """The products of weight * [f*d_I, g*d_J] for the terms ti = (I, the
+    indices of I, f) and tj = (J, the indices of J, g), appended to `out`
+    (mask -> products): the peel P (module docstring) on (f, I; g, J) with
+    `weight`, then on (g, J; f, I) with -(-1)^((k-1)(l-1)) * weight.  A
+    derivative is taken only where its wedge does not vanish."""
+    swap = weight if ((len(ti[1]) - 1) * (len(tj[1]) - 1)) % 2 else -weight
+    for (imask, ivars, f), (jmask, _, g), weight in ((ti, tj, weight), (tj, ti, swap)):
+        k = len(ivars)
+        for r, i in enumerate(ivars, start=1):
+            rest = imask & ~(1 << i)
+            s = wedge_sign(rest, jmask)
+            if s == 0:
+                continue
+            d = diff(g, chart.vars[i])
+            if d.is_zero_form:
+                continue
+            sign = s if (k - r) % 2 == 0 else -s
+            out.setdefault(rest | jmask, []).append((f * d)._scaled(sign * weight))
 
 
 def schouten(u: MultiVector, v: MultiVector) -> MultiVector:
@@ -92,27 +91,28 @@ def schouten(u: MultiVector, v: MultiVector) -> MultiVector:
     self_bracket = u is v
     if self_bracket and u.grade % 2:
         return MultiVector.zero(chart, grade)
+    weight = 2 if self_bracket else 1
+    u_terms = _indexed_terms(u)
+    v_terms = u_terms if self_bracket else _indexed_terms(v)
     out: Dict[int, List[ScalarExpr]] = {}
-    for a, (imask, f) in enumerate(u.terms.items()):
-        for b, (jmask, g) in enumerate(v.terms.items()):
+    for a, ti in enumerate(u_terms):
+        for b, tj in enumerate(v_terms):
             if self_bracket and b <= a:
                 continue
-            _peeled_term_bracket(chart, f, imask, g, jmask,
-                                 2 if self_bracket else 1, out)
+            _peeled_term_bracket(chart, ti, tj, weight, out)
     return MultiVector(chart, grade, _summed(out))
 
 
 def lie_derivative(x: MultiVector, omega: DiffForm) -> DiffForm:
     """Cartan formula: L_X = iota_X d + d iota_X on forms."""
-    if x.grade != 1 and x.terms:
+    if not x.terms:
+        return DiffForm.zero(omega.chart, omega.grade)
+    if x.grade != 1:
         raise AlgebraError("lie_derivative expects a vector field")
-    a = contract_mv_into_form(x, exterior_derivative(omega)) if x.terms else None
-    if omega.grade >= 1:
-        b = exterior_derivative(contract_mv_into_form(x, omega)) if x.terms else None
-    else:
-        b = None
-    zero = DiffForm.zero(omega.chart, omega.grade)
-    return (a if a is not None else zero) + (b if b is not None else zero)
+    a = contract_mv_into_form(x, exterior_derivative(omega))
+    if omega.grade == 0:
+        return a
+    return a + exterior_derivative(contract_mv_into_form(x, omega))
 
 
 # --- brute-force oracle ------------------------------------------------------

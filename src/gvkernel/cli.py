@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, List, Optional
 
@@ -196,12 +196,11 @@ class _Session:
         self.report.printouts["psi"] = str(res.psi_value)
 
 
-def execute(problem: ProblemFile, seed: Optional[int] = None,
-            points: Optional[int] = None, tol: Optional[float] = None) -> Report:
-    """Run a parsed problem; CLI flags override per-file settings."""
-    sampler = Sampler(seed=problem.seed if seed is None else seed,
-                      points=problem.points if points is None else points,
-                      tol=problem.tol if tol is None else tol)
+def execute(problem: ProblemFile, **overrides) -> Report:
+    """Run a parsed problem; the sampling settings given (`seed`, `points`,
+    `tol`) and not None override the file's, as the CLI flags do."""
+    given = {k: v for k, v in overrides.items() if v is not None}
+    sampler = replace(problem.sampler, **given) if given else problem.sampler
     try:
         session = _Session(problem, sampler)
     except KernelError as e:
@@ -211,14 +210,9 @@ def execute(problem: ProblemFile, seed: Optional[int] = None,
 
 def fixture_problem(fixture: Fixture) -> ProblemFile:
     """Registry fixture as a problem file (through the DSL for round-tripping)."""
-    lines = [f"# fixture: {fixture.name}",
-             f"chart {' '.join(fixture.chart.vars)}",
-             f"vol {fixture.vol}",
-             f"pi = {fixture.pi}"]
-    if not fixture.E.is_identically_zero:
-        lines.append(f"E = {fixture.E}")
-    lines.append("run " + " ".join(fixture.commands))
-    return parse_problem("\n".join(lines) + "\n")
+    pf = ProblemFile(fixture.chart, fixture.vol, "pi", pi=fixture.pi, E=fixture.E,
+                     commands=tuple((c, None) for c in fixture.commands))
+    return parse_problem(pf.canonical_text())
 
 
 def _setting(name: str):
@@ -260,7 +254,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UnicodeDecodeError as e:  # not UTF-8 text
         print(f"gvkernel: {args.file}: {e}", file=sys.stderr)
         return 2
-    report = execute(problem, seed=args.seed, points=args.points, tol=args.tol)
+    report = execute(problem, **{name: getattr(args, name) for name in SETTINGS})
     sys.stdout.write(emit(report, args.format))
     if report.input_error is not None:
         print(f"gvkernel: {report.input_error}", file=sys.stderr)

@@ -225,29 +225,23 @@ class _ExprParser:
     def combine(self, t: Token, a: Value, b: Value) -> Value:
         sc_a, sc_b = isinstance(a, ScalarExpr), isinstance(b, ScalarExpr)
         if t.text in ("+", "-"):
-            if sc_a and sc_b:
-                return a + b if t.text == "+" else a - b
-            if sc_a or sc_b:
+            if sc_a != sc_b:
                 raise DslError("cannot add a scalar and a graded element",
                                t.line, t.col)
             try:
                 return a + b if t.text == "+" else a - b
             except KernelError as e:
                 raise DslError(str(e), t.line, t.col) from None
-        if t.text == "*":
-            if sc_a and sc_b:
-                return a * b
-            if sc_a:
-                return b.scale(a)
-            if sc_b:
-                return a.scale(b)
-            raise DslError("use ^ to wedge graded elements", t.line, t.col)
-        # wedge (possibly with a scalar acting as grade 0); caret has
+        # * or the wedge ^, where a scalar acts by multiplication; caret has
         # refused scalar ^ scalar already
+        if sc_a and sc_b:
+            return a * b
         if sc_a:
             return b.scale(a)
         if sc_b:
             return a.scale(b)
+        if t.text == "*":
+            raise DslError("use ^ to wedge graded elements", t.line, t.col)
         try:
             return wedge(a, b)
         except KernelError as e:
@@ -261,30 +255,28 @@ def parse_value(chart: Chart, text: str, line: int = 1, col0: int = 0) -> Value:
 # `line` and `col0` place the text in its file: errors name the line and
 # the column col0 + (position in the text), counted from 1.
 
-def parse_scalar(chart: Chart, text: str, line: int = 1, col0: int = 0) -> ScalarExpr:
+def _parse_as(kind: type, noun: str, chart: Chart, text: str, line: int,
+              col0: int) -> Value:
+    """The text's value as a `kind`; a scalar stands for a grade-0 element."""
     v = parse_value(chart, text, line, col0)
-    if not isinstance(v, ScalarExpr):
-        raise DslError("expected a scalar expression", line, col0 + 1)
-    return v
+    if isinstance(v, kind):
+        return v
+    if isinstance(v, ScalarExpr):
+        return kind.scalar(chart, v)
+    raise DslError(f"expected a {noun} expression", line, col0 + 1)
+
+
+def parse_scalar(chart: Chart, text: str, line: int = 1, col0: int = 0) -> ScalarExpr:
+    return _parse_as(ScalarExpr, "scalar", chart, text, line, col0)
 
 
 def parse_multivector(chart: Chart, text: str, line: int = 1,
                       col0: int = 0) -> MultiVector:
-    v = parse_value(chart, text, line, col0)
-    if isinstance(v, ScalarExpr):
-        return MultiVector.scalar(chart, v)
-    if not isinstance(v, MultiVector):
-        raise DslError("expected a multivector expression", line, col0 + 1)
-    return v
+    return _parse_as(MultiVector, "multivector", chart, text, line, col0)
 
 
 def parse_form(chart: Chart, text: str, line: int = 1, col0: int = 0) -> DiffForm:
-    v = parse_value(chart, text, line, col0)
-    if isinstance(v, ScalarExpr):
-        return DiffForm.scalar(chart, v)
-    if not isinstance(v, DiffForm):
-        raise DslError("expected a differential-form expression", line, col0 + 1)
-    return v
+    return _parse_as(DiffForm, "differential-form", chart, text, line, col0)
 
 
 # --- problem files -------------------------------------------------------------
@@ -303,9 +295,7 @@ class ProblemFile:
     theta: Optional[DiffForm] = None
     omega1: Optional[DiffForm] = None
     omega2: Optional[DiffForm] = None
-    seed: int = Sampler.seed
-    points: int = Sampler.points
-    tol: float = Sampler.tol
+    sampler: Sampler = Sampler()
     commands: Tuple[Tuple[str, Optional[str]], ...] = ()
     # (line, column offset) of each command's argument text in the file, in
     # the order of `commands`; empty for a problem not read from a file
@@ -325,8 +315,8 @@ class ProblemFile:
             lines.append(f"omega = {self.omega1}")
             lines.append(f"Omega = {self.omega2}")
         for name in SETTINGS:
-            value = getattr(self, name)
-            if value != getattr(Sampler, name):
+            value = getattr(self.sampler, name)
+            if value != getattr(Sampler(), name):
                 lines.append(f"{name} {value}")
         if self.commands:
             parts = [c if a is None else f"{c}({a})" for c, a in self.commands]
@@ -493,8 +483,9 @@ def parse_problem(text: str) -> ProblemFile:
         _, line_no, col0 = decls[word]
         raise DslError(message, line_no, col0 + 1)
 
-    pf = ProblemFile(chart, vol, style, commands=tuple(c[:2] for c in commands),
-                     arg_origins=tuple(c[2] for c in commands), **settings)
+    pf = ProblemFile(chart, vol, style, sampler=Sampler(**settings),
+                     commands=tuple(c[:2] for c in commands),
+                     arg_origins=tuple(c[2] for c in commands))
     if style == "pi":
         pf.pi = parse_multivector(chart, *decls["pi"])
         pf.E = (parse_multivector(chart, *decls["E"]) if "E" in decls

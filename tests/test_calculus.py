@@ -212,6 +212,24 @@ class TestLieDerivative:
         out = lie_derivative(mv(C3, 0).scale(x1), form(C3, 0))
         assert out == form(C3, 0)
 
+    def test_zero_field_gives_the_zero_form_of_omega_grade(self):
+        x1, x3 = ScalarExpr.var("x1"), ScalarExpr.var("x3")
+        om = form(C3, 0, 1).scale(x3) + form(C3, 1, 2).scale(x1 * x3)
+        out = lie_derivative(MultiVector.zero(C3, 1), om)
+        # iota_0 d omega + d iota_0 omega, both terms zero
+        assert out.is_identically_zero and out.grade == 2
+
+    def test_top_grade_form_keeps_only_d_iota(self):
+        # X = x1 d/dx1 + x2 d/dx2 on x3 dx1^dx2^dx3: d omega = 0, and
+        # iota_X omega = x1*x3 dx2^dx3 - x2*x3 dx1^dx3, whose d is 2*x3 vol
+        x1, x2, x3 = (ScalarExpr.var(v) for v in C3.vars)
+        x = mv(C3, 0).scale(x1) + mv(C3, 1).scale(x2)
+        om = form(C3, 0, 1, 2).scale(x3)
+        iota_om = form(C3, 1, 2).scale(x1 * x3) - form(C3, 0, 2).scale(x2 * x3)
+        out = lie_derivative(x, om)
+        assert out == d(iota_om) == form(C3, 0, 1, 2).scale(2 * x3)
+        assert out.grade == 3
+
     def test_commutes_with_d(self):
         rng = random.Random(7)
         for _ in range(30):

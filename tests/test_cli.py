@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gvkernel
-from gvkernel import expr, jacobi
+from gvkernel import cli, expr, jacobi
 from gvkernel.alg import DiffForm, MultiVector, contract_form_into_mv
 from gvkernel.calculus import exterior_derivative
 from gvkernel.cli import emit, execute, fixture_problem, main
 from gvkernel.dsl import (COMMANDS, MAX_NESTING, MAX_POINTS, parse_multivector, parse_problem,
                           parse_scalar)
-from gvkernel.expr import Chart, CheckFailure, KernelError
+from gvkernel.expr import Chart, CheckFailure, KernelError, Sampler
 from gvkernel.fixtures import FIXTURE_NAMES, get_fixture
 
 CONTACT_TEXT = """\
@@ -168,6 +168,22 @@ class TestExecute:
         r1 = execute(pf)
         r2 = execute(pf, seed=5)
         assert emit(r1, "structured") == emit(r2, "structured")
+
+    def test_flag_overrides_one_setting_and_keeps_the_others(self, monkeypatch):
+        samplers = []
+        init = cli._Session.__init__
+        monkeypatch.setattr(cli._Session, "__init__", lambda session, problem, sampler:
+                            samplers.append(sampler) or init(session, problem, sampler))
+        text = BROKEN_TEXT + "seed 3\ntol 1e-7\n"
+        flagged = execute(parse_problem(text), seed=None, points=16, tol=None)
+        filed = execute(parse_problem(text + "points 16\n"))
+        assert emit(flagged, "structured") == emit(filed, "structured")
+        assert samplers == [Sampler(seed=3, points=16, tol=1e-7)] * 2
+
+    @pytest.mark.parametrize("flag", [{"seed": 3}, {"points": 16}, {"tol": 1e-7}])
+    def test_flag_equal_to_the_file_setting_changes_nothing(self, flag):
+        pf = parse_problem(BROKEN_TEXT + "seed 3\npoints 16\ntol 1e-7\n")
+        assert emit(execute(pf, **flag), "structured") == emit(execute(pf), "structured")
 
     def test_codim_zero_fixture_verify_fails(self):
         text = ("chart x0 x1 x2\n"

@@ -7,7 +7,7 @@ import pytest
 from gvkernel.alg import DiffForm, MultiVector, wedge
 from gvkernel.dsl import (MAX_NESTING, MAX_POINTS, DslError, parse_form, parse_multivector,
                           parse_problem, parse_scalar, parse_value)
-from gvkernel.expr import Chart, ScalarExpr, cos_, exp_, sin_
+from gvkernel.expr import Chart, Sampler, ScalarExpr, cos_, exp_, sin_
 
 from conftest import rand_form, rand_mv, rand_scalar
 
@@ -190,12 +190,12 @@ class TestProblemFiles:
 
     def test_default_sampler_settings(self):
         pf = parse_problem("chart a b\npi = d/da^d/db\n")
-        assert (pf.seed, pf.points, pf.tol) == (0, 64, 1e-9)
+        assert pf.sampler == Sampler(seed=0, points=64, tol=1e-9)
 
     def test_settings_parsed(self):
         pf = parse_problem(
             "chart a b\npi = d/da^d/db\nseed 7\npoints 32\ntol 1e-6\n")
-        assert (pf.seed, pf.points, pf.tol) == (7, 32, 1e-6)
+        assert pf.sampler == Sampler(seed=7, points=32, tol=1e-6)
 
     @pytest.mark.parametrize("line", ["seed -1", "seed 1.5", "points 0", "points x",
                                       "tol 0", "tol -1e-9", "tol nan", "tol inf"])
@@ -288,7 +288,7 @@ class TestProblemFiles:
 
     def test_points_capped(self):
         pf = parse_problem(f"chart a b\npi = d/da^d/db\npoints {MAX_POINTS}\n")
-        assert pf.points == MAX_POINTS
+        assert pf.sampler.points == MAX_POINTS
         with pytest.raises(DslError, match=f"line 3, col 8: bad points '{MAX_POINTS + 1}' "
                                            rf"\(expected integer in 1\.\.{MAX_POINTS}\)"):
             parse_problem(f"chart a b\npi = d/da^d/db\npoints {MAX_POINTS + 1}\n")

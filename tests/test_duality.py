@@ -248,6 +248,36 @@ class TestStar:
         with pytest.raises(NoCompanion):
             star(ctx, u, sampler)
 
+    @staticmethod
+    def _star_with_certificate_times(factor, sampler, monkeypatch):
+        """star of d/dx1 on C2 with its certificate multiplied by `factor`.
+        The complement is forced, so star evaluates the volume twice: once
+        for the one candidate, then for the certificate."""
+        from gvkernel import duality
+        ctx = flat_ctx(C2, sampler)
+        original, calls = duality.apply_vol, []
+
+        def apply_vol(ctx, top):
+            calls.append(top)
+            value = original(ctx, top)
+            return value * factor if len(calls) == 2 else value
+
+        monkeypatch.setattr(duality, "apply_vol", apply_vol)
+        return star(ctx, MultiVector.basis(C2, [0]), sampler, force_complement=0b10)
+
+    def test_certificate_one_only_numerically_is_accepted(self, sampler, monkeypatch):
+        from gvkernel.expr import cos_, sin_
+        x1 = ScalarExpr.var("x1")
+        st = self._star_with_certificate_times(sin_(x1) ** 2 + cos_(x1) ** 2,
+                                               sampler, monkeypatch)
+        assert not st.certificate.is_one  # decided by sampling, not by the form
+        assert st.companion == MultiVector.basis(C2, [1])
+
+    def test_certificate_not_one_is_refused_with_a_witness(self, sampler, monkeypatch):
+        factor = 1 + ScalarExpr.var("x1") ** 2
+        with pytest.raises(NoCompanion, match=r"certificate != 1 near \(-?\d"):
+            self._star_with_certificate_times(factor, sampler, monkeypatch)
+
     def test_volume_certificate_with_companion(self, sampler):
         # vol(U ^ *U) = 1 for every successful call, rescaled volume included
         rho = 2 + ScalarExpr.var("x2") ** 2
