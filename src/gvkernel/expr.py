@@ -35,8 +35,18 @@ A wrapped polynomial is primitive (integer coefficients with gcd 1, as
 `recip` makes it), so by Gauss's lemma an integer polynomial that is a
 multiple of it is an integer multiple: division stays in the integers and
 ends at the first leading coefficient it does not divide (`_exact_div`).
+No atom divides a wrapped polynomial either, so it divides a numerator
+exactly when it divides each cofactor group, the terms that share the part
+of their monomial outside its atoms (`_divided`): each group is tested,
+cleared of negative exponents and divided on its own, in the polynomial's
+atoms alone.  Every normal form is a fixed point of cancellation, so a sum
+tries again only the groups its summands added terms to, and each later
+pass only the groups that divided terms landed in.
 Atoms are interned (hash-consed), so equal atoms are one object and compare
-by identity.
+by identity.  A monomial lists its atoms in key order, and a product or
+quotient of two monomials merges the two lists in one pass (`_mono_mul`,
+`_mono_div`); where two distinct atoms share a key, the first operand's
+comes first, as a stable sort of the merged exponents would leave them.
 
 A normal form holds wrapped polynomials only at negative exponents, and a
 wrapped polynomial's argument holds none.  Only `recip` creates a positive
@@ -244,9 +254,9 @@ def _mono_key(m: Monomial):
     return (sum(e for _, e in m), tuple((a.key, e) for a, e in m))
 
 
-def _plain_terms(terms) -> bool:
-    """No wrapped-poly atom in any monomial of the terms."""
-    return all(a.kind != "poly" for m, _ in terms for a, _ in m)
+def _in_order(terms: Mapping[Monomial, int]) -> tuple:
+    """The (monomial, numerator) pairs in normal-form order."""
+    return tuple(sorted(terms.items(), key=lambda p: _mono_key(p[0])))
 
 
 def _freeze(exps: Mapping[Atom, int]) -> Monomial:
@@ -254,28 +264,86 @@ def _freeze(exps: Mapping[Atom, int]) -> Monomial:
                         key=lambda p: p[0].key))
 
 
+def _tied(a: Monomial, i: int, b: Monomial, j: int, sign: int):
+    """Merge the run of distinct atoms that share a[i]'s key: a's atoms in
+    a's order, then b's others in b's order, as a stable sort by key leaves
+    them; b's exponents count `sign` times.  Returns the merged pairs (zero
+    exponents dropped), the pairs of the run that came from b, and the ends
+    of the run in a and in b."""
+    key = a[i][0].key
+    i2, j2 = i, j
+    while i2 < len(a) and a[i2][0].key == key:
+        i2 += 1
+    while j2 < len(b) and b[j2][0].key == key:
+        j2 += 1
+    exps = dict(a[i:i2])
+    for atom, e in b[j:j2]:
+        exps[atom] = exps.get(atom, 0) + sign * e
+    return ([p for p in exps.items() if p[1]], [(x, exps[x]) for x, _ in b[j:j2]],
+            i2, j2)
+
+
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """The product of two monomials."""
+    """The product of two monomials: one merge of the two key orders."""
     if not b:
         return a
     if not a:
         return b
-    exps = dict(a)
-    for atom, e in b:
-        exps[atom] = exps.get(atom, 0) + e
-    return _freeze(exps)
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        x, e = pa = a[i]
+        y, f = pb = b[j]
+        if x is y:
+            if e + f:
+                out.append((x, e + f))
+            i += 1
+            j += 1
+        elif y.key < x.key:
+            out.append(pb)
+            j += 1
+        elif x.key < y.key:
+            out.append(pa)
+            i += 1
+        else:
+            pairs, _, i, j = _tied(a, i, b, j, 1)
+            out += pairs
+    return (*out, *a[i:], *b[j:])
 
 
 def _mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
     """The quotient a / b, or None where an exponent would go negative: b
-    raises an atom higher than a does (an atom a lacks is at 0)."""
-    exps = dict(a)
-    for atom, e in b:
-        r = exps.get(atom, 0) - e
-        if r < 0:
-            return None
-        exps[atom] = r
-    return _freeze(exps)
+    raises an atom higher than a does (an atom a lacks is at 0).  One merge
+    of the two key orders, as in `_mono_mul`."""
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while j < nb:
+        y, f = b[j]
+        if i == na or y.key < a[i][0].key:
+            if f > 0:
+                return None
+            out.append((y, -f))
+            j += 1
+            continue
+        x, e = pa = a[i]
+        if x is y:
+            if e < f:
+                return None
+            if e != f:
+                out.append((x, e - f))
+            i += 1
+            j += 1
+        elif x.key < y.key:
+            out.append(pa)
+            i += 1
+        else:
+            pairs, from_b, i, j = _tied(a, i, b, j, -1)
+            if any(e < 0 for _, e in from_b):
+                return None
+            out += pairs
+    return (*out, *a[i:])
 
 
 # --- raw term-dict arithmetic (monomial -> int numerator) ------------------
@@ -327,13 +395,15 @@ def _lead_key(m: Monomial):
 
 class _Divisor(NamedTuple):
     """A wrapped polynomial as a divisor: its terms, its leading term under
-    `_lead_key` (monomial and coefficient), and every atom whose exponent
-    varies across its terms, with the spread (max minus min)."""
+    `_lead_key` (monomial and coefficient), every atom whose exponent
+    varies across its terms with the spread (max minus min), in key order,
+    and the set of those atoms, which are all the atoms of its terms."""
 
     terms: dict
     lead: Monomial
     lead_coeff: int
     spreads: Tuple[Tuple[Atom, int], ...]
+    atoms: frozenset
 
 
 def _divisor(atom: Atom) -> _Divisor:
@@ -343,9 +413,9 @@ def _divisor(atom: Atom) -> _Divisor:
     if div is None:
         terms = dict(atom.arg._terms)
         lead = max(terms, key=_lead_key)
-        spreads = tuple((a, s) for a in {a for m in terms for a, _ in m}
-                        if (s := _spread(terms, a)))
-        div = _Divisor(terms, lead, terms[lead], spreads)
+        atoms = sorted({a for m in terms for a, _ in m}, key=lambda a: a.key)
+        spreads = tuple((a, s) for a in atoms if (s := _spread(terms, a)))
+        div = _Divisor(terms, lead, terms[lead], spreads, frozenset(a for a, _ in spreads))
         object.__setattr__(atom, "divisor", div)
     return div
 
@@ -366,26 +436,31 @@ def _may_divide(num, div: _Divisor) -> bool:
     return all(_spread(num, a) >= s for a, s in div.spreads)
 
 
-def _exact_div(num: Mapping[Monomial, int], den: _Divisor):
-    """Exact polynomial division num/den over nonnegative-exponent monomials,
-    of an integer numerator by a primitive divisor.
+_DIVISION_STEPS = 10_000
 
-    Returns the quotient dict, or None if the division is not exact.  With a
-    single divisor and a monomial order, leading-term reduction is complete
-    for exact division.  By Gauss's lemma the quotient of an exact division
-    has integer coefficients, and each remainder is the divisor times the
-    rest of it, so every leading coefficient the reduction meets is an
-    integer multiple of the divisor's: the first that is not ends the
-    division.
+
+def _exact_div(num: Mapping[Monomial, int], den: _Divisor, steps: int = _DIVISION_STEPS):
+    """Exact polynomial division num/den over nonnegative-exponent monomials,
+    of an integer numerator by a primitive divisor, in at most `steps`
+    reduction steps.
+
+    Returns the quotient dict and the steps left, or None if the division
+    is not exact or runs out of steps.  With a single divisor and a monomial
+    order, leading-term reduction is complete for exact division.  By
+    Gauss's lemma the quotient of an exact division has integer
+    coefficients, and each remainder is the divisor times the rest of it,
+    so every leading coefficient the reduction meets is an integer multiple
+    of the divisor's: the first that is not ends the division.  Each
+    remainder monomial's `_lead_key` is computed once.
     """
     rem = dict(num)
+    keys = {m: _lead_key(m) for m in rem}
     quo: dict = {}
-    guard = 0
     while rem:
-        guard += 1
-        if guard > 10_000:
+        steps -= 1
+        if steps < 0:
             return None
-        lead = max(rem, key=_lead_key)
+        lead = max(rem, key=keys.__getitem__)
         t = _mono_div(lead, den.lead)
         if t is None:
             return None
@@ -393,71 +468,125 @@ def _exact_div(num: Mapping[Monomial, int], den: _Divisor):
         if r:
             return None
         quo[t] = quo.get(t, 0) + c
-        _add_into(rem, [(_mono_mul(m, t), -c * cden) for m, cden in den.terms.items()])
-    return quo
+        for m, cden in den.terms.items():
+            mt = _mono_mul(m, t)
+            c2 = rem.get(mt, 0) - c * cden
+            if c2:
+                rem[mt] = c2
+                if mt not in keys:
+                    keys[mt] = _lead_key(mt)
+            elif mt in rem:
+                del rem[mt]
+    return quo, steps
 
 
 def _divided(num: dict, den: _Divisor) -> Optional[dict]:
     """num/den for a numerator over Laurent monomials, reciprocals included,
-    or None if it is not exact: negative exponents are cleared first, so
-    the division sees a polynomial, and restored on the quotient."""
-    union = {a for mm in num for a, _ in mm}
-    mins = {a: min(dict(mm).get(a, 0) for mm in num) for a in union}
-    clear = _freeze({a: -e for a, e in mins.items() if e < 0})
-    quo = _exact_div({_mono_mul(m, clear): c for m, c in num.items()}, den)
-    if quo is None:
+    or None if it is not exact.
+
+    The terms are grouped by their cofactor, the part of the monomial
+    outside the divisor's atoms.  The divisor is primitive and no atom
+    divides it, so it divides `num` exactly when it divides each group's
+    polynomial in its own atoms, and the quotient is the sum of the groups'
+    quotients times their cofactors.  Every group must pass `_may_divide`
+    before any is divided; each group's negative exponents are cleared
+    first, so the division sees a polynomial, and restored on its
+    quotient.  The divisions share one budget of steps, and the first that
+    fails ends the whole."""
+    if not _may_divide(num, den):  # then some group fails it too
         return None
-    back = _freeze({a: e for a, e in mins.items() if e < 0})
-    return {_mono_mul(m, back): c for m, c in quo.items()}
+    atoms = den.atoms
+    groups: dict = {}
+    for m, c in num.items():
+        inside = tuple(p for p in m if p[0] in atoms)
+        if len(inside) == len(m):
+            groups.setdefault(_EMPTY_MONO, {})[m] = c
+        else:
+            groups.setdefault(tuple(p for p in m if p[0] not in atoms), {})[inside] = c
+    if not all(_may_divide(group, den) for group in groups.values()):
+        return None
+    steps = _DIVISION_STEPS
+    out: dict = {}
+    for cofactor, group in groups.items():
+        lows: dict = {}
+        for m in group:
+            for a, e in m:
+                if e < lows.get(a, 0):
+                    lows[a] = e
+        if lows:
+            back = tuple((a, lows[a]) for a, _ in den.spreads if a in lows)
+            clear = tuple((a, -e) for a, e in back)
+            group = {_mono_mul(m, clear): c for m, c in group.items()}
+            cofactor = _mono_mul(back, cofactor)
+        divided = _exact_div(group, den, steps)
+        if divided is None:
+            return None
+        quo, steps = divided
+        for m, c in quo.items():
+            out[_mono_mul(m, cofactor)] = c
+    return out
 
 
 def _is_recip(p: Tuple[Atom, int]) -> bool:
     return p[0].kind == "poly" and p[1] < 0
 
 
-def _cancel_denominators(terms: dict) -> Tuple[dict, bool]:
+def _reciprocals(m: Monomial) -> Monomial:
+    """The wrapped-poly reciprocals of a monomial: its denominator group.
+    Wrapped polynomials sort last in a monomial (their keys start with 2),
+    so one that does not end in a wrapped polynomial holds none."""
+    if not m or m[-1][0].kind != "poly":
+        return _EMPTY_MONO
+    return tuple(filter(_is_recip, m))
+
+
+def _cancel_denominators(terms: dict, touched=None) -> Tuple[dict, set]:
     """Divide out wrapped-poly reciprocals where the cofactor sum allows it.
 
     Terms are grouped by their reciprocals, which every term of a group
-    shares, and each group is divided by each wrapped polynomial while
-    `_may_divide` allows it and the division is exact; the powers divided
-    out are then taken off the group's reciprocals.  Returns the terms and
-    whether any division went through; a pass that divides nothing returns
-    `terms` itself, and the groups it did not divide keep their monomials."""
+    shares, and each group (each group in `touched`, when given) is divided
+    by each wrapped polynomial while the division is exact; the powers
+    divided out are then taken off the group's reciprocals, which moves its
+    terms to another group.  Returns the terms and the groups that divided
+    terms landed in, empty when nothing divided; a pass that divides
+    nothing returns `terms` itself, and the groups it did not divide keep
+    their monomials."""
     groups: dict = {}
     for m, c in terms.items():
-        groups.setdefault(tuple(filter(_is_recip, m)), {})[m] = c
-    divided: dict = {}
+        den = _reciprocals(m)
+        if den and (touched is None or den in touched):
+            groups.setdefault(den, {})[m] = c
+    out, landed = terms, set()
     for den, group in groups.items():
-        num, lift = group, {}
+        num, lift = group, []
         for atom, e in den:
             div, k = _divisor(atom), 0
-            while k < -e and _may_divide(num, div):
+            while k < -e:
                 quo = _divided(num, div)
                 if quo is None:
                     break
                 num, k = quo, k + 1
             if k:
-                lift[atom] = k
+                lift.append((atom, k))
         if lift:
-            lift = _freeze(lift)
-            divided[den] = {_mono_mul(m, lift): c for m, c in num.items()}
-    if not divided:
-        return terms, False
-    out: dict = {}
-    for den, group in groups.items():
-        _add_into(out, divided.get(den, group).items())
-    return out, True
+            if out is terms:
+                out = dict(terms)
+            lift = tuple(lift)
+            _add_into(out, [(m, -c) for m, c in group.items()])
+            _add_into(out, [(_mono_mul(m, lift), c) for m, c in num.items()])
+            landed.add(_mono_mul(den, lift))
+    return out, landed
 
 
-def _cancelled(items: dict) -> dict:
+def _cancelled(items: dict, touched=None) -> dict:
     """Cancel wrapped-poly reciprocals to a fixed point: merging groups can
-    expose a newly divisible numerator.  A pass that divides something
-    strictly shrinks the multiset of denominator powers, so it changes the
-    terms, and the loop ends at the first pass that divides nothing."""
-    divided = True
-    while divided and any(_is_recip(p) for m in items for p in m):
-        items, divided = _cancel_denominators(items)
+    expose a newly divisible numerator.  The first pass tries the groups in
+    `touched` (every group when it is None), and each later pass the groups
+    that the pass before moved terms into: every other group is as it was
+    when it last failed to divide.  A pass that divides something strictly
+    shrinks the multiset of denominator powers, so the loop ends."""
+    while touched is None or touched:
+        items, touched = _cancel_denominators(items, touched)
     return items
 
 
@@ -478,8 +607,7 @@ class ScalarExpr:
         if _normalized:
             items = tuple(terms.items())
         else:
-            cancelled = _cancelled({m: c for m, c in terms.items() if c})
-            items = tuple(sorted(cancelled.items(), key=lambda p: _mono_key(p[0])))
+            items = _in_order(_cancelled({m: c for m, c in terms.items() if c}))
         if den != 1:
             g = math.gcd(den, *(c for _, c in items))
             if g != 1:
@@ -536,21 +664,25 @@ class ScalarExpr:
         and a lone one is returned as it is.  Cancelling wrapped-poly
         reciprocals depends on grouping (with p = 1 + x^2, x^2/p + 1/p + x/p
         folds to 1 + x/p, but nothing divides (x^2 + 1 + x)/p), so the terms
-        are cancelled again after each inner summand holding one: the sum is
-        the left fold of `+`, term for term.  (Scaling every numerator by
-        one factor changes no division, so the shared denominator does not
-        change what cancels.)"""
+        are cancelled again after each summand holding one: the sum is the
+        left fold of `+`, term for term.  Every normal form is a fixed point
+        of `_cancelled`, so only the groups a summand added terms to are
+        tried again (and the groups their divisions move terms into).
+        (Scaling every numerator by one factor changes no division, so the
+        shared denominator does not change what cancels.)"""
         parts = [e for e in map(_coerce, exprs) if e._terms]
         if len(parts) < 2:
             return parts[0] if parts else _ZERO
         den = math.lcm(*(e._den for e in parts))
         out = dict(parts[0]._over(den))
-        for k, e in enumerate(parts[1:], 2):
+        for e in parts[1:]:
             terms = e._over(den)
             _add_into(out, terms)
-            if k < len(parts) and not _plain_terms(terms):
-                out = _cancelled(out)
-        return ScalarExpr(out, den)
+            touched = {_reciprocals(m) for m, _ in terms}
+            touched.discard(_EMPTY_MONO)
+            if touched:
+                out = _cancelled(out, touched)
+        return ScalarExpr(dict(_in_order(out)), den, _normalized=True)
 
     def __add__(self, other) -> "ScalarExpr":
         return ScalarExpr.sum((self, other))

@@ -421,6 +421,20 @@ class TestSum:
         assert str(_fold([xs[0], _fold(xs[1:])])) == (
             "(1 + x1^2)^-1 + x1*(1 + x1^2)^-1 + x1^2*(1 + x1^2)^-1")
 
+    def test_divided_terms_land_in_a_group_that_then_divides(self):
+        # x1^2/p^2 + 1/p^2 divides to 1/p, which lands beside x1^2/p: that
+        # group is tried again and divides to 1
+        p = _RECIPROCALS[0]
+        p2 = _RECIPROCALS[3]
+        assert str(ScalarExpr.sum([_full_mul(_X1SQ, p), _full_mul(_POLYS[0], p2)])) == "1"
+        a = _merged(_full_mul(_X1SQ, p), _full_mul(_X1SQ, p2))
+        assert len(a._terms) == 2
+        xs = [a, p2]
+        got = ScalarExpr.sum(xs)
+        assert got.is_one
+        _same(got, _fold(xs))
+        _same(got, a + p2)
+
     @settings(max_examples=50, deadline=None)
     @given(_SUMMANDS)
     def test_empty_lone_and_zero_summands(self, e):
@@ -474,6 +488,19 @@ def _reference_exact_div(num, den):
     return quo
 
 
+def _reference_divided(num, den):
+    """num/den over Laurent monomials, or None: the negative exponents of
+    the whole numerator are cleared at once, without grouping its terms."""
+    union = {a for mm in num for a, _ in mm}
+    mins = {a: min(dict(mm).get(a, 0) for mm in num) for a in union}
+    clear = _ref_monomial({a: -e for a, e in mins.items() if e < 0})
+    quo = _reference_exact_div({_ref_times(m, clear): c for m, c in num.items()}, den)
+    if quo is None:
+        return None
+    back = _ref_monomial({a: e for a, e in mins.items() if e < 0})
+    return {_ref_times(m, back): c for m, c in quo.items()}
+
+
 def _reference_pass(terms):
     groups = {}
     for m, c in terms.items():
@@ -486,15 +513,10 @@ def _reference_pass(terms):
         for atom, e in den:
             k = -e
             while k > 0:
-                union = {a for mm in num for a, _ in mm}
-                mins = {a: min(dict(mm).get(a, 0) for mm in num) for a in union}
-                clear = _ref_monomial({a: -e2 for a, e2 in mins.items() if e2 < 0})
-                cleared = {_ref_times(m, clear): c for m, c in num.items()}
-                quo = _reference_exact_div(cleared, dict(atom.arg._terms))
+                quo = _reference_divided(num, dict(atom.arg._terms))
                 if quo is None:
                     break
-                back = _ref_monomial({a: e2 for a, e2 in mins.items() if e2 < 0})
-                num = {_ref_times(m, back): c for m, c in quo.items()}
+                num = quo
                 k -= 1
             if k == 0:
                 del den_left[atom]
@@ -568,6 +590,91 @@ def _reciprocal_term_dicts(draw):
     return out
 
 
+# Atoms of every key class, with two pairs of distinct atoms that share a
+# key: exp of the variable named "2*x1" prints as exp(2*x1), and the wrapped
+# variable named "1 + x1^2" as the wrapped 1 + x1^2.
+_TIED = ((Atom("exp", arg=ScalarExpr.var("2*x1")), exp_(2 * X1)._terms[0][0][0][0]),
+         (Atom("poly", arg=ScalarExpr.var("1 + x1^2")), _WRAPPED[0]))
+_MERGE_ATOMS = (*_PLAIN_ATOMS, *_TIED[0], *_TIED[1], _WRAPPED[2])
+assert all(a.key == b.key and a is not b for a, b in _TIED)
+
+
+def _ref_quotient(m1, m2):
+    """m1 / m2, or None where m2 raises an atom higher than m1 does."""
+    exps = dict(m1)
+    for a, e in m2:
+        r = exps.get(a, 0) - e
+        if r < 0:
+            return None
+        exps[a] = r
+    return _ref_monomial(exps)
+
+
+# a monomial in the order a dict-and-sort leaves it: atoms of one key in the
+# order they were drawn
+_MERGE_MONOMIALS = st.lists(
+    st.tuples(st.sampled_from(_MERGE_ATOMS), st.integers(-2, 2).filter(bool)),
+    max_size=5, unique_by=lambda p: id(p[0])).map(lambda ps: _ref_monomial(dict(ps)))
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """(a, b) with b drawn freely, or from a's atoms at exponents that cancel
+    a's, stay below them or go above them."""
+    a = draw(_MERGE_MONOMIALS)
+    if a and draw(st.booleans()):
+        picks = draw(st.lists(st.sampled_from(a), unique_by=lambda p: id(p[0])))
+        shift = draw(st.sampled_from([-1, 0, 1]))
+        b = {x: e + shift for x, e in picks}
+        extra = draw(_MERGE_MONOMIALS)
+        b.update((x, e) for x, e in extra if x not in b)
+        return a, _ref_monomial(b)
+    return a, draw(_MERGE_MONOMIALS)
+
+
+class TestMonomialMerge:
+    """`_mono_mul` and `_mono_div` merge two monomials in key order; they
+    must give what multiplying the exponent dicts and sorting by key gives,
+    with a's atom first where two atoms share a key."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_monomial_pairs())
+    def test_product_is_the_sorted_dict_product(self, ab):
+        a, b = ab
+        assert expr_mod._mono_mul(a, b) == _ref_times(a, b)
+        assert expr_mod._mono_mul(b, a) == _ref_times(b, a)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_monomial_pairs())
+    def test_quotient_is_the_sorted_dict_quotient(self, ab):
+        a, b = ab
+        assert expr_mod._mono_div(a, b) == _ref_quotient(a, b)
+        assert expr_mod._mono_div(b, a) == _ref_quotient(b, a)
+
+    def test_cancelling_exponents_leave_no_atom(self):
+        x1, x2 = _PLAIN_ATOMS[:2]
+        assert expr_mod._mono_mul(((x1, 1), (x2, 2)), ((x1, -1),)) == ((x2, 2),)
+        assert expr_mod._mono_div(((x1, 1), (x2, 2)), ((x1, 1), (x2, 2))) == ()
+
+    @pytest.mark.parametrize("tie", [0, 1])
+    def test_tied_atoms_keep_the_first_operand_first(self, tie):
+        s, t = _TIED[tie]
+        assert expr_mod._mono_mul(((s, 1),), ((t, 1),)) == ((s, 1), (t, 1))
+        assert expr_mod._mono_mul(((t, 1),), ((s, 1),)) == ((t, 1), (s, 1))
+        # b's copy of a's atom merges into it past a tied atom of b's own
+        assert expr_mod._mono_mul(((s, 1),), ((t, 1), (s, 2))) == ((s, 3), (t, 1))
+        assert expr_mod._mono_div(((s, 2), (t, 1)), ((t, 1), (s, 1))) == ((s, 1),)
+        assert expr_mod._mono_div(((s, 2),), ((t, 1),)) is None
+
+    def test_quotient_is_none_where_an_exponent_goes_negative(self):
+        x1, x2 = _PLAIN_ATOMS[:2]
+        p = _WRAPPED[0]
+        assert expr_mod._mono_div(((x1, 1),), ((x1, 2),)) is None
+        assert expr_mod._mono_div(((x1, 1),), ((x2, 1),)) is None
+        assert expr_mod._mono_div(((x1, 1), (p, -1)), ((p, 1),)) is None
+        assert expr_mod._mono_div(((x1, 1),), ((p, -1),)) == ((x1, 1), (p, 1))
+
+
 class TestCancellation:
     """Cancellation skips the divisions that cannot succeed (the spread
     test) and stops at the first pass that divides nothing; its terms must
@@ -612,6 +719,41 @@ class TestCancellation:
         assert len(steps) == 1
         assert _reference_exact_div(num, div.terms) is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(_LAURENT, st.sampled_from(_WRAPPED), st.integers(0, 2), _EXPONENTS, st.booleans())
+    def test_grouped_division_is_the_ungrouped_one(self, q, atom, j, exps, spoil):
+        # q * p^j over Laurent monomials in x1, x2, x3 and exp(x1): the
+        # divisors' atoms are x1 (and x2), so most terms carry a cofactor
+        # outside them; with j = 0, or with `spoil` (one term changed), the
+        # division is exact only by chance
+        num = expr_mod._raw_mul(_times_powers(q, [(atom, j)]), {_monomial(exps): 1})
+        if spoil:
+            m = next(iter(num))
+            num[m] += 1
+            if not num[m]:
+                del num[m]
+        div = expr_mod._divisor(atom)
+        want = _reference_divided(num, div.terms) if num else {}
+        assert expr_mod._divided(num, div) == want
+        if j and not spoil:
+            assert want is not None
+
+    def test_a_single_term_cofactor_group_is_never_divided(self, monkeypatch):
+        # x2*(1 + x1^2) + x3 spreads 2 in x1 as a whole, but the cofactor x3
+        # holds one term, so no division is tried, not even the x2 group's
+        div = expr_mod._divisor(_WRAPPED[0])
+        num = expr_mod._raw_mul(dict(_POLYS[0]._terms), {_monomial((0, 1, 0, 0)): 1})
+        num[_monomial((0, 0, 1, 0))] = 1
+        assert expr_mod._may_divide(num, div)
+        calls = []
+        exact_div = expr_mod._exact_div
+        monkeypatch.setattr(expr_mod, "_exact_div", lambda *a: calls.append(a) or exact_div(*a))
+        assert expr_mod._divided(num, div) is None
+        assert calls == []
+        del num[_monomial((0, 0, 1, 0))]
+        assert expr_mod._divided(num, div) == {_monomial((0, 1, 0, 0)): 1}
+        assert len(calls) == 1
+
     def test_divisor_data_is_held_by_the_atom(self):
         atom = _WRAPPED[2]
         div = expr_mod._divisor(atom)
@@ -621,13 +763,19 @@ class TestCancellation:
     @settings(max_examples=300, deadline=None)
     @given(_reciprocal_term_dicts())
     def test_cancelled_is_the_reference_loop(self, terms):
+        # the dict order is not the kernel's to keep (grouped division may
+        # change it), but the normal form's order is
         got = expr_mod._cancelled(dict(terms))
-        assert list(got.items()) == list(_reference_cancelled(dict(terms)).items())
+        want = _reference_cancelled(dict(terms))
+        assert got == want
+        assert ScalarExpr(got)._terms == tuple(
+            sorted(want.items(), key=lambda p: expr_mod._mono_key(p[0])))
 
     @settings(max_examples=100, deadline=None)
     @given(_reciprocal_term_dicts())
     def test_a_pass_that_divides_nothing_returns_its_terms(self, terms):
-        out, divided = expr_mod._cancel_denominators(terms)
+        out, landed = expr_mod._cancel_denominators(terms)
+        divided = bool(landed)
         assert (out is terms) == (not divided)
         assert divided == (out != terms)
 
