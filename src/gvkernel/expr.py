@@ -35,18 +35,20 @@ A wrapped polynomial is primitive (integer coefficients with gcd 1, as
 `recip` makes it), so by Gauss's lemma an integer polynomial that is a
 multiple of it is an integer multiple: division stays in the integers and
 ends at the first leading coefficient it does not divide (`_exact_div`).
-No atom divides a wrapped polynomial either, so it divides a numerator
-exactly when it divides each cofactor group, the terms that share the part
-of their monomial outside its atoms (`_divided`): each group is tested,
-cleared of negative exponents and divided on its own, in the polynomial's
-atoms alone.  Every normal form is a fixed point of cancellation, so a sum
+A wrapped polynomial is a polynomial in its own atoms alone, so it
+divides a numerator exactly when it divides each cofactor group, the terms
+that share the part of their monomial outside those atoms (`_divided`):
+each group is tested and divided on its own, in the polynomial's atoms
+alone, after the one shift that clears the whole numerator's negative
+exponents.  Every normal form is a fixed point of cancellation, so a sum
 tries again only the groups its summands added terms to, and each later
 pass only the groups that divided terms landed in.
 Atoms are interned (hash-consed), so equal atoms are one object and compare
 by identity.  A monomial lists its atoms in key order, and a product or
 quotient of two monomials merges the two lists in one pass (`_mono_mul`,
-`_mono_div`); where two distinct atoms share a key, the first operand's
-comes first, as a stable sort of the merged exponents would leave them.
+`_mono_div`); where two distinct atoms share a key, they fall back to a
+stable sort of the merged exponents, which leaves the first operand's
+atom first.
 
 A normal form holds wrapped polynomials only at negative exponents, and a
 wrapped polynomial's argument holds none.  Only `recip` creates a positive
@@ -264,25 +266,6 @@ def _freeze(exps: Mapping[Atom, int]) -> Monomial:
                         key=lambda p: p[0].key))
 
 
-def _tied(a: Monomial, i: int, b: Monomial, j: int, sign: int):
-    """Merge the run of distinct atoms that share a[i]'s key: a's atoms in
-    a's order, then b's others in b's order, as a stable sort by key leaves
-    them; b's exponents count `sign` times.  Returns the merged pairs (zero
-    exponents dropped), the pairs of the run that came from b, and the ends
-    of the run in a and in b."""
-    key = a[i][0].key
-    i2, j2 = i, j
-    while i2 < len(a) and a[i2][0].key == key:
-        i2 += 1
-    while j2 < len(b) and b[j2][0].key == key:
-        j2 += 1
-    exps = dict(a[i:i2])
-    for atom, e in b[j:j2]:
-        exps[atom] = exps.get(atom, 0) + sign * e
-    return ([p for p in exps.items() if p[1]], [(x, exps[x]) for x, _ in b[j:j2]],
-            i2, j2)
-
-
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """The product of two monomials: one merge of the two key orders."""
     if not b:
@@ -306,9 +289,11 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         elif x.key < y.key:
             out.append(pa)
             i += 1
-        else:
-            pairs, _, i, j = _tied(a, i, b, j, 1)
-            out += pairs
+        else:  # distinct atoms of one key: sort the summed exponents stably
+            exps = dict(a)
+            for atom, e in b:
+                exps[atom] = exps.get(atom, 0) + e
+            return _freeze(exps)
     return (*out, *a[i:], *b[j:])
 
 
@@ -338,11 +323,14 @@ def _mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
         elif x.key < y.key:
             out.append(pa)
             i += 1
-        else:
-            pairs, from_b, i, j = _tied(a, i, b, j, -1)
-            if any(e < 0 for _, e in from_b):
-                return None
-            out += pairs
+        else:  # distinct atoms of one key, as in `_mono_mul`
+            exps = dict(a)
+            for atom, e in b:
+                r = exps.get(atom, 0) - e
+                if r < 0:
+                    return None
+                exps[atom] = r
+            return _freeze(exps)
     return (*out, *a[i:])
 
 
@@ -397,7 +385,8 @@ class _Divisor(NamedTuple):
     """A wrapped polynomial as a divisor: its terms, its leading term under
     `_lead_key` (monomial and coefficient), every atom whose exponent
     varies across its terms with the spread (max minus min), in key order,
-    and the set of those atoms, which are all the atoms of its terms."""
+    and the set of all the atoms of its terms, those at one exponent in
+    every term included."""
 
     terms: dict
     lead: Monomial
@@ -415,7 +404,7 @@ def _divisor(atom: Atom) -> _Divisor:
         lead = max(terms, key=_lead_key)
         atoms = sorted({a for m in terms for a, _ in m}, key=lambda a: a.key)
         spreads = tuple((a, s) for a in atoms if (s := _spread(terms, a)))
-        div = _Divisor(terms, lead, terms[lead], spreads, frozenset(a for a, _ in spreads))
+        div = _Divisor(terms, lead, terms[lead], spreads, frozenset(atoms))
         object.__setattr__(atom, "divisor", div)
     return div
 
@@ -482,17 +471,21 @@ def _exact_div(num: Mapping[Monomial, int], den: _Divisor, steps: int = _DIVISIO
 
 def _divided(num: dict, den: _Divisor) -> Optional[dict]:
     """num/den for a numerator over Laurent monomials, reciprocals included,
-    or None if it is not exact.
+    or None if it is not exact: the numerator's negative exponents are
+    cleared first, so the division sees a polynomial, and restored on the
+    quotient.
 
     The terms are grouped by their cofactor, the part of the monomial
-    outside the divisor's atoms.  The divisor is primitive and no atom
-    divides it, so it divides `num` exactly when it divides each group's
-    polynomial in its own atoms, and the quotient is the sum of the groups'
-    quotients times their cofactors.  Every group must pass `_may_divide`
-    before any is divided; each group's negative exponents are cleared
-    first, so the division sees a polynomial, and restored on its
-    quotient.  The divisions share one budget of steps, and the first that
-    fails ends the whole."""
+    outside the divisor's atoms.  The divisor is a polynomial in its atoms
+    alone, so it divides the cleared numerator exactly when it divides each
+    group's polynomial in those atoms, and the quotient is the sum of the
+    groups' quotients times their cofactors.  Every group must pass
+    `_may_divide` before any is divided.  All groups are cleared by the one
+    shift that clears the whole numerator, as the division of the whole
+    would be.  An atom at one exponent in every term of the divisor (where
+    the expansion in `recip` cancelled terms) is one of its atoms, not of
+    the cofactor: the divisor needs it to divide.  The divisions share one
+    budget of steps, and the first that fails ends the whole."""
     if not _may_divide(num, den):  # then some group fails it too
         return None
     atoms = den.atoms
@@ -505,17 +498,18 @@ def _divided(num: dict, den: _Divisor) -> Optional[dict]:
             groups.setdefault(tuple(p for p in m if p[0] not in atoms), {})[inside] = c
     if not all(_may_divide(group, den) for group in groups.values()):
         return None
-    steps = _DIVISION_STEPS
-    out: dict = {}
-    for cofactor, group in groups.items():
-        lows: dict = {}
+    lows: dict = {}
+    for group in groups.values():
         for m in group:
             for a, e in m:
                 if e < lows.get(a, 0):
                     lows[a] = e
-        if lows:
-            back = tuple((a, lows[a]) for a, _ in den.spreads if a in lows)
-            clear = tuple((a, -e) for a, e in back)
+    back = _freeze(lows) if lows else _EMPTY_MONO
+    clear = tuple((a, -e) for a, e in back)
+    steps = _DIVISION_STEPS
+    out: dict = {}
+    for cofactor, group in groups.items():
+        if back:
             group = {_mono_mul(m, clear): c for m, c in group.items()}
             cofactor = _mono_mul(back, cofactor)
         divided = _exact_div(group, den, steps)

@@ -547,6 +547,15 @@ def _reference_cancelled(items):
 _WRAPPED = tuple(r._terms[0][0][0][0] for r in (*_RECIPROCALS[:3], _full_pow(
     _merged(_full_mul(ScalarExpr.const(3), _X1SQ), _full_mul(ScalarExpr.const(-2), X2)), -1)))
 _PLAIN_ATOMS = tuple(m[0][0] for x in (X1, X2, X3, exp_(X1)) for m, _ in x._terms)
+# expressions whose reciprocals wrap polynomials with a monomial shared by
+# all their terms, which `recip` leaves where its expansion cancels terms:
+# 1/(1 + x1) - 1 + x1*x2/(1 + x1) wraps -x1 + x1*x2 (x1 at one exponent in
+# both terms), and 1/(1 + x1) - 1 wraps the single term x1
+_SHARING = tuple(r - 1 + x for r in [(ScalarExpr.one() + X1).recip()]
+                 for x in (X1 * X2 * r, ScalarExpr.zero()))
+_SHARED = tuple(next(a for m, _ in e.recip()._terms for a, _ in m if a.kind == "poly")
+                for e in _SHARING)
+assert [str(a) for a in _SHARED] == ["(-x1 + x1*x2)", "(x1)"]
 
 
 def _monomial(exps):
@@ -720,12 +729,15 @@ class TestCancellation:
         assert _reference_exact_div(num, div.terms) is None
 
     @settings(max_examples=300, deadline=None)
-    @given(_LAURENT, st.sampled_from(_WRAPPED), st.integers(0, 2), _EXPONENTS, st.booleans())
+    @given(_LAURENT, st.sampled_from(_WRAPPED + _SHARED), st.integers(0, 2), _EXPONENTS,
+           st.booleans())
     def test_grouped_division_is_the_ungrouped_one(self, q, atom, j, exps, spoil):
         # q * p^j over Laurent monomials in x1, x2, x3 and exp(x1): the
         # divisors' atoms are x1 (and x2), so most terms carry a cofactor
         # outside them; with j = 0, or with `spoil` (one term changed), the
-        # division is exact only by chance
+        # division is exact only by chance.  The divisors of `_SHARED` hold
+        # x1 at one exponent in every term, so whether a division is exact
+        # depends on how far the numerator is shifted to clear it
         num = expr_mod._raw_mul(_times_powers(q, [(atom, j)]), {_monomial(exps): 1})
         if spoil:
             m = next(iter(num))
@@ -735,7 +747,9 @@ class TestCancellation:
         div = expr_mod._divisor(atom)
         want = _reference_divided(num, div.terms) if num else {}
         assert expr_mod._divided(num, div) == want
-        if j and not spoil:
+        if j and not spoil and atom in _WRAPPED:
+            # a shared monomial is not divided out of a numerator shifted
+            # below it: x1^-1 * (-x1 + x1*x2) clears to x2 - 1
             assert want is not None
 
     def test_a_single_term_cofactor_group_is_never_divided(self, monkeypatch):
@@ -753,6 +767,24 @@ class TestCancellation:
         del num[_monomial((0, 0, 1, 0))]
         assert expr_mod._divided(num, div) == {_monomial((0, 1, 0, 0)): 1}
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_a_divisor_sharing_a_monomial_divides_what_the_ungrouped_one_does(self, k):
+        # x1 is in every term of the divisor, not among its spreads, and it
+        # is no cofactor: x2 - 1 over -x1 + x1*x2 divides only once another
+        # group's x1^-1 shifts the whole numerator by x1
+        div = expr_mod._divisor(_SHARED[k])
+        assert _PLAIN_ATOMS[0] in div.atoms
+        assert all(a is not _PLAIN_ATOMS[0] for a, _ in div.spreads)
+        for exps_list in ([(0, 1, 0, 0), (0, 0, 0, 0)],
+                          [(0, 1, 0, 0), (0, 0, 0, 0), (-1, 0, 1, 0)],
+                          [(0, 1, 1, 0), (0, 0, 1, 0), (-1, 1, 0, 0), (-1, 0, 0, 0)],
+                          [(1, 1, 0, 1), (1, 0, 0, 1), (0, 0, -1, 0)],
+                          [(1, 1, 0, 1), (1, 0, 0, 1), (0, 0, 1, 0), (-2, 0, 1, 0)]):
+            num = {_monomial(e): 1 for e in exps_list}
+            assert expr_mod._divided(num, div) == _reference_divided(num, div.terms)
+        e = _SHARING[k]
+        assert e * e.recip() == ScalarExpr.one() == e.recip() * e
 
     def test_divisor_data_is_held_by_the_atom(self):
         atom = _WRAPPED[2]
