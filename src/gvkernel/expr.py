@@ -44,17 +44,21 @@ exponents.  Every normal form is a fixed point of cancellation, so a sum
 tries again only the groups its summands added terms to, and each later
 pass only the groups that divided terms landed in.
 Atoms are interned (hash-consed), so equal atoms are one object and compare
-by identity.  A monomial lists its atoms in key order, and a product or
-quotient of two monomials merges the two lists in one pass (`_mono_mul`,
-`_mono_div`); where two distinct atoms share a key, they fall back to a
-stable sort of the merged exponents, which leaves the first operand's
-atom first.
+by identity.  An atom's key identifies it: a variable's name is an
+identifier (`ScalarExpr.var`), with no `(`, `*`, `^`, `/` or space in it,
+and a reduced normal form fixes each term's coefficient and the
+denominator, so no two normal forms print alike.  A monomial lists its
+atoms in key order, and a product or quotient of two monomials merges the
+two lists in one pass (`_mono_mul`, `_mono_div`).
 
 A normal form holds wrapped polynomials only at negative exponents, and a
 wrapped polynomial's argument holds none.  Only `recip` creates a positive
-power of one (inverting a monomial, shifting a multi-term argument to
-nonnegative exponents, and inverting the monomial its terms share), and it
-multiplies each such power out at once (`_expanded`).  So the product of
+power of one (inverting the monomial its argument's terms share, and taking
+that monomial out of them), and it multiplies each such power out at once
+(`_expanded`).  `recip` takes out the common monomial again wherever the
+expansion cancels terms, so every wrapped polynomial has at least two terms
+and no common monomial, and each atom of its terms spreads (its exponent
+differs between terms), which `_Divisor.spreads` records.  So the product of
 two normal-form monomials (`_mono_mul`) keeps every wrapped polynomial at a
 negative exponent, and a product is taken monomial by monomial with
 nothing to expand.  Some products are also built without cancelling,
@@ -286,14 +290,9 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         elif y.key < x.key:
             out.append(pb)
             j += 1
-        elif x.key < y.key:
+        else:
             out.append(pa)
             i += 1
-        else:  # distinct atoms of one key: sort the summed exponents stably
-            exps = dict(a)
-            for atom, e in b:
-                exps[atom] = exps.get(atom, 0) + e
-            return _freeze(exps)
     return (*out, *a[i:], *b[j:])
 
 
@@ -320,17 +319,9 @@ def _mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
                 out.append((x, e - f))
             i += 1
             j += 1
-        elif x.key < y.key:
+        else:
             out.append(pa)
             i += 1
-        else:  # distinct atoms of one key, as in `_mono_mul`
-            exps = dict(a)
-            for atom, e in b:
-                r = exps.get(atom, 0) - e
-                if r < 0:
-                    return None
-                exps[atom] = r
-            return _freeze(exps)
     return (*out, *a[i:])
 
 
@@ -371,6 +362,17 @@ def _expanded(terms: Mapping[Monomial, int]) -> dict:
     return out
 
 
+def _least(monos) -> Monomial:
+    """The monomial common to `monos`: each atom at its least exponent over
+    them, where a monomial without the atom holds it at 0.  The least of
+    two monomials a and m is a times the negative part of m / a."""
+    low, *others = monos
+    for m in others:
+        over = _mono_mul(m, tuple((a, -e) for a, e in low))
+        low = _mono_mul(low, tuple(p for p in over if p[1] < 0))
+    return low
+
+
 # --- exact division (for cancelling wrapped-poly reciprocals) ------------
 
 def _lead_key(m: Monomial):
@@ -383,16 +385,14 @@ def _lead_key(m: Monomial):
 
 class _Divisor(NamedTuple):
     """A wrapped polynomial as a divisor: its terms, its leading term under
-    `_lead_key` (monomial and coefficient), every atom whose exponent
-    varies across its terms with the spread (max minus min), in key order,
-    and the set of all the atoms of its terms, those at one exponent in
-    every term included."""
+    `_lead_key` (monomial and coefficient), and each atom of its terms
+    mapped to its spread (max minus min exponent), which is positive:
+    `recip` leaves no monomial common to a wrapped polynomial's terms."""
 
     terms: dict
     lead: Monomial
     lead_coeff: int
-    spreads: Tuple[Tuple[Atom, int], ...]
-    atoms: frozenset
+    spreads: dict
 
 
 def _divisor(atom: Atom) -> _Divisor:
@@ -402,9 +402,8 @@ def _divisor(atom: Atom) -> _Divisor:
     if div is None:
         terms = dict(atom.arg._terms)
         lead = max(terms, key=_lead_key)
-        atoms = sorted({a for m in terms for a, _ in m}, key=lambda a: a.key)
-        spreads = tuple((a, s) for a in atoms if (s := _spread(terms, a)))
-        div = _Divisor(terms, lead, terms[lead], spreads, frozenset(atoms))
+        spreads = {a: _spread(terms, a) for a in {a for m in terms for a, _ in m}}
+        div = _Divisor(terms, lead, terms[lead], spreads)
         object.__setattr__(atom, "divisor", div)
     return div
 
@@ -422,7 +421,7 @@ def _may_divide(num, div: _Divisor) -> bool:
     polynomials the spread of each atom's exponents adds under
     multiplication, so a multiple spreads at least as far as the divisor in
     every atom.  A single term spreads nowhere."""
-    return all(_spread(num, a) >= s for a, s in div.spreads)
+    return all(_spread(num, a) >= s for a, s in div.spreads.items())
 
 
 _DIVISION_STEPS = 10_000
@@ -482,13 +481,11 @@ def _divided(num: dict, den: _Divisor) -> Optional[dict]:
     groups' quotients times their cofactors.  Every group must pass
     `_may_divide` before any is divided.  All groups are cleared by the one
     shift that clears the whole numerator, as the division of the whole
-    would be.  An atom at one exponent in every term of the divisor (where
-    the expansion in `recip` cancelled terms) is one of its atoms, not of
-    the cofactor: the divisor needs it to divide.  The divisions share one
-    budget of steps, and the first that fails ends the whole."""
+    would be.  The divisions share one budget of steps, and the first that
+    fails ends the whole."""
     if not _may_divide(num, den):  # then some group fails it too
         return None
-    atoms = den.atoms
+    atoms = den.spreads
     groups: dict = {}
     for m, c in num.items():
         inside = tuple(p for p in m if p[0] in atoms)
@@ -621,6 +618,10 @@ class ScalarExpr:
 
     @staticmethod
     def var(name: str) -> "ScalarExpr":
+        """The variable `name`, which must be an identifier, so that no two
+        atoms share a key (see the module docstring)."""
+        if not name.isidentifier():
+            raise ExprError(f"variable name {name!r} is not an identifier")
         return ScalarExpr({((Atom("var", name), 1),): 1})
 
     @staticmethod
@@ -743,34 +744,31 @@ class ScalarExpr:
         return result
 
     def recip(self) -> "ScalarExpr":
-        """Multiplicative inverse.  Single monomials invert exactly; a
-        multi-term expression becomes a wrapped-poly atom to the power -1,
-        times the inverse of the monomial and rational content common to its
-        terms.  The wrapped polynomial is primitive: integer coefficients
-        with gcd 1 and a positive last coefficient in print order.  The only
-        positive powers of wrapped polynomials arise here, and each is
-        expanded at once (see the module docstring): in an inverted
-        monomial, in the argument shifted to nonnegative exponents, and in
-        the inverse of the common monomial."""
-        if not self._terms:
-            raise ZeroDivisionError("reciprocal of zero expression")
-        if len(self._terms) == 1:
-            m, c = self._terms[0]
-            inverse = {tuple((a, -e) for a, e in m): self._den if c > 0 else -self._den}
-            return ScalarExpr(_expanded(inverse), abs(c))
-        # factor out the common monomial part and the content: self is
-        # sign * content * primitive / (_den * unshift)
-        atoms = {a for m, _ in self._terms for a, _ in m}
-        unshift = _freeze({a: -min(dict(m).get(a, 0) for m, _ in self._terms)
-                           for a in atoms})
-        shifted = ScalarExpr(_expanded({_mono_mul(m, unshift): c for m, c in self._terms}))
-        content = math.gcd(*(c for _, c in shifted._terms))
-        sign = -1 if shifted._terms[-1][1] < 0 else 1
-        primitive = ScalarExpr({m: c // (sign * content) for m, c in shifted._terms},
-                               _normalized=True)
-        atom = Atom("poly", arg=primitive)
-        return ScalarExpr(_expanded({_mono_mul(unshift, ((atom, -1),)): sign * self._den}),
-                          content)
+        """Multiplicative inverse, reduced.  The monomial common to the terms
+        (`_least`) is taken out and inverted, and what is left is expanded
+        (`_expanded`); where the expansion cancels terms, the rest's common
+        monomial is taken out in turn.  The first expansion leaves no
+        wrapped polynomial, so this ends within two rounds.  A constant left
+        inverts exactly.  A polynomial left becomes a wrapped-poly atom to
+        the power -1, primitive: integer coefficients with gcd 1 and a
+        positive last coefficient in print order.  The inverted monomials
+        hold the only positive powers of wrapped polynomials that arise, and
+        they are expanded at once (see the module docstring)."""
+        rest, inverse = dict(self._terms), _EMPTY_MONO
+        while True:
+            if not rest:
+                raise ZeroDivisionError("reciprocal of zero expression")
+            unshift = tuple((a, -e) for a, e in _least(rest))
+            if not unshift:
+                break
+            rest = _expanded({_mono_mul(m, unshift): c for m, c in rest.items()})
+            inverse = _mono_mul(inverse, unshift)
+        content = math.gcd(*rest.values())
+        sign = -1 if rest[max(rest, key=_mono_key)] < 0 else 1
+        if len(rest) > 1:
+            primitive = ScalarExpr({m: c // (sign * content) for m, c in rest.items()})
+            inverse = _mono_mul(inverse, ((Atom("poly", arg=primitive), -1),))
+        return ScalarExpr(_expanded({inverse: sign * self._den}), content)
 
     # structure
     def __eq__(self, other) -> bool:

@@ -256,6 +256,11 @@ class TestProblemFiles:
         ("chart x1 x2\npi = x1^2/3*d/dx1^d/dx2\n", 2, 10, "exponents must be integers"),
         ("chart x1 x2\npi = (x1 - x1)^-1*d/dx1^d/dx2\n", 2, 15,
          "negative power of the zero expression"),
+        # a zero that the normal form keeps as four terms over 1 + x1^2 and
+        # 1 + x2^2, which no group divides
+        ("chart x1 x2\npi = ((1 + x1^2)^-1 - (1 + x2^2)^-1 - (x2^2 - x1^2)*"
+         "(1 + x1^2)^-1*(1 + x2^2)^-1)^-1*d/dx1^d/dx2\n", 2, 81,
+         "negative power of the zero expression"),
         ("chart x1 x2\npi = d/dx1^-d/dx2\n", 2, 11,
          "'-' after ^ needs an integer exponent"),
         ("chart x1 x2\npi = x1 + d/dx1^d/dx2\n", 2, 9,
@@ -275,7 +280,8 @@ class TestProblemFiles:
         ("chart x1 x2\nomega = dx1^dx2\nOmega = dx1^dx2\n", 2, 9, "omega must be a 1-form"),
         ("chart x1 x2\nomega = dx1\nOmega = dx1\n", 3, 9, "Omega must be a 2-form"),
     ], ids=["character", "unclosed", "trailing", "rational", "zero-denominator",
-            "function-argument", "rational-exponent", "zero-to-negative", "minus-wedge",
+            "function-argument", "rational-exponent", "zero-to-negative", "hidden-zero-to-negative",
+            "minus-wedge",
             "scalar-plus-graded", "graded-sum", "theta-multivector", "command-text",
             "duplicate-chart", "duplicate-vol", "empty-chart", "vol-before-chart",
             "missing-chart", "E-with-theta", "E-grade", "omega-grade", "Omega-grade"])

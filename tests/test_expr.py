@@ -107,6 +107,16 @@ class TestNormalForm:
         with pytest.raises(ZeroDivisionError):
             ScalarExpr.zero().recip()
 
+    def test_recip_of_a_zero_the_normal_form_keeps_raises(self):
+        # 1/p - 1/q - (x2^2 - x1^2)/(p*q) is zero, but no group divides, so
+        # its normal form keeps four terms; taken over p*q they expand to
+        # nothing
+        p, q = (1 + X1 ** 2).recip(), (1 + X2 ** 2).recip()
+        e = p - q - (X2 ** 2 - X1 ** 2) * p * q
+        assert len(e._terms) == 4
+        with pytest.raises(ZeroDivisionError):
+            e.recip()
+
     def test_cube_squares_no_further_than_its_last_bit(self, monkeypatch):
         # b^3 = b * b^2; squaring past the top bit would also build b^4
         b = X1 + X2
@@ -295,13 +305,20 @@ class TestProductShortcuts:
 
 def _assert_wrapped_negative(e):
     """Every wrapped polynomial in e, inside atom arguments too, sits at a
-    negative exponent, and no monomial of its argument holds one."""
+    negative exponent, and no monomial of its argument holds one.  Its
+    argument has at least two terms and no common monomial, and each of its
+    atoms spreads: it is least at 0 and greater in some term."""
     for m, _ in e._terms:
         for a, k in m:
             if a.kind == "poly":
                 assert k < 0, f"{a}^{k} in {e}"
                 assert all(b.kind != "poly" for mm, _ in a.arg._terms for b, _ in mm), (
                     f"wrapped polynomial inside {a}")
+                monos = [dict(mm) for mm, _ in a.arg._terms]
+                assert len(monos) >= 2, f"single term wrapped in {a}"
+                for b in {b for mm in monos for b in mm}:
+                    exps = [mm.get(b, 0) for mm in monos]
+                    assert min(exps) == 0 < max(exps), f"{b} shared or not spread in {a}"
             if a.arg is not None:
                 _assert_wrapped_negative(a.arg)
 
@@ -321,8 +338,14 @@ def _assert_reduced(e):
                 _assert_reduced(a.arg)
 
 
+# 1/(1 + x1) - 1 + x1*x2/(1 + x1) and 1/(1 + x1) - 1: sums whose reciprocals
+# expand to terms that share a monomial
+_SHARING = tuple(r - 1 + x for r in [(ScalarExpr.one() + X1).recip()]
+                 for x in (X1 * X2 * r, ScalarExpr.zero()))
 _WRAPPED_OPERANDS = st.one_of(
-    st.sampled_from([*_RECIPROCALS, _OVER_P, _full_pow(_NUMERATORS[1], -2)]), _OPERANDS)
+    st.sampled_from([*_RECIPROCALS, _OVER_P, _full_pow(_NUMERATORS[1], -2), *_SHARING,
+                     *(e.recip() for e in _SHARING)]),
+    _OPERANDS)
 _STEPS = st.one_of(
     st.tuples(st.sampled_from(["*", "+", "-"]), _WRAPPED_OPERANDS),
     st.tuples(st.just("**"), st.integers(-3, 3)),
@@ -346,7 +369,9 @@ class TestWrappedPolynomialsStayNegative:
     """The invariant that lets products skip expansion: no arithmetic,
     derivative or function call leaves a wrapped polynomial at a positive
     exponent or inside another's argument; `recip`, which alone makes
-    positive powers, expands them.  Every result is also in the reduced
+    positive powers, expands them.  `recip` also leaves every wrapped
+    polynomial reduced: two terms or more, no common monomial, and a
+    positive spread in each atom.  Every result is also in the reduced
     integer form (`_assert_reduced`)."""
 
     @settings(max_examples=300, deadline=None)
@@ -368,6 +393,15 @@ class TestWrappedPolynomialsStayNegative:
         # p^1 before recip expands it
         p = _RECIPROCALS[0]
         for e in (p + _RECIPROCALS[3], X1 * p, (X1 + p) * p):
+            _assert_wrapped_negative(e.recip())
+            assert (e * e.recip()).is_one
+
+    def test_recip_takes_out_what_its_expansion_shares(self):
+        # 1/(1 + x1) - 1 expands to the single term -x1 over 1 + x1, and
+        # 1/(1 + x1) - 1 + x1*x2/(1 + x1) to -x1 + x1*x2, which shares x1
+        assert [str(e.recip()) for e in _SHARING] == [
+            "x1^-1*(-1 + x2)^-1 + (-1 + x2)^-1", "-x1^-1 - 1"]
+        for e in _SHARING:
             _assert_wrapped_negative(e.recip())
             assert (e * e.recip()).is_one
 
@@ -547,14 +581,10 @@ def _reference_cancelled(items):
 _WRAPPED = tuple(r._terms[0][0][0][0] for r in (*_RECIPROCALS[:3], _full_pow(
     _merged(_full_mul(ScalarExpr.const(3), _X1SQ), _full_mul(ScalarExpr.const(-2), X2)), -1)))
 _PLAIN_ATOMS = tuple(m[0][0] for x in (X1, X2, X3, exp_(X1)) for m, _ in x._terms)
-# expressions whose reciprocals wrap polynomials with a monomial shared by
-# all their terms, which `recip` leaves where its expansion cancels terms:
-# 1/(1 + x1) - 1 + x1*x2/(1 + x1) wraps -x1 + x1*x2 (x1 at one exponent in
-# both terms), and 1/(1 + x1) - 1 wraps the single term x1
-_SHARING = tuple(r - 1 + x for r in [(ScalarExpr.one() + X1).recip()]
-                 for x in (X1 * X2 * r, ScalarExpr.zero()))
-_SHARED = tuple(next(a for m, _ in e.recip()._terms for a, _ in m if a.kind == "poly")
-                for e in _SHARING)
+# wrapped polynomials with a monomial shared by all their terms, built
+# directly, since `recip` makes none: -x1 + x1*x2 (x1 at one exponent in both
+# terms) and the single term x1
+_SHARED = (Atom("poly", arg=X1 * X2 - X1), Atom("poly", arg=X1))
 assert [str(a) for a in _SHARED] == ["(-x1 + x1*x2)", "(x1)"]
 
 
@@ -599,13 +629,8 @@ def _reciprocal_term_dicts(draw):
     return out
 
 
-# Atoms of every key class, with two pairs of distinct atoms that share a
-# key: exp of the variable named "2*x1" prints as exp(2*x1), and the wrapped
-# variable named "1 + x1^2" as the wrapped 1 + x1^2.
-_TIED = ((Atom("exp", arg=ScalarExpr.var("2*x1")), exp_(2 * X1)._terms[0][0][0][0]),
-         (Atom("poly", arg=ScalarExpr.var("1 + x1^2")), _WRAPPED[0]))
-_MERGE_ATOMS = (*_PLAIN_ATOMS, *_TIED[0], *_TIED[1], _WRAPPED[2])
-assert all(a.key == b.key and a is not b for a, b in _TIED)
+# Atoms of every key class: variables, calls and wrapped polynomials
+_MERGE_ATOMS = (*_PLAIN_ATOMS, exp_(2 * X1)._terms[0][0][0][0], _WRAPPED[0], _WRAPPED[2])
 
 
 def _ref_quotient(m1, m2):
@@ -619,8 +644,7 @@ def _ref_quotient(m1, m2):
     return _ref_monomial(exps)
 
 
-# a monomial in the order a dict-and-sort leaves it: atoms of one key in the
-# order they were drawn
+# a monomial in the order a dict-and-sort leaves it: atoms in key order
 _MERGE_MONOMIALS = st.lists(
     st.tuples(st.sampled_from(_MERGE_ATOMS), st.integers(-2, 2).filter(bool)),
     max_size=5, unique_by=lambda p: id(p[0])).map(lambda ps: _ref_monomial(dict(ps)))
@@ -643,8 +667,7 @@ def _monomial_pairs(draw):
 
 class TestMonomialMerge:
     """`_mono_mul` and `_mono_div` merge two monomials in key order; they
-    must give what multiplying the exponent dicts and sorting by key gives,
-    with a's atom first where two atoms share a key."""
+    must give what multiplying the exponent dicts and sorting by key gives."""
 
     @settings(max_examples=500, deadline=None)
     @given(_monomial_pairs())
@@ -665,15 +688,13 @@ class TestMonomialMerge:
         assert expr_mod._mono_mul(((x1, 1), (x2, 2)), ((x1, -1),)) == ((x2, 2),)
         assert expr_mod._mono_div(((x1, 1), (x2, 2)), ((x1, 1), (x2, 2))) == ()
 
-    @pytest.mark.parametrize("tie", [0, 1])
-    def test_tied_atoms_keep_the_first_operand_first(self, tie):
-        s, t = _TIED[tie]
-        assert expr_mod._mono_mul(((s, 1),), ((t, 1),)) == ((s, 1), (t, 1))
-        assert expr_mod._mono_mul(((t, 1),), ((s, 1),)) == ((t, 1), (s, 1))
-        # b's copy of a's atom merges into it past a tied atom of b's own
-        assert expr_mod._mono_mul(((s, 1),), ((t, 1), (s, 2))) == ((s, 3), (t, 1))
-        assert expr_mod._mono_div(((s, 2), (t, 1)), ((t, 1), (s, 1))) == ((s, 1),)
-        assert expr_mod._mono_div(((s, 2),), ((t, 1),)) is None
+    def test_a_variable_name_is_an_identifier(self):
+        # exp of a variable named "2*x1" would print, and so sort, as
+        # exp(2*x1): two atoms of one key, which the merges cannot order
+        for name in ("2*x1", "1 + x1^2", "x 1", ""):
+            with pytest.raises(ExprError):
+                ScalarExpr.var(name)
+        assert str(ScalarExpr.var("t_")) == "t_"
 
     def test_quotient_is_none_where_an_exponent_goes_negative(self):
         x1, x2 = _PLAIN_ATOMS[:2]
@@ -705,7 +726,7 @@ class TestCancellation:
 
     def test_single_terms_and_short_spreads_are_skipped(self):
         p = expr_mod._divisor(_WRAPPED[0])   # 1 + x1^2 spreads 2 in x1
-        assert p.spreads == ((_PLAIN_ATOMS[0], 2),)
+        assert p.spreads == {_PLAIN_ATOMS[0]: 2}
         assert not expr_mod._may_divide({_monomial((3, 1, 0, 0)): 1}, p)
         assert not expr_mod._may_divide(dict((X1 + X2)._terms), p)
         assert expr_mod._may_divide(dict((X1 ** 2 + X2)._terms), p)
@@ -770,12 +791,11 @@ class TestCancellation:
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_a_divisor_sharing_a_monomial_divides_what_the_ungrouped_one_does(self, k):
-        # x1 is in every term of the divisor, not among its spreads, and it
-        # is no cofactor: x2 - 1 over -x1 + x1*x2 divides only once another
+        # x1 is in every term of the divisor, at spread 0, and it is no
+        # cofactor: x2 - 1 over -x1 + x1*x2 divides only once another
         # group's x1^-1 shifts the whole numerator by x1
         div = expr_mod._divisor(_SHARED[k])
-        assert _PLAIN_ATOMS[0] in div.atoms
-        assert all(a is not _PLAIN_ATOMS[0] for a, _ in div.spreads)
+        assert div.spreads[_PLAIN_ATOMS[0]] == 0
         for exps_list in ([(0, 1, 0, 0), (0, 0, 0, 0)],
                           [(0, 1, 0, 0), (0, 0, 0, 0), (-1, 0, 1, 0)],
                           [(0, 1, 1, 0), (0, 0, 1, 0), (-1, 1, 0, 0), (-1, 0, 0, 0)],
@@ -1537,11 +1557,39 @@ class TestIsZero:
         assert a != c
 
 
+def _atoms_in(e):
+    """Every atom of e, those inside atom arguments included."""
+    for m, _ in e._terms:
+        for a, _ in m:
+            yield a
+            if a.arg is not None:
+                yield from _atoms_in(a.arg)
+
+
+# an operand plus a variable of a drawn identifier name, under a function,
+# a reciprocal or nothing
+_KEYED = st.builds(
+    lambda e, name, f: f(e + ScalarExpr.var(name)), _WRAPPED_OPERANDS,
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+    st.sampled_from([lambda e: e, exp_, sin_, cos_,
+                     lambda e: e.recip() if e._terms else e]))
+
+
 class TestInterning:
     def test_equal_atoms_are_one_object(self):
         assert Atom("var", "x") is Atom("var", "x")
         assert Atom("exp", arg=X1 + 1) is Atom("exp", arg=1 + X1)
         assert Atom("var", "x") is not Atom("var", "y")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_KEYED, min_size=2, max_size=4))
+    def test_atoms_of_one_key_are_one_atom(self, exprs):
+        # variable names are identifiers, and a normal form prints one way,
+        # so the key an atom sorts by identifies it
+        seen = {}
+        for e in exprs:
+            for a in _atoms_in(e):
+                assert seen.setdefault(a.key, a) is a, f"{a!r} and {seen[a.key]!r}"
 
     def test_separate_recips_share_the_poly_atom(self):
         def poly_atom(e):

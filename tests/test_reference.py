@@ -29,6 +29,10 @@ to two more variables y1, y2 (codimension q = 2, where the sign
 d alpha - beta ^ alpha and d(beta ^ (d beta)^q) of the kernel's pair are
 rebuilt with a sympy exterior derivative on mask -> coefficient dicts.
 
+`recip` is checked on seeded sums over k + x1 whose numerators lose their
+constant term (the reciprocal then takes x1 out a second time): the
+printed reciprocal times the sympy twin cancels to 1.
+
 `diff` is checked against `sympy.diff` on seeded sums of polynomials times
 wrapped-polynomial reciprocals, powers of exp, ln, sin and cos, each built
 twice, once in kernel arithmetic and once in sympy.
@@ -41,6 +45,7 @@ replaced by a symbol; `simplify` is never called.
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -416,3 +421,30 @@ def test_diff_matches_sympy(seed):
     for got, want in pairs:  # the twins first, then each derivative
         difference = _sympified(got, _DIFF_VARS) - want
         assert sp.cancel(_atoms_to_symbols(difference)) == 0, (seed, str(e), str(got))
+
+
+# --- reciprocals whose expansion cancels terms --------------------------------
+
+def _nested_case(seed):
+    """Seeded members of the a*((k + x1)^-1 - b) family and of
+    a/(k + x1) - b + c*x1*x2/(k + x1), as (kernel, sympy) twins.  With
+    b = 1/k, as in most seeds, the numerator over k + x1 loses its constant
+    term, and what is left is a single term or shares x1."""
+    rng = random.Random(seed)
+    a, c = (sp.Rational(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)) for _ in range(2))
+    k = rng.randint(1, 3)
+    b = sp.Rational(1, k) if seed % 4 else sp.Rational(rng.randint(1, 5), rng.randint(1, 3))
+    x1, x2 = sp.symbols("x1 x2")
+    kx1, kx2 = ScalarExpr.var("x1"), ScalarExpr.var("x2")
+    ka, kb, kc = (ScalarExpr.const(Fraction(int(r.p), int(r.q))) for r in (a, b, c))
+    over = (k + kx1).recip()
+    return [(ka * (over - kb), a * (1 / (k + x1) - b)),
+            (ka * over - ka * kb + kc * kx1 * kx2 * over,
+             a / (k + x1) - a * b + c * x1 * x2 / (k + x1))]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nested_reciprocal_inverts(seed):
+    for e, ref in _nested_case(seed):
+        got = _sympified(e.recip(), ("x1", "x2"))
+        assert sp.cancel(got * ref - 1) == 0, (seed, str(e), str(e.recip()))
