@@ -181,19 +181,14 @@ class _Session:
 
     def cmd_rescale(self, arg, origin):
         a = parse_scalar(self.chart, arg, *origin)  # a malformed argument is an input error
-        rr = jacobi.conformal_rescale(self.foliated, a, self.ctx, self.sampler)
-        self.report.records.extend(
-            CheckResult(f"rescale.{c.name}" if not c.name.startswith("rescale")
-                        else c.name, c.tier, c.passed, c.witness, c.detail)
-            for c in rr.checks)
+        self.report.records.extend(jacobi.conformal_rescale(
+            self.foliated, a, self.ctx, self.sampler).checks)
 
     def cmd_unimodular(self, arg, origin):
         u = parse_multivector(self.chart, arg, *origin)
-        res = jacobi.unimodularity(self.ctx, u, self.sampler)
-        self.report.records.append(CheckResult(
-            "unimodular.psi", res.verdict.tier, res.unimodular,
-            res.verdict.witness, f"psi = {res.psi_value}"))
-        self.report.printouts["psi"] = str(res.psi_value)
+        psi, check = jacobi.unimodularity(self.ctx, u, self.sampler)
+        self.report.records.append(check)
+        self.report.printouts["psi"] = str(psi)
 
 
 def execute(problem: ProblemFile, **overrides) -> Report:

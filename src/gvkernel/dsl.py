@@ -44,11 +44,14 @@ class DslError(KernelError):
         super().__init__(f"{loc}{message}{exp}")
 
 
-_TOKEN_RE = re.compile(r"""
+_IDENT = "[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT)
+
+_TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
-  | (?P<vec>d/d[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<vec>d/d{_IDENT})
   | (?P<num>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>{_IDENT})
   | (?P<op>[-+*^/()])
 """, re.VERBOSE)
 
@@ -427,6 +430,16 @@ def parse_problem(text: str) -> ProblemFile:
             names = rest.split()
             if not names:
                 raise DslError("chart needs variable names", line_no, wcol)
+            # every name must read back as itself: an identifier that is not
+            # the basis form d<v> of another chart variable v
+            for m in re.finditer(r"\S+", rest):
+                name, col = m.group(), rest_col0 + m.start() + 1
+                if not _IDENT_RE.fullmatch(name):
+                    raise DslError(f"chart variable {name!r} is not an identifier",
+                                   line_no, col, (_IDENT,))
+                if name.startswith("d") and name[1:] in names:
+                    raise DslError(f"chart variable {name!r} clashes with the "
+                                   f"1-form of {name[1:]!r}", line_no, col)
             try:
                 chart = Chart(tuple(names))
             except ExprError as e:

@@ -105,7 +105,6 @@ def psi(ctx: VolumeContext, u: MultiVector) -> MultiVector:
 class StarCompanion:
     """A chosen *U with vol(U ^ *U) = 1, plus the certificate product."""
 
-    base: MultiVector
     companion: MultiVector
     certificate: ScalarExpr
     complement_mask: int
@@ -166,4 +165,4 @@ def star(ctx: VolumeContext, u: MultiVector, sampler: Sampler,
         if not verdict.is_zero:
             raise NoCompanion(
                 f"certificate != 1 near {verdict.witness}: {certificate}")
-    return StarCompanion(u, companion, certificate, jmask)
+    return StarCompanion(companion, certificate, jmask)

@@ -41,7 +41,7 @@ Lambda^(m+1) ^ Lambda.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -121,6 +121,16 @@ def element_zero(el: GradedElement, sampler: Sampler) -> ZeroVerdict:
     return is_zero(_coefficients(el), el.chart, sampler)
 
 
+def _require_zero(el: GradedElement, sampler: Sampler, error: type, message: str,
+                  name: str = "", detail: str = "") -> CheckResult:
+    """The passing record `name` of el = 0, or `error(message, witness)`
+    raised with a sample point where el does not vanish."""
+    verdict = element_zero(el, sampler)
+    if not verdict.is_zero:
+        raise error(message, verdict.witness)
+    return _record(name, verdict, detail)
+
+
 def _coefficients(*els: GradedElement) -> List[ScalarExpr]:
     return [c for el in els for c in el.terms.values()]
 
@@ -167,16 +177,11 @@ def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
         raise AlgebraError("chart mismatch")
     if (pi.terms and pi.grade != 2) or (E.terms and E.grade != 1):
         raise AlgebraError("expected a bivector and a vector field")
-    checks: List[CheckResult] = []
-
-    ax1 = element_zero(schouten(pi, pi) - wedge(E, pi).scale(2), sampler)
-    checks.append(_record("jacobi.axiom1", ax1, "[pi,pi] - 2E^pi"))
-    if not ax1.is_zero:
-        raise AxiomViolation("[pi,pi] = 2E^pi", ax1.witness)
-    ax2 = element_zero(schouten(pi, E), sampler)
-    checks.append(_record("jacobi.axiom2", ax2, "[pi,E]"))
-    if not ax2.is_zero:
-        raise AxiomViolation("[pi,E] = 0", ax2.witness)
+    axioms = (
+        _require_zero(schouten(pi, pi) - wedge(E, pi).scale(2), sampler, AxiomViolation,
+                      "[pi,pi] = 2E^pi", "jacobi.axiom1", "[pi,pi] - 2E^pi"),
+        _require_zero(schouten(pi, E), sampler, AxiomViolation, "[pi,E] = 0",
+                      "jacobi.axiom2", "[pi,E]"))
 
     # rank exponent: the number m of nonzero divided powers pi^k / k!
     powers = list(divided_powers(pi))
@@ -203,12 +208,11 @@ def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
             if row is not None:
                 raise NotRegular("E leaves Im pi-sharp at a sample point", row[0])
     q = chart.n - 2 * m - (kind == "contact")
-    checks.append(CheckResult("jacobi.regular", "numeric", True,
-                              detail=f"m={m} kind={kind}"))
-    checks.append(CheckResult("jacobi.codim", "symbolic", 0 < q < chart.n,
-                              detail=f"q={q}"))
+    checks = axioms + (
+        CheckResult("jacobi.regular", "numeric", True, detail=f"m={m} kind={kind}"),
+        CheckResult("jacobi.codim", "symbolic", 0 < q < chart.n, detail=f"q={q}"))
     return JacobiStructure(chart, pi, E, m, kind, q,
-                           top if kind == "contact" else pim, tuple(checks))
+                           top if kind == "contact" else pim, checks)
 
 
 def require_codim(j: JacobiStructure) -> None:
@@ -276,12 +280,9 @@ def lcs_to_jacobi(chart: Chart, omega1: DiffForm, omega2: DiffForm,
         raise NotLCS("LCS charts have even dimension")
     if (omega1.terms and omega1.grade != 1) or omega2.grade != 2:
         raise NotLCS("expected a 1-form and a 2-form")
-    v1 = element_zero(exterior_derivative(omega1), sampler)
-    if not v1.is_zero:
-        raise NotLCS("d omega = 0 fails", v1.witness)
-    v2 = element_zero(exterior_derivative(omega2) - wedge(omega1, omega2), sampler)
-    if not v2.is_zero:
-        raise NotLCS("d Omega = omega ^ Omega fails", v2.witness)
+    _require_zero(exterior_derivative(omega1), sampler, NotLCS, "d omega = 0 fails")
+    _require_zero(exterior_derivative(omega2) - wedge(omega1, omega2), sampler, NotLCS,
+                  "d Omega = omega ^ Omega fails")
     k = n // 2
     d = [DiffForm.scalar(chart, 1), *divided_powers(omega2)]
     f = math.factorial(k)
@@ -330,22 +331,18 @@ def defining_pair(j: JacobiStructure, ctx: VolumeContext, sampler: Sampler,
     dbq = power(dbeta, j.q)
     gv = wedge(beta, dbq)
 
-    checks = []
-    v = element_zero(exterior_derivative(alpha) - wedge(beta, alpha), sampler)
-    checks.append(_record("pair.defining", v, "d alpha = beta ^ alpha"))
-    if not v.is_zero:
-        raise InvariantFailure("d alpha != beta ^ alpha", v.witness)
-    v = element_zero(exterior_derivative(gv), sampler)
-    checks.append(_record("pair.gv_closed", v, "d(beta ^ (d beta)^q) = 0"))
-    if not v.is_zero:
-        raise InvariantFailure("gv representative is not closed", v.witness)
+    defining = _require_zero(exterior_derivative(alpha) - wedge(beta, alpha), sampler,
+                             InvariantFailure, "d alpha != beta ^ alpha",
+                             "pair.defining", "d alpha = beta ^ alpha")
+    closed = _require_zero(exterior_derivative(gv), sampler, InvariantFailure,
+                           "gv representative is not closed",
+                           "pair.gv_closed", "d(beta ^ (d beta)^q) = 0")
     rewritten = phi(ctx, contract_form_into_mv(dbq, phi_inv(ctx, beta))) \
         if dbq.grade <= j.chart.n - 1 else DiffForm.zero(j.chart, gv.grade)
-    v = element_zero(gv - rewritten, sampler)
-    checks.append(_record("pair.gv_rewrite", v, "gv = phi(iota_{(d beta)^q} phi^-1(beta))"))
-    if not v.is_zero:
-        raise InvariantFailure("gv contraction rewrite failed", v.witness)
-    return DefiningPair(alpha, beta, j.q, gv, comp, tuple(checks))
+    rewrite = _require_zero(gv - rewritten, sampler, InvariantFailure,
+                            "gv contraction rewrite failed", "pair.gv_rewrite",
+                            "gv = phi(iota_{(d beta)^q} phi^-1(beta))")
+    return DefiningPair(alpha, beta, j.q, gv, comp, (defining, closed, rewrite))
 
 
 def gv_representative(j: JacobiStructure, ctx: VolumeContext, sampler: Sampler,
@@ -363,11 +360,9 @@ def gv_codim1(j: JacobiStructure, ctx: VolumeContext, dp: DefiningPair,
     if psi_w.grade == 0:  # n = 2: iota_beta of a function is 0, as is the 3-form gv
         psi_w = MultiVector.zero(j.chart, 0)
     result = phi(ctx, contract_form_into_mv(dp.beta, psi_w)).scale(sign)
-    v = element_zero(result - dp.gv, sampler)
-    check = _record("codim1.match", v, "codim-1 formula agrees with beta^(d beta)^q")
-    if not v.is_zero:
-        raise InvariantFailure("codim-1 formula disagrees with beta^(d beta)^q", v.witness)
-    return result, check
+    return result, _require_zero(result - dp.gv, sampler, InvariantFailure,
+                                 "codim-1 formula disagrees with beta^(d beta)^q",
+                                 "codim1.match", "codim-1 formula agrees with beta^(d beta)^q")
 
 
 # --- Poissonization -------------------------------------------------------------
@@ -377,7 +372,6 @@ class Poissonization:
     chart: Chart           # base chart + distinguished positive variable
     t_name: str
     lam: MultiVector
-    source: JacobiStructure
     poisson_check: CheckResult
 
 
@@ -406,24 +400,16 @@ def poissonize(j: JacobiStructure, sampler: Sampler) -> Poissonization:
     e_l = lift_to(ext, j.E)
     dt_mv = MultiVector.basis(ext, [ext.n - 1])
     lam = pi_l.scale(t_inv) + wedge(e_l, dt_mv)
-    verdict = element_zero(schouten(lam, lam), sampler)
-    chk = _record("poissonization.poisson", verdict, "[Lambda,Lambda] = 0")
-    if not verdict.is_zero:
-        raise InvariantFailure("[Lambda,Lambda] != 0 (kernel bug)", verdict.witness)
-    return Poissonization(ext, t, lam, j, chk)
+    return Poissonization(ext, t, lam, _require_zero(
+        schouten(lam, lam), sampler, InvariantFailure, "[Lambda,Lambda] != 0 (kernel bug)",
+        "poissonization.poisson", "[Lambda,Lambda] = 0"))
 
 
 @dataclass(frozen=True)
 class BridgeReport:
-    pz: Poissonization
     A: DiffForm
     B: DiffForm
-    base_beta: DiffForm
     checks: Tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
@@ -453,7 +439,7 @@ def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
 
     checks: List[CheckResult] = []
     lam_m1 = power(pz.lam, m + 1)
-    top = wedge(lift_to(ext, dp.companion_used.base), MultiVector.basis(ext, [t_idx]))
+    top = wedge(lift_to(ext, j.P), MultiVector.basis(ext, [t_idx]))
     v = element_zero(lam_m1 - top.scale(ScalarExpr.const(m + 1) * t_inv ** m), sampler)
     checks.append(_record("bridge.power", v,
                           "Lambda^(m+1) = (m+1) t^-m pi^m ^ E ^ dt"))
@@ -479,20 +465,16 @@ def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
         vanishing_point(_coefficients(lam_m1), ext, sampler)
     checks.append(CheckResult("bridge.rank", "numeric", witness is None, witness,
                               f"rank Lambda-sharp = {2 * m + 2}"))
-    return BridgeReport(pz, a_form, b_form, dp.beta, tuple(checks))
+    return BridgeReport(a_form, b_form, tuple(checks))
 
 
 # --- conformal rescaling and unimodularity ---------------------------------------
 
-@dataclass(frozen=True)
-class RescaleResult:
-    structure: JacobiStructure
-    checks: Tuple[CheckResult, ...]
-
-
 def conformal_rescale(j: JacobiStructure, a: ScalarExpr, ctx: VolumeContext,
-                      sampler: Sampler) -> RescaleResult:
-    """(pi, E) -> (a pi, a E - iota_{da} pi) for nonvanishing a.
+                      sampler: Sampler) -> JacobiStructure:
+    """(pi, E) -> (a pi, a E - iota_{da} pi) for nonvanishing a, verified,
+    with its checks named rescale.*: the rescaled structure's own, then
+    that (m, kind, q) and the characteristic distribution are unchanged.
 
     The contraction enters with a minus sign: expanding [a pi, a pi] with the
     Leibniz rule gives -2a (iota_{da} pi)^pi + a^2 [pi,pi], so the axiom
@@ -503,40 +485,27 @@ def conformal_rescale(j: JacobiStructure, a: ScalarExpr, ctx: VolumeContext,
         raise RescaleVanishes("conformal factor vanishes near a sample point",
                               witness)
     da = exterior_derivative(DiffForm.scalar(j.chart, a))
-    pi2 = j.pi.scale(a)
-    e2 = j.E.scale(a) - (contract_form_into_mv(da, j.pi)
-                         if not (da.is_identically_zero or j.pi.is_identically_zero)
-                         else MultiVector.zero(j.chart, 1))
-    j2 = verify_jacobi(ctx, pi2, e2, sampler)
+    j2 = verify_jacobi(ctx, j.pi.scale(a), j.E.scale(a) - contract_form_into_mv(da, j.pi),
+                       sampler)
     if 0 < j.q < j.chart.n:
         require_codim(j2)
-    checks = list(j2.checks)
-    same = j2.m == j.m and j2.kind == j.kind and j2.q == j.q
-    checks.append(CheckResult("rescale.invariants", "symbolic", same,
-                              detail=f"m {j.m}->{j2.m}, kind {j.kind}->{j2.kind}"))
-    if not same:
+    if (j2.m, j2.kind, j2.q) != (j.m, j.kind, j.q):
         raise InvariantFailure("conformal rescale changed (m, kind, q)")
 
     # P' = a^k P, k = m (LCS) or m + 1 (contact): for contact type
     # pi^m ^ iota_{da} pi = iota_{da}(pi^(m+1)) / (m+1) = 0
     k = j.m + (j.kind == "contact")
-    v = element_zero(j2.P - j.P.scale(a ** k), sampler)
-    checks.append(_record("rescale.distribution", v, "Im pi-sharp + <E> unchanged"))
-    if not v.is_zero:
-        raise InvariantFailure("conformal rescale moved the foliation", v.witness)
-    return RescaleResult(j2, tuple(checks))
-
-
-@dataclass(frozen=True)
-class UnimodularityResult:
-    unimodular: bool
-    verdict: ZeroVerdict
-    psi_value: MultiVector
+    distribution = _require_zero(j2.P - j.P.scale(a ** k), sampler, InvariantFailure,
+                                 "conformal rescale moved the foliation",
+                                 "rescale.distribution", "Im pi-sharp + <E> unchanged")
+    invariants = CheckResult("rescale.invariants", "symbolic", True,
+                             detail=f"m {j.m}->{j2.m}, kind {j.kind}->{j2.kind}")
+    return replace(j2, checks=tuple(replace(c, name=f"rescale.{c.name}") for c in j2.checks)
+                   + (invariants, distribution))
 
 
 def unimodularity(ctx: VolumeContext, u: MultiVector,
-                  sampler: Sampler) -> UnimodularityResult:
-    """psi(U) = 0 test with the psi(U) expression as certificate."""
+                  sampler: Sampler) -> Tuple[MultiVector, CheckResult]:
+    """psi(U), the certificate, and its check psi(U) = 0."""
     value = psi(ctx, u)
-    verdict = element_zero(value, sampler)
-    return UnimodularityResult(verdict.is_zero, verdict, value)
+    return value, _record("unimodular.psi", element_zero(value, sampler), f"psi = {value}")

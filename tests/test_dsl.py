@@ -272,6 +272,11 @@ class TestProblemFiles:
         ("chart x1 x2\nchart x1 x2\n", 2, 1, "duplicate chart declaration"),
         ("chart x1 x2\nvol dx1^dx2\nvol dx1^dx2\n", 3, 1, "duplicate vol declaration"),
         ("chart\n", 1, 1, "chart needs variable names"),
+        # names the expression syntax could not read back
+        ("chart x1 x2 x(3)\npi = d/dx1^d/dx2\nrun verify pair gv\n", 1, 13,
+         "chart variable 'x(3)' is not an identifier (expected [A-Za-z_][A-Za-z0-9_]*)"),
+        ("chart x dx y\npi = dx*d/dx^d/ddx\nrun verify pair gv\n", 1, 9,
+         "chart variable 'dx' clashes with the 1-form of 'x'"),
         ("vol dx1^dx2\nchart x1 x2\n", 1, 1, "chart must be declared before vol"),
         ("# only a comment\n", 0, 0, "missing chart declaration"),
         ("chart x1 x2 x3\ntheta = dx1\nE = d/dx1\n", 0, 0, "E only combines with pi"),
@@ -283,7 +288,8 @@ class TestProblemFiles:
             "function-argument", "rational-exponent", "zero-to-negative", "hidden-zero-to-negative",
             "minus-wedge",
             "scalar-plus-graded", "graded-sum", "theta-multivector", "command-text",
-            "duplicate-chart", "duplicate-vol", "empty-chart", "vol-before-chart",
+            "duplicate-chart", "duplicate-vol", "empty-chart", "chart-name-not-identifier",
+            "chart-name-is-a-form", "vol-before-chart",
             "missing-chart", "E-with-theta", "E-grade", "omega-grade", "Omega-grade"])
     def test_error_branches(self, text, line, col, message):
         with pytest.raises(DslError) as ei:

@@ -335,7 +335,7 @@ def _kernel_pair(chart, pi, e):
     ctx = volume_context(ext, DiffForm.basis(ext, range(ext.n)), sampler)
     j = verify_jacobi(ctx, lift_to(ext, pi), lift_to(ext, e), sampler)
     v = [ScalarExpr.var(x) for x in (*chart.vars[:2], "y1", "y2")]
-    j = conformal_rescale(j, exp_(v[0] * v[2] + v[1] * v[3]), ctx, sampler).structure
+    j = conformal_rescale(j, exp_(v[0] * v[2] + v[1] * v[3]), ctx, sampler)
     assert j.q == 2
     return defining_pair(j, ctx, sampler)
 
