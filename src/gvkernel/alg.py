@@ -265,15 +265,27 @@ def _summed(parts: Mapping[int, List[ScalarExpr]]) -> Dict[int, ScalarExpr]:
     return {mask: ScalarExpr.sum(terms) for mask, terms in parts.items()}
 
 
-def _contract(contractor_terms, target, result_cls, result_grade):
+def _contract(contractor: GradedElement, target: GradedElement,
+              result_cls: type) -> GradedElement:
+    """iota_contractor target, a `result_cls` of grade target.grade -
+    contractor.grade; either one zero contracts to zero."""
+    if contractor.chart != target.chart:
+        raise AlgebraError("chart mismatch")
+    grade = target.grade - contractor.grade
+    if contractor.is_identically_zero or target.is_identically_zero:
+        return result_cls.zero(target.chart, max(grade, 0))
+    if grade < 0:
+        raise AlgebraError(f"cannot contract grade {contractor.grade} "
+                           f"{type(contractor).__name__} into grade {target.grade} "
+                           f"{type(target).__name__}")
     out: Dict[int, List[ScalarExpr]] = {}
-    for mc, cc in contractor_terms:
+    for mc, cc in contractor.terms.items():
         for mt, ct in target.terms.items():
             s, rest = contract_sign(mc, mt)
             if s == 0:
                 continue
             out.setdefault(rest, []).append(cc * ct if s > 0 else -(cc * ct))
-    return result_cls(target.chart, result_grade, _summed(out))
+    return result_cls(target.chart, grade, _summed(out))
 
 
 def contract_form_into_mv(alpha: DiffForm, u: MultiVector) -> MultiVector:
@@ -281,26 +293,14 @@ def contract_form_into_mv(alpha: DiffForm, u: MultiVector) -> MultiVector:
     composite forms acting first-factor-first (iota_{a^b} = iota_b o iota_a)."""
     if not isinstance(alpha, DiffForm) or not isinstance(u, MultiVector):
         raise AlgebraError("contract_form_into_mv takes (DiffForm, MultiVector)")
-    if alpha.chart != u.chart:
-        raise AlgebraError("chart mismatch")
-    if alpha.is_identically_zero or u.is_identically_zero:
-        return MultiVector.zero(u.chart, max(u.grade - alpha.grade, 0))
-    if alpha.grade > u.grade:
-        raise AlgebraError(f"cannot contract grade {alpha.grade} form into grade {u.grade} multivector")
-    return _contract(alpha.terms.items(), u, MultiVector, u.grade - alpha.grade)
+    return _contract(alpha, u, MultiVector)
 
 
 def contract_mv_into_form(u: MultiVector, omega: DiffForm) -> DiffForm:
     """iota_U omega for decomposable U = X1^...^Xk: iota_{Xk} ... iota_{X1} omega."""
     if not isinstance(u, MultiVector) or not isinstance(omega, DiffForm):
         raise AlgebraError("contract_mv_into_form takes (MultiVector, DiffForm)")
-    if u.chart != omega.chart:
-        raise AlgebraError("chart mismatch")
-    if u.is_identically_zero or omega.is_identically_zero:
-        return DiffForm.zero(omega.chart, max(omega.grade - u.grade, 0))
-    if u.grade > omega.grade:
-        raise AlgebraError(f"cannot contract grade {u.grade} multivector into grade {omega.grade} form")
-    return _contract(u.terms.items(), omega, DiffForm, omega.grade - u.grade)
+    return _contract(u, omega, DiffForm)
 
 
 def sharp(pi: MultiVector, alpha: DiffForm) -> MultiVector:

@@ -24,8 +24,7 @@ from typing import Dict, List, Optional
 
 from . import jacobi
 from .alg import DiffForm
-from .dsl import (SETTINGS, DslError, ProblemFile, parse_multivector, parse_problem,
-                  parse_scalar, parse_setting)
+from .dsl import ARGUMENTS, SETTINGS, DslError, ProblemFile, parse_problem, parse_setting
 from .duality import volume_context
 from .expr import CheckFailure, KernelError, Sampler
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
@@ -132,9 +131,11 @@ class _Session:
     # commands ----------------------------------------------------------------
     def run(self) -> Report:
         origins = self.problem.arg_origins or [(1, 0)] * len(self.problem.commands)
-        for (name, arg), origin in zip(self.problem.commands, origins):
+        for (name, text), origin in zip(self.problem.commands, origins):
             try:
-                getattr(self, f"cmd_{name}")(arg, origin)
+                # a malformed argument is an input error, read before the command runs
+                args = () if text is None else (ARGUMENTS[name](self.chart, text, *origin),)
+                getattr(self, f"cmd_{name}")(*args)
             except CheckFailure as e:
                 self.report.records.append(CheckResult(
                     f"{name}.error", "numeric", False, e.witness,
@@ -145,32 +146,32 @@ class _Session:
                 break
         return self.report
 
-    def cmd_verify(self, arg, origin):
+    def cmd_verify(self):
         self.report.records.extend(self.foliated.checks)
 
-    def cmd_pair(self, arg, origin):
+    def cmd_pair(self):
         self.report.records.extend(self.pair.checks)
         self.report.printouts["alpha"] = str(self.pair.alpha)
         self.report.printouts["beta"] = str(self.pair.beta)
         self.report.printouts["gv"] = str(self.pair.gv)
 
-    def cmd_gv(self, arg, origin):
+    def cmd_gv(self):
         self.report.records.append(next(c for c in self.pair.checks
                                         if c.name == "pair.gv_closed"))
         self.report.printouts["gv"] = str(self.pair.gv)
 
-    def cmd_codim1(self, arg, origin):
+    def cmd_codim1(self):
         j = self.foliated
         jacobi.require_codim_one(j)
         g, check = jacobi.gv_codim1(j, self.ctx, self.pair, self.sampler)
         self.report.records.append(check)
         self.report.printouts["gv_codim1"] = str(g)
 
-    def cmd_poissonize(self, arg, origin):
+    def cmd_poissonize(self):
         self.report.records.append(self.lift.poisson_check)
         self.report.printouts["Lambda"] = str(self.lift.lam)
 
-    def cmd_bridge(self, arg, origin):
+    def cmd_bridge(self):
         j = self.foliated
         jacobi.require_contact(j)
         br = jacobi.check_poissonization_bridge(j, self.ctx, self.pair,
@@ -179,13 +180,11 @@ class _Session:
         self.report.printouts["A"] = str(br.A)
         self.report.printouts["B"] = str(br.B)
 
-    def cmd_rescale(self, arg, origin):
-        a = parse_scalar(self.chart, arg, *origin)  # a malformed argument is an input error
+    def cmd_rescale(self, a):
         self.report.records.extend(jacobi.conformal_rescale(
             self.foliated, a, self.ctx, self.sampler).checks)
 
-    def cmd_unimodular(self, arg, origin):
-        u = parse_multivector(self.chart, arg, *origin)
+    def cmd_unimodular(self, u):
         psi, check = jacobi.unimodularity(self.ctx, u, self.sampler)
         self.report.records.append(check)
         self.report.printouts["psi"] = str(psi)

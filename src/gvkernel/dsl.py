@@ -30,7 +30,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .alg import DiffForm, GradedElement, MultiVector, wedge
-from .expr import Chart, ExprError, KernelError, Sampler, ScalarExpr, cos_, exp_, ln_, sin_
+from .expr import (IDENT_RE, Chart, ExprError, KernelError, Sampler, ScalarExpr, cos_,
+                   exp_, ln_, sin_)
 
 
 class DslError(KernelError):
@@ -44,14 +45,11 @@ class DslError(KernelError):
         super().__init__(f"{loc}{message}{exp}")
 
 
-_IDENT = "[A-Za-z_][A-Za-z0-9_]*"
-_IDENT_RE = re.compile(_IDENT)
-
 _TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
-  | (?P<vec>d/d{_IDENT})
+  | (?P<vec>d/d{IDENT_RE.pattern})
   | (?P<num>\d+)
-  | (?P<ident>{_IDENT})
+  | (?P<ident>{IDENT_RE.pattern})
   | (?P<op>[-+*^/()])
 """, re.VERBOSE)
 
@@ -287,6 +285,9 @@ def parse_form(chart: Chart, text: str, line: int = 1, col0: int = 0) -> DiffFor
 COMMANDS = ("verify", "pair", "gv", "codim1", "poissonize", "bridge",
             "rescale", "unimodular")
 
+# the commands that take an argument, and how each reads its text
+ARGUMENTS = {"rescale": parse_scalar, "unimodular": parse_multivector}
+
 
 @dataclass
 class ProblemFile:
@@ -400,9 +401,9 @@ def _split_commands(rest: str, line_no: int, col0: int
                                line_no, col0 + start)
             arg = rest[start:i]
             i += 1
-        if name in ("rescale", "unimodular") and arg is None:
+        if name in ARGUMENTS and arg is None:
             raise DslError(f"{name} needs a parenthesized argument", line_no, name_col)
-        if name not in ("rescale", "unimodular") and arg is not None:
+        if name not in ARGUMENTS and arg is not None:
             raise DslError(f"{name} takes no argument", line_no, col0 + start)
         out.append((name, arg, (line_no, col0 + start)))
     return out
@@ -427,23 +428,14 @@ def parse_problem(text: str) -> ProblemFile:
         if word == "chart":
             if chart is not None:
                 raise DslError("duplicate chart declaration", line_no, wcol)
-            names = rest.split()
-            if not names:
+            spans = list(re.finditer(r"\S+", rest))
+            if not spans:
                 raise DslError("chart needs variable names", line_no, wcol)
-            # every name must read back as itself: an identifier that is not
-            # the basis form d<v> of another chart variable v
-            for m in re.finditer(r"\S+", rest):
-                name, col = m.group(), rest_col0 + m.start() + 1
-                if not _IDENT_RE.fullmatch(name):
-                    raise DslError(f"chart variable {name!r} is not an identifier",
-                                   line_no, col, (_IDENT,))
-                if name.startswith("d") and name[1:] in names:
-                    raise DslError(f"chart variable {name!r} clashes with the "
-                                   f"1-form of {name[1:]!r}", line_no, col)
             try:
-                chart = Chart(tuple(names))
-            except ExprError as e:
-                raise DslError(str(e), line_no, wcol) from None
+                chart = Chart(tuple(m.group() for m in spans))
+            except ExprError as e:  # a bad name is placed at its column
+                col = wcol if e.position is None else rest_col0 + spans[e.position].start() + 1
+                raise DslError(str(e), line_no, col) from None
             continue
         if word in SETTINGS:
             settings[word] = parse_setting(word, rest, line_no, rest_col0 + 1)

@@ -65,10 +65,6 @@ def apply_vol(ctx: VolumeContext, w: MultiVector) -> ScalarExpr:
 
 def phi(ctx: VolumeContext, u: MultiVector) -> DiffForm:
     """phi(U) = iota_U vol, grade k -> n-k."""
-    if u.chart != ctx.chart:
-        raise AlgebraError("chart mismatch")
-    if u.is_identically_zero:
-        return DiffForm.zero(ctx.chart, max(ctx.chart.n - u.grade, 0))
     return contract_mv_into_form(u, ctx.vol)
 
 
@@ -96,8 +92,6 @@ def phi_inv(ctx: VolumeContext, omega: DiffForm) -> MultiVector:
 
 def psi(ctx: VolumeContext, u: MultiVector) -> MultiVector:
     """psi(U) = phi^-1 d phi(U); grade-0 inputs map to zero."""
-    if u.grade == 0 or u.is_identically_zero:
-        return MultiVector.zero(ctx.chart, max(u.grade - 1, 0))
     return phi_inv(ctx, exterior_derivative(phi(ctx, u)))
 
 

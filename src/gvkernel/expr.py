@@ -44,9 +44,9 @@ exponents.  Every normal form is a fixed point of cancellation, so a sum
 tries again only the groups its summands added terms to, and each later
 pass only the groups that divided terms landed in.
 Atoms are interned (hash-consed), so equal atoms are one object and compare
-by identity.  An atom's key identifies it: a variable's name is an
-identifier (`ScalarExpr.var`), with no `(`, `*`, `^`, `/` or space in it,
-and a reduced normal form fixes each term's coefficient and the
+by identity.  An atom's key identifies it: a variable's name is an ASCII
+identifier (`ScalarExpr.var`), with no `(`, `*`, `^`, `/` or space in
+it, and a reduced normal form fixes each term's coefficient and the
 denominator, so no two normal forms print alike.  A monomial lists its
 atoms in key order, and a product or quotient of two monomials merges the
 two lists in one pass (`_mono_mul`, `_mono_div`).
@@ -99,6 +99,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import threading
 import weakref
 from dataclasses import dataclass
@@ -126,7 +127,13 @@ class CheckFailure(KernelError):
 
 
 class ExprError(KernelError):
-    """Malformed expression construction (bad chart, bad ln argument, ...)."""
+    """Malformed expression construction (bad chart, bad ln argument, ...).
+    A chart variable whose name breaks the naming rule is given by its
+    index on the chart, `position`."""
+
+    def __init__(self, message: str, position: Optional[int] = None):
+        super().__init__(message)
+        self.position = position
 
 
 class InsufficientSamples(CheckFailure):
@@ -144,20 +151,35 @@ class DomainError(KernelError):
         self.subexpr = subexpr
 
 
+# The identifiers of the problem-file syntax, which chart names and
+# variables must be.
+IDENT_RE = re.compile("[A-Za-z_][A-Za-z0-9_]*")
+
+
 @dataclass(frozen=True)
 class Chart:
-    """Ordered chart variables; `positive` names are constrained to (0, inf)."""
+    """Ordered chart variables; `positive` names are constrained to (0, inf).
+
+    Every name reads back as itself in the problem-file syntax: it fully
+    matches IDENT_RE and is not d<v>, the basis 1-form of another chart
+    variable v."""
 
     vars: Tuple[str, ...]
     positive: frozenset = frozenset()
 
     def __post_init__(self):
+        names = set(self.vars)
+        for i, v in enumerate(self.vars):
+            if not IDENT_RE.fullmatch(v):
+                raise ExprError(f"chart variable {v!r} is not an identifier "
+                                f"(expected {IDENT_RE.pattern})", i)
+            if v.startswith("d") and v[1:] in names:
+                raise ExprError(f"chart variable {v!r} clashes with the 1-form "
+                                f"of {v[1:]!r}", i)
         if not (1 <= len(self.vars) <= MAX_DIM):
             raise ExprError(f"chart dimension must be in 1..{MAX_DIM}, got {len(self.vars)}")
         seen = set()
         for v in self.vars:
-            if not v or any(c.isspace() for c in v):
-                raise ExprError(f"bad variable name {v!r}")
             if v in seen:
                 raise ExprError(f"duplicate variable {v!r}")
             seen.add(v)
@@ -618,9 +640,9 @@ class ScalarExpr:
 
     @staticmethod
     def var(name: str) -> "ScalarExpr":
-        """The variable `name`, which must be an identifier, so that no two
-        atoms share a key (see the module docstring)."""
-        if not name.isidentifier():
+        """The variable `name`, which must fully match IDENT_RE, so that no
+        two atoms share a key (see the module docstring)."""
+        if not IDENT_RE.fullmatch(name):
             raise ExprError(f"variable name {name!r} is not an identifier")
         return ScalarExpr({((Atom("var", name), 1),): 1})
 

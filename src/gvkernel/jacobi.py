@@ -131,6 +131,15 @@ def _require_zero(el: GradedElement, sampler: Sampler, error: type, message: str
     return _record(name, verdict, detail)
 
 
+def _require_nonvanishing(el: GradedElement, sampler: Sampler, error: type,
+                          message: str) -> None:
+    """Raise `error(message, witness)` at a sample point where every
+    coefficient of el vanishes."""
+    witness = vanishing_point(_coefficients(el), el.chart, sampler)
+    if witness is not None:
+        raise error(message, witness)
+
+
 def _coefficients(*els: GradedElement) -> List[ScalarExpr]:
     return [c for el in els for c in el.terms.values()]
 
@@ -187,9 +196,7 @@ def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
     powers = list(divided_powers(pi))
     m = len(powers)
     pim = powers[-1].scale(math.factorial(m)) if powers else MultiVector.scalar(chart, 1)
-    witness = vanishing_point(_coefficients(pim), chart, sampler)
-    if witness is not None:
-        raise NotRegular(f"pi^{m} vanishes at a sample point", witness)
+    _require_nonvanishing(pim, sampler, NotRegular, f"pi^{m} vanishes at a sample point")
 
     top = wedge(pim, E)
     kind = "lcs"  # E ^ pi^m = 0 exactly puts E in Im pi-sharp
@@ -256,9 +263,8 @@ def contact_to_jacobi(chart: Chart, theta: DiffForm, sampler: Sampler
     f = math.factorial(m)
     dtheta_m = d[m].scale(f) if m < len(d) else DiffForm.zero(chart, 2 * m)
     top = wedge(theta, dtheta_m)
-    witness = vanishing_point(_coefficients(top), chart, sampler)
-    if witness is not None:
-        raise NotContact("theta ^ (d theta)^m vanishes at a sample point", witness)
+    _require_nonvanishing(top, sampler, NotContact,
+                          "theta ^ (d theta)^m vanishes at a sample point")
     ctx = volume_context(chart, top, sampler)  # repeats the check just passed
     pi = phi_inv(ctx, wedge(theta, d[m - 1])).scale(-f) if m else MultiVector.zero(chart, 2)
     return pi, phi_inv(ctx, dtheta_m)
@@ -287,9 +293,7 @@ def lcs_to_jacobi(chart: Chart, omega1: DiffForm, omega2: DiffForm,
     d = [DiffForm.scalar(chart, 1), *divided_powers(omega2)]
     f = math.factorial(k)
     top = d[k].scale(f) if k < len(d) else DiffForm.zero(chart, n)
-    witness = vanishing_point(_coefficients(top), chart, sampler)
-    if witness is not None:
-        raise NotLCS("Omega^(n/2) vanishes at a sample point", witness)
+    _require_nonvanishing(top, sampler, NotLCS, "Omega^(n/2) vanishes at a sample point")
     ctx = volume_context(chart, top, sampler)  # repeats the check just passed
     pi = phi_inv(ctx, d[k - 1]).scale(f)
     # omega = 0 may arrive as a grade-0 form, whose contraction is grade 2
@@ -376,8 +380,10 @@ class Poissonization:
 
 
 def _fresh_t(chart: Chart) -> str:
+    """The first of t, t_, t__, ... that the chart holds neither as a
+    variable nor as the 1-form d<t> of one."""
     name = "t"
-    while name in chart.vars:
+    while name in chart.vars or f"d{name}" in chart.vars:
         name += "_"
     return name
 
@@ -480,11 +486,10 @@ def conformal_rescale(j: JacobiStructure, a: ScalarExpr, ctx: VolumeContext,
     Leibniz rule gives -2a (iota_{da} pi)^pi + a^2 [pi,pi], so the axiom
     [pi',pi'] = 2E'^pi' forces E' = aE - iota_{da} pi.
     """
-    witness = vanishing_point([a], j.chart, sampler)
-    if witness is not None:
-        raise RescaleVanishes("conformal factor vanishes near a sample point",
-                              witness)
-    da = exterior_derivative(DiffForm.scalar(j.chart, a))
+    factor = DiffForm.scalar(j.chart, a)
+    _require_nonvanishing(factor, sampler, RescaleVanishes,
+                          "conformal factor vanishes near a sample point")
+    da = exterior_derivative(factor)
     j2 = verify_jacobi(ctx, j.pi.scale(a), j.E.scale(a) - contract_form_into_mv(da, j.pi),
                        sampler)
     if 0 < j.q < j.chart.n:

@@ -12,8 +12,8 @@ from gvkernel import cli, expr, jacobi
 from gvkernel.alg import DiffForm, MultiVector, contract_form_into_mv
 from gvkernel.calculus import exterior_derivative
 from gvkernel.cli import emit, execute, fixture_problem, main
-from gvkernel.dsl import (COMMANDS, MAX_NESTING, MAX_POINTS, parse_multivector, parse_problem,
-                          parse_scalar)
+from gvkernel.dsl import (ARGUMENTS, COMMANDS, MAX_NESTING, MAX_POINTS, parse_multivector,
+                          parse_problem, parse_scalar)
 from gvkernel.expr import Chart, CheckFailure, KernelError, Sampler
 from gvkernel.fixtures import FIXTURE_NAMES, get_fixture
 
@@ -193,6 +193,15 @@ class TestExecute:
         report = run_text(text)
         assert report.exit_status == 1
         assert any("CodimOutOfRange" in r.detail for r in report.records)
+
+
+class TestCommandTables:
+    def test_every_command_has_a_session_method(self):
+        for name in COMMANDS:
+            assert callable(getattr(cli._Session, f"cmd_{name}", None)), name
+
+    def test_every_argument_reader_names_a_command(self):
+        assert set(ARGUMENTS) <= set(COMMANDS)
 
 
 class TestDeterminism:

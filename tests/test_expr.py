@@ -44,6 +44,16 @@ class TestChart:
         with pytest.raises(ExprError):
             Chart(("",))
 
+    @pytest.mark.parametrize("names", [("x(3)",), ("é",), ("x", "dx")],
+                             ids=["not-an-identifier", "not-ascii", "a-chart-form"])
+    def test_rejects_names_that_do_not_read_back(self, names):
+        with pytest.raises(ExprError):
+            Chart(names)
+
+    def test_extend_refuses_a_variable_whose_form_is_on_the_chart(self):
+        with pytest.raises(ExprError):
+            Chart(("x0", "dt")).extend("t")
+
     def test_dimension_bounds(self):
         with pytest.raises(ExprError):
             Chart(tuple(f"v{i}" for i in range(13)))
@@ -691,7 +701,7 @@ class TestMonomialMerge:
     def test_a_variable_name_is_an_identifier(self):
         # exp of a variable named "2*x1" would print, and so sort, as
         # exp(2*x1): two atoms of one key, which the merges cannot order
-        for name in ("2*x1", "1 + x1^2", "x 1", ""):
+        for name in ("2*x1", "1 + x1^2", "x 1", "", "é"):
             with pytest.raises(ExprError):
                 ScalarExpr.var(name)
         assert str(ScalarExpr.var("t_")) == "t_"

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from gvkernel import jacobi
 from gvkernel.alg import (DiffForm, MultiVector, contract_form_into_mv, power,
                           wedge)
 from gvkernel.calculus import exterior_derivative, schouten
+from gvkernel.dsl import parse_form, parse_problem
 from gvkernel.duality import NoCompanion, phi, psi, volume_context
 from gvkernel.expr import (Chart, Sampler, ScalarExpr, evaluate, exp_, ln_, sin_,
                            vanishing_point)
@@ -471,6 +473,20 @@ class TestPoissonization:
         assert pz.lam == lift_to(ext, pi).scale(ScalarExpr.var("t_") ** -1) + \
             wedge(lift_to(ext, e), mv(ext, 3))
 
+    def test_lift_variable_steps_past_a_chart_variable_dt(self, sampler):
+        # with dt on the chart, a lift variable t would print its 1-form as
+        # dt too; the lift takes t_, and the printed A and B read back
+        text = (pathlib.Path(__file__).parent / "golden" / "lift-name-clash.gvk").read_text()
+        pf = parse_problem(text)
+        ctx = volume_context(pf.chart, DiffForm.basis(pf.chart, range(pf.chart.n)), sampler)
+        j = verify_jacobi(ctx, pf.pi, pf.E, sampler)
+        pz = poissonize(j, sampler)
+        assert pz.t_name == "t_"
+        br = bridge(j, ctx, sampler)
+        assert all(c.passed for c in br.checks)
+        assert parse_form(pz.chart, str(br.A)) == br.A
+        assert parse_form(pz.chart, str(br.B)) == br.B
+
     def test_opposite_sign_fails_poisson(self, sampler):
         from gvkernel.jacobi import lift_to
         f, ctx = fixture_setup("contact-r3-ext", sampler)
@@ -536,6 +552,38 @@ class TestBridge:
             j = verify_jacobi(ctx, f.pi, f.E, sampler)
             with pytest.raises(ParityObstruction):
                 bridge(j, ctx, sampler)
+
+
+C3 = Chart(("x1", "x2", "x3"))
+C4 = Chart(("x1", "x2", "x3", "x4"))
+
+
+def _verified(pi, sampler):
+    ctx = volume_context(pi.chart, form(pi.chart, *range(pi.chart.n)), sampler)
+    return verify_jacobi(ctx, pi, MultiVector.zero(pi.chart, 1), sampler), ctx
+
+
+def _rescaled_by_zero(sampler):
+    j, ctx = _verified(mv(C3, 0, 1), sampler)
+    return conformal_rescale(j, ScalarExpr.zero(), ctx, sampler)
+
+
+class TestNonvanishingRefusals:
+    @pytest.mark.parametrize("refuse, error, message", [
+        (lambda s: _verified(mv(C3, 0, 1).scale(Fraction(1, 10 ** 10)), s),
+         NotRegular, "pi^1 vanishes at a sample point"),
+        (lambda s: contact_to_jacobi(C3, form(C3, 0), s),
+         NotContact, "theta ^ (d theta)^m vanishes at a sample point"),
+        (lambda s: lcs_to_jacobi(C4, DiffForm.zero(C4, 1), form(C4, 0, 1), s),
+         NotLCS, "Omega^(n/2) vanishes at a sample point"),
+        (_rescaled_by_zero,
+         RescaleVanishes, "conformal factor vanishes near a sample point"),
+    ], ids=["pi-power", "contact-volume", "lcs-volume", "rescale-factor"])
+    def test_raises_its_message_with_a_witness(self, sampler, refuse, error, message):
+        with pytest.raises(error) as ei:
+            refuse(sampler)
+        assert str(ei.value) == message
+        assert ei.value.witness is not None
 
 
 class TestConformalRescale:
