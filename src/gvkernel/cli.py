@@ -24,9 +24,10 @@ from typing import Dict, List, Optional
 
 from . import jacobi
 from .alg import DiffForm
-from .dsl import ARGUMENTS, SETTINGS, DslError, ProblemFile, parse_problem, parse_setting
+from .dsl import (ARGUMENTS, DslError, ProblemFile, check_command, parse_problem,
+                  parse_setting)
 from .duality import volume_context
-from .expr import CheckFailure, KernelError, Sampler
+from .expr import SETTINGS, CheckFailure, KernelError, Sampler
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
 from .jacobi import CheckResult, DefiningPair, JacobiStructure, Poissonization
 
@@ -133,6 +134,8 @@ class _Session:
         origins = self.problem.arg_origins or [(1, 0)] * len(self.problem.commands)
         for (name, text), origin in zip(self.problem.commands, origins):
             try:
+                # a command built in code obeys the rule a file's `run` line does
+                check_command(name, text is not None)
                 # a malformed argument is an input error, read before the command runs
                 args = () if text is None else (ARGUMENTS[name](self.chart, text, *origin),)
                 getattr(self, f"cmd_{name}")(*args)
@@ -194,8 +197,8 @@ def execute(problem: ProblemFile, **overrides) -> Report:
     """Run a parsed problem; the sampling settings given (`seed`, `points`,
     `tol`) and not None override the file's, as the CLI flags do."""
     given = {k: v for k, v in overrides.items() if v is not None}
-    sampler = replace(problem.sampler, **given) if given else problem.sampler
-    try:
+    try:  # `Sampler` refuses an invalid setting
+        sampler = replace(problem.sampler, **given) if given else problem.sampler
         session = _Session(problem, sampler)
     except KernelError as e:
         return Report(input_error=str(e))

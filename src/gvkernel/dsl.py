@@ -23,15 +23,14 @@ omega + Omega.  A missing vol defaults to the flat top form.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .alg import DiffForm, GradedElement, MultiVector, wedge
-from .expr import (IDENT_RE, Chart, ExprError, KernelError, Sampler, ScalarExpr, cos_,
-                   exp_, ln_, sin_)
+from .expr import (IDENT_RE, SETTINGS, Chart, ExprError, KernelError, Sampler,
+                   ScalarExpr, cos_, exp_, ln_, sin_)
 
 
 class DslError(KernelError):
@@ -289,6 +288,19 @@ COMMANDS = ("verify", "pair", "gv", "codim1", "poissonize", "bridge",
 ARGUMENTS = {"rescale": parse_scalar, "unimodular": parse_multivector}
 
 
+def check_command(name: str, has_argument: bool, line: int = 0, col: int = 0,
+                  arg_col: int = 0):
+    """The command rule: `name` is one of COMMANDS, and an argument is
+    given exactly when it is in ARGUMENTS.  A refusal is placed at the
+    name's column `col`, or at `arg_col` for an argument not taken."""
+    if name not in COMMANDS:
+        raise DslError(f"unknown command {name!r}", line, col, COMMANDS)
+    if name in ARGUMENTS and not has_argument:
+        raise DslError(f"{name} needs a parenthesized argument", line, col)
+    if name not in ARGUMENTS and has_argument:
+        raise DslError(f"{name} takes no argument", line, arg_col)
+
+
 @dataclass
 class ProblemFile:
     chart: Chart
@@ -328,24 +340,10 @@ class ProblemFile:
         return "\n".join(lines) + "\n"
 
 
-# Most sample points a check may ask for: 16x the 256 of the numeric
-# benchmark tier.  It bounds the memory of a sample (10x oversampling on up
-# to 12 coordinates) and of a sampler's head blocks.
-MAX_POINTS = 4096
-
-# the sampling settings: how each is read from text, which values are
-# valid, and what a valid one is
-SETTINGS = {
-    "seed": (int, lambda v: v >= 0, "non-negative integer"),
-    "points": (int, lambda v: 0 < v <= MAX_POINTS, f"integer in 1..{MAX_POINTS}"),
-    "tol": (float, lambda v: 0 < v < math.inf, "positive finite float"),
-}
-
-
 def parse_setting(name: str, text: str, line: int = 0, col: int = 1) -> Union[int, float]:
     """A sampling setting (`seed`, `points` or `tol`) read from its text, as
     a problem-file line (starting at column `col`) or a command-line flag
-    gives it."""
+    gives it, by the rule `Sampler` enforces (`expr.SETTINGS`)."""
     convert, valid, what = SETTINGS[name]
     try:
         value = convert(text)
@@ -381,8 +379,7 @@ def _split_commands(rest: str, line_no: int, col0: int
         name = m.group()
         name_col = col0 + i + 1
         i += m.end()
-        if name not in COMMANDS:
-            raise DslError(f"unknown command {name!r}", line_no, name_col, COMMANDS)
+        check_command(name, rest.startswith("(", i), line_no, name_col, col0 + i + 1)
         arg = None
         start = i
         if i < n and rest[i] == "(":
@@ -401,10 +398,6 @@ def _split_commands(rest: str, line_no: int, col0: int
                                line_no, col0 + start)
             arg = rest[start:i]
             i += 1
-        if name in ARGUMENTS and arg is None:
-            raise DslError(f"{name} needs a parenthesized argument", line_no, name_col)
-        if name not in ARGUMENTS and arg is not None:
-            raise DslError(f"{name} takes no argument", line_no, col0 + start)
         out.append((name, arg, (line_no, col0 + start)))
     return out
 

@@ -1309,6 +1309,19 @@ MIN_VALID_SHARE = Fraction(1, 2)
 # Poisson lift.
 PLANNED_CHARTS = 2
 
+# Most sample points a check may ask for: 16x the 256 of the numeric
+# benchmark tier.  It bounds the memory of a sample (10x oversampling on up
+# to 12 coordinates) and of a sampler's head blocks.
+MAX_POINTS = 4096
+
+# the sampling settings: the type of each (which also reads it from text),
+# which values are valid, and what a valid one is
+SETTINGS = {
+    "seed": (int, lambda v: v >= 0, "non-negative integer"),
+    "points": (int, lambda v: 0 < v <= MAX_POINTS, f"integer in 1..{MAX_POINTS}"),
+    "tol": (float, lambda v: 0 < v < math.inf, "positive finite float"),
+}
+
 
 @dataclass(frozen=True)
 class Sampler:
@@ -1317,11 +1330,18 @@ class Sampler:
     A plain value: equal samplers draw equal points on a chart and share
     its head block (`_head_block`).  The draw stream is keyed by
     `int(seed)`, so samplers that compare equal (`True` and 1) draw the
-    same stream."""
+    same stream.  Each setting must be of its type in `SETTINGS` and
+    valid there; any other value raises ExprError."""
 
     seed: int = 0
     points: int = 64
     tol: float = 1e-9
+
+    def __post_init__(self):
+        for name, (kind, valid, what) in SETTINGS.items():
+            value = getattr(self, name)
+            if not (isinstance(value, kind) and valid(value)):
+                raise ExprError(f"bad {name} {value!r} (expected {what})")
 
     def draw(self, chart: Chart, count: Optional[int] = None) -> Iterator[Point]:
         """The chart's seeded point stream, `count` (default `points`) long."""

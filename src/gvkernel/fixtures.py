@@ -1,18 +1,25 @@
 """Built-in chart fixtures: the model Jacobi structures used throughout the
 test and acceptance suites.  Registry names are part of the public contract.
 
-All fixtures carry the flat volume form on their chart.  `contact-r3` is the
-three-dimensional contact model whose foliation has codimension 0; it is
-registered for the Poissonization path and doubles as a verify-rejection case.
+The registry is eight problem files, read through `dsl.parse_problem` as
+any other file is.  They hold the flat LCS model
+sum_i d/dx_{2i-1} ^ d/dx_{2i} and the standard contact model
+sum_i (d/dx_{2i-1} - x_{2i} d/dx_0) ^ d/dx_{2i} with E = d/dx0, each with a
+transversal variable y.  `contact-r3-ext` and `contact-model-r3` are one
+structure under two names.  All fixtures carry the flat volume form on
+their chart.  `contact-r3` is the three-dimensional contact model whose
+foliation has codimension 0; it is registered for the Poissonization path
+and doubles as a verify-rejection case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
-from .alg import DiffForm, MultiVector, wedge
-from .expr import Chart, ScalarExpr, exp_
+from .alg import DiffForm, MultiVector
+from .dsl import parse_problem
+from .expr import Chart
 
 
 @dataclass(frozen=True)
@@ -28,96 +35,37 @@ class Fixture:
     commands: Tuple[str, ...]  # default CLI command list
 
 
-def _flat_vol(chart: Chart) -> DiffForm:
-    return DiffForm.basis(chart, range(chart.n))
+_STD = "run verify pair gv codim1 poissonize\n"
+_CONTACT = "E = d/dx0\nrun verify pair gv codim1 poissonize bridge\n"
+_CONTACT_R3_EXT = "chart x0 x1 x2 y\npi = (d/dx1 - x2*d/dx0)^d/dx2\n" + _CONTACT
 
-
-def _contact_model_pi(chart: Chart, pairs: int) -> MultiVector:
-    """sum_i (d/dx_{2i-1} - x_{2i} d/dx_0) ^ d/dx_{2i} on vars x0..x_{2m}."""
-    total = MultiVector.zero(chart, 2)
-    d0 = MultiVector.basis(chart, [0])
-    for i in range(1, pairs + 1):
-        xi = ScalarExpr.var(chart.vars[2 * i])
-        left = MultiVector.basis(chart, [2 * i - 1]) - d0.scale(xi)
-        total = total + wedge(left, MultiVector.basis(chart, [2 * i]))
-    return total
-
-
-def _lcs_model_pi(chart: Chart, pairs: int) -> MultiVector:
-    total = MultiVector.zero(chart, 2)
-    for i in range(pairs):
-        total = total + wedge(MultiVector.basis(chart, [2 * i]),
-                              MultiVector.basis(chart, [2 * i + 1]))
-    return total
-
-
-_STD = ("verify", "pair", "gv", "codim1", "poissonize")
-_STD_CONTACT = _STD + ("bridge",)
-
-
-def _poisson_r3() -> Fixture:
-    chart = Chart(("x1", "x2", "x3"))
-    return Fixture("poisson-r3", chart, _flat_vol(chart),
-                   _lcs_model_pi(chart, 1), MultiVector.zero(chart, 1),
-                   "lcs", 1, 1, _STD)
-
-
-def _rescaled_poisson_r3() -> Fixture:
+# name -> (problem file, expected kind, m, q)
+_REGISTRY: Dict[str, Tuple[str, str, int, int]] = {
+    "poisson-r3": ("chart x1 x2 x3\npi = d/dx1^d/dx2\n" + _STD, "lcs", 1, 1),
     # conformal rescale of poisson-r3 by a = exp(x3): pi' = a pi, and
     # E' = -iota_{da} pi = 0 because pi has no d/dx3 component.
-    chart = Chart(("x1", "x2", "x3"))
-    a = exp_(ScalarExpr.var("x3"))
-    pi = _lcs_model_pi(chart, 1).scale(a)
-    return Fixture("rescaled-poisson-r3", chart, _flat_vol(chart), pi,
-                   MultiVector.zero(chart, 1), "lcs", 1, 1, _STD)
-
-
-def _contact_r3() -> Fixture:
-    chart = Chart(("x0", "x1", "x2"))
-    return Fixture("contact-r3", chart, _flat_vol(chart),
-                   _contact_model_pi(chart, 1), MultiVector.basis(chart, [0]),
-                   "contact", 1, 0, ("poissonize",))
-
-
-def _contact_r3_ext() -> Fixture:
-    chart = Chart(("x0", "x1", "x2", "y"))
-    return Fixture("contact-r3-ext", chart, _flat_vol(chart),
-                   _contact_model_pi(chart, 1), MultiVector.basis(chart, [0]),
-                   "contact", 1, 1, _STD_CONTACT)
-
-
-def _lcs_model(m: int) -> Fixture:
-    names = tuple(f"x{i}" for i in range(1, 2 * m + 1)) + ("y",)
-    chart = Chart(names)
-    return Fixture(f"lcs-model-r{2 * m}", chart, _flat_vol(chart),
-                   _lcs_model_pi(chart, m), MultiVector.zero(chart, 1),
-                   "lcs", m, 1, _STD)
-
-
-def _contact_model(m: int) -> Fixture:
-    names = tuple(f"x{i}" for i in range(2 * m + 1)) + ("y",)
-    chart = Chart(names)
-    return Fixture(f"contact-model-r{2 * m + 1}", chart, _flat_vol(chart),
-                   _contact_model_pi(chart, m), MultiVector.basis(chart, [0]),
-                   "contact", m, 1, _STD_CONTACT)
-
-
-_BUILDERS: Dict[str, Callable[[], Fixture]] = {
-    "poisson-r3": _poisson_r3,
-    "rescaled-poisson-r3": _rescaled_poisson_r3,
-    "contact-r3": _contact_r3,
-    "contact-r3-ext": _contact_r3_ext,
-    "lcs-model-r2": lambda: _lcs_model(1),
-    "lcs-model-r4": lambda: _lcs_model(2),
-    "contact-model-r3": lambda: _contact_model(1),
-    "contact-model-r5": lambda: _contact_model(2),
+    "rescaled-poisson-r3": ("chart x1 x2 x3\npi = exp(x3)*d/dx1^d/dx2\n" + _STD,
+                            "lcs", 1, 1),
+    "contact-r3": ("chart x0 x1 x2\npi = (d/dx1 - x2*d/dx0)^d/dx2\nE = d/dx0\n"
+                   "run poissonize\n", "contact", 1, 0),
+    "contact-r3-ext": (_CONTACT_R3_EXT, "contact", 1, 1),
+    "lcs-model-r2": ("chart x1 x2 y\npi = d/dx1^d/dx2\n" + _STD, "lcs", 1, 1),
+    "lcs-model-r4": ("chart x1 x2 x3 x4 y\npi = d/dx1^d/dx2 + d/dx3^d/dx4\n" + _STD,
+                     "lcs", 2, 1),
+    "contact-model-r3": (_CONTACT_R3_EXT, "contact", 1, 1),
+    "contact-model-r5": ("chart x0 x1 x2 x3 x4 y\n"
+                         "pi = (d/dx1 - x2*d/dx0)^d/dx2 + (d/dx3 - x4*d/dx0)^d/dx4\n"
+                         + _CONTACT, "contact", 2, 1),
 }
 
-FIXTURE_NAMES: Tuple[str, ...] = tuple(_BUILDERS)
+FIXTURE_NAMES: Tuple[str, ...] = tuple(_REGISTRY)
 
 
 def get_fixture(name: str) -> Fixture:
     try:
-        return _BUILDERS[name]()
+        text, kind, m, q = _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}") from None
+    pf = parse_problem(text)
+    return Fixture(name, pf.chart, DiffForm.basis(pf.chart, range(pf.chart.n)), pf.pi,
+                   pf.E, kind, m, q, tuple(command for command, _ in pf.commands))

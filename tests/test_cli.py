@@ -1,7 +1,9 @@
+import math
 import pathlib
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,9 @@ from gvkernel import cli, expr, jacobi
 from gvkernel.alg import DiffForm, MultiVector, contract_form_into_mv
 from gvkernel.calculus import exterior_derivative
 from gvkernel.cli import emit, execute, fixture_problem, main
-from gvkernel.dsl import (ARGUMENTS, COMMANDS, MAX_NESTING, MAX_POINTS, parse_multivector,
-                          parse_problem, parse_scalar)
-from gvkernel.expr import Chart, CheckFailure, KernelError, Sampler
+from gvkernel.dsl import (ARGUMENTS, COMMANDS, MAX_NESTING, parse_multivector, parse_problem,
+                          parse_scalar)
+from gvkernel.expr import MAX_POINTS, Chart, CheckFailure, ExprError, KernelError, Sampler
 from gvkernel.fixtures import FIXTURE_NAMES, get_fixture
 
 CONTACT_TEXT = """\
@@ -185,6 +187,24 @@ class TestExecute:
         pf = parse_problem(BROKEN_TEXT + "seed 3\npoints 16\ntol 1e-7\n")
         assert emit(execute(pf, **flag), "structured") == emit(execute(pf), "structured")
 
+    @pytest.mark.parametrize("setting, value, message", [
+        ("points", 0, f"bad points 0 (expected integer in 1..{MAX_POINTS})"),
+        ("tol", -1.0, "bad tol -1.0 (expected positive finite float)"),
+        ("tol", math.nan, "bad tol nan (expected positive finite float)"),
+        ("seed", 1.5, "bad seed 1.5 (expected non-negative integer)"),
+    ], ids=["points-zero", "tol-negative", "tol-nan", "seed-fraction"])
+    def test_sampler_refuses_a_bad_setting(self, setting, value, message):
+        # overrides in code used to skip the rule that file lines and flags
+        # obey: points 0 raised ValueError from an empty argmax, tol -1 passed
+        # every nonvanishing check, tol nan read the volume as vanishing and
+        # seed 1.5 ran seed 1
+        with pytest.raises(ExprError, match=re.escape(message)):
+            Sampler(**{setting: value})
+        report = run_text(TRIG_TEXT, **{setting: value})
+        assert report.exit_status == 2
+        assert report.input_error == message
+        assert report.records == []
+
     def test_codim_zero_fixture_verify_fails(self):
         text = ("chart x0 x1 x2\n"
                 "pi = (d/dx1 - x2*d/dx0)^d/dx2\n"
@@ -202,6 +222,26 @@ class TestCommandTables:
 
     def test_every_argument_reader_names_a_command(self):
         assert set(ARGUMENTS) <= set(COMMANDS)
+
+    @pytest.mark.parametrize("command, message", [
+        (("rescale", None), "rescale: rescale needs a parenthesized argument"),
+        (("nope", None), "nope: unknown command 'nope' (expected verify, pair"),
+        (("verify", "x1"), "verify: verify takes no argument"),
+    ], ids=["argument-missing", "unknown-command", "argument-not-taken"])
+    def test_commands_built_in_code_obey_the_command_rule(self, monkeypatch, tmp_path,
+                                                          capsys, command, message):
+        # these raised TypeError, AttributeError and KeyError from the session
+        problem = replace(parse_problem("chart x1 x2 x3\npi = d/dx1^d/dx2\n"),
+                          commands=(("verify", None), command))
+        monkeypatch.setattr(cli, "parse_problem", lambda text: problem)
+        p = tmp_path / "problem.gvk"
+        p.write_text("")
+        assert main([str(p), "--format", "structured"]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert f"gvkernel: {message}" in captured.err
+        # the records of the command before it are kept
+        assert "check=jacobi.axiom1 tier=symbolic verdict=pass" in captured.out
 
 
 class TestDeterminism:

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from gvkernel.alg import DiffForm, MultiVector, wedge
-from gvkernel.dsl import (MAX_NESTING, MAX_POINTS, DslError, parse_form, parse_multivector,
-                          parse_problem, parse_scalar, parse_value)
-from gvkernel.expr import Chart, Sampler, ScalarExpr, cos_, exp_, sin_
+from gvkernel.dsl import (MAX_NESTING, DslError, parse_form, parse_multivector, parse_problem,
+                          parse_scalar, parse_value)
+from gvkernel.expr import MAX_POINTS, Chart, Sampler, ScalarExpr, cos_, exp_, sin_
 
 from conftest import rand_form, rand_mv, rand_scalar
 
