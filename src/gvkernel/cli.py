@@ -131,8 +131,10 @@ class _Session:
 
     # commands ----------------------------------------------------------------
     def run(self) -> Report:
-        origins = self.problem.arg_origins or [(1, 0)] * len(self.problem.commands)
-        for (name, text), origin in zip(self.problem.commands, origins):
+        commands, origins = self.problem.commands, self.problem.arg_origins
+        if len(origins) != len(commands):  # not the file's run line: no positions
+            origins = [(1, 0)] * len(commands)
+        for (name, text), origin in zip(commands, origins):
             try:
                 # a command built in code obeys the rule a file's `run` line does
                 check_command(name, text is not None)

@@ -314,7 +314,8 @@ class ProblemFile:
     sampler: Sampler = Sampler()
     commands: Tuple[Tuple[str, Optional[str]], ...] = ()
     # (line, column offset) of each command's argument text in the file, in
-    # the order of `commands`; empty for a problem not read from a file
+    # the order of `commands`; empty for a problem not read from a file.  A
+    # session reads them only while they are as many as `commands`.
     arg_origins: Tuple[Tuple[int, int], ...] = field(default=(), compare=False)
 
     def canonical_text(self) -> str:

@@ -74,14 +74,20 @@ every other product is cancelled.  A sum is built from all its summands'
 terms at once (`ScalarExpr.sum`), skipping zero summands.
 
 Numeric verdicts read seeded sample points (`Sampler`, a plain value).  A
+chart's points are one seeded stream, and every block of them is drawn as
+one (rows x n) float array (`_draw`), never as a tuple per point.  A
 chart's head block, its first `points` draws with their memoised atom
-columns, depends only on the sampler's value and the chart, so it is
-memoised as a function of the two (`_head_block`, the last two kept).
-Every check evaluates the head block first and draws past it only to
-replace discarded points, so it reads the same points and values whether
-the head was memoised or not.  A verdict rests on at least MIN_VALID_SHARE
-of the requested points; with fewer inside the expressions' domain,
-sampling raises InsufficientSamples.
+columns and the stream's state after them, depends only on the sampler's
+value and the chart, so it is memoised as a function of the two
+(`_head_block`, the last two kept).  Every check evaluates the head block
+first and draws past it only to replace discarded points, continuing the
+stream from the head's state, so it reads the same points and values
+whether the head was memoised or not.  A verdict rests on at least
+MIN_VALID_SHARE of the requested points; with fewer inside the
+expressions' domain, sampling raises InsufficientSamples.  Only a witness
+becomes a tuple of Python floats (`first_row`).  exp, sin, cos and ln run
+element by element through `math` (numpy's round differently), mapped in
+C over each block.
 
 `vanishing_point` bounds its expressions over the sample box before it
 samples (`_Bounds`: interval arithmetic rounded outward at every step).  The
@@ -96,7 +102,6 @@ sampled as before.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 import re
@@ -104,7 +109,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Callable, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+from typing import (Callable, Iterator, Mapping, NamedTuple, Optional, Sequence,
                     Tuple)
 
 import numpy as np
@@ -1039,9 +1044,9 @@ def _exp_or_inf(x: float) -> float:
 
 
 def _sample_box(chart: Chart) -> dict:
-    """The sample box, chart variable -> (low, high) in chart order:
-    `Sampler.draw` draws each coordinate from its variable's range, and
-    `_Bounds` bounds expressions over the same box."""
+    """The sample box, chart variable -> (low, high) in chart order: the
+    sample stream (`_draw`) draws each coordinate from its variable's range,
+    and `_Bounds` bounds expressions over the same box."""
     return {v: (0.5, 2.0) if v in chart.positive else (-1.0, 1.0) for v in chart.vars}
 
 
@@ -1096,15 +1101,19 @@ class _Walk:
 class _Block(_Walk):
     """`evaluate` over a block of `points` at once: every value is a numpy
     array with one entry per point, paired with the mask of the points
-    where `evaluate` raises DomainError (None when there is none)."""
+    where `evaluate` raises DomainError (None when there is none).  The
+    points are kept as one (rows x n) array; `state` is the state of the
+    sample stream after the block's last draw, from which the stream
+    continues (None for a block not drawn from a stream)."""
 
-    def __init__(self, chart: Chart, points: Sequence[Point]):
+    def __init__(self, chart: Chart, points: np.ndarray | Sequence[Point],
+                 state: Optional[tuple] = None):
         super().__init__()
-        self.points = points
-        coords = np.array(points, dtype=float).reshape(len(points), chart.n)
-        self.columns = dict(zip(chart.vars, np.ascontiguousarray(coords.T)))
-        self.rows = len(points)
+        self.points = np.asarray(points, dtype=float).reshape(len(points), chart.n)
+        self.columns = dict(zip(chart.vars, np.ascontiguousarray(self.points.T)))
+        self.rows = len(self.points)
         self.start = np.zeros(self.rows), None
+        self.state = state
 
     def term(self, total, c: int, den: int, m: Monomial):
         total, bad = total
@@ -1139,7 +1148,20 @@ class _Block(_Walk):
         # exp, sin, cos and log round differently)
         x, bad = value
         if kind == "exp":
-            values = np.fromiter(map(_exp_or_inf, x.tolist()), float, self.rows)
+            # math.exp in C.  It takes exp(inf) = inf and raises only where a
+            # finite x overflows, as every x past 710 does: such an x goes in
+            # as inf, and only a block with an x in (709.78, 710] goes
+            # element by element through _exp_or_inf
+            over = x > 710.0
+            clipped = over.any()
+            xs = (np.where(over, np.inf, x) if clipped else x).tolist()
+            try:
+                values = np.fromiter(map(math.exp, xs), float, self.rows)
+            except OverflowError:
+                values = np.fromiter(map(_exp_or_inf, xs), float, self.rows)
+            else:
+                if not clipped:  # no x overflowed
+                    return values, bad
             fails = np.isinf(values) & np.isfinite(x)
         else:
             fails = x <= 0 if kind == "ln" else ~np.isfinite(x)
@@ -1292,9 +1314,10 @@ def _bounded_away(exprs: Sequence[ScalarExpr], chart: Chart, tol: float) -> bool
 @dataclass(frozen=True, eq=False)
 class SampleTable:
     """Valid sample points in draw order and the values there: one row of
-    `values` per point, one column per expression."""
+    `points` (a (rows x n) array) and of `values` per point, one column of
+    `values` per expression."""
 
-    points: List[Point]
+    points: np.ndarray
     values: np.ndarray
 
     def __len__(self) -> int:
@@ -1323,15 +1346,31 @@ SETTINGS = {
 }
 
 
+def _draw(rng: random.Random, chart: Chart, count: int) -> np.ndarray:
+    """The next `count` points of the sample stream `rng`, as one (count x
+    n) array: `rng.random()` once per coordinate, in row order, then each
+    coordinate mapped onto its variable's range of the sample box as
+    random.uniform(low, high) maps it, low + (high - low) * u (the same
+    IEEE multiply, then add)."""
+    box = _sample_box(chart).values()
+    low = np.array([lo for lo, _ in box])
+    width = np.array([hi - lo for lo, hi in box])
+    # rng.random never returns None: an endless C-level call iterator
+    u = np.fromiter(iter(rng.random, None), float, count * chart.n)
+    return low + width * u.reshape(count, chart.n)
+
+
 @dataclass(frozen=True)
 class Sampler:
     """Deterministic point sampler; positive variables draw from [0.5, 2].
 
     A plain value: equal samplers draw equal points on a chart and share
-    its head block (`_head_block`).  The draw stream is keyed by
-    `int(seed)`, so samplers that compare equal (`True` and 1) draw the
-    same stream.  Each setting must be of its type in `SETTINGS` and
-    valid there; any other value raises ExprError."""
+    its head block (`_head_block`).  The chart's sample stream is one
+    `random.Random` keyed by `int(seed)` and the chart's variables, so
+    samplers that compare equal (`True` and 1) draw the same stream; every
+    block of points is read off it as one array (`_draw`).  Each setting
+    must be of its type in `SETTINGS` and valid there; any other value
+    raises ExprError."""
 
     seed: int = 0
     points: int = 64
@@ -1343,13 +1382,16 @@ class Sampler:
             if not (isinstance(value, kind) and valid(value)):
                 raise ExprError(f"bad {name} {value!r} (expected {what})")
 
+    def _stream(self, chart: Chart) -> random.Random:
+        """The chart's sample stream, from its start."""
+        return random.Random(f"{int(self.seed)}|{','.join(chart.vars)}")
+
     def draw(self, chart: Chart, count: Optional[int] = None) -> Iterator[Point]:
-        """The chart's seeded point stream, `count` (default `points`) long."""
-        rng = random.Random(f"{int(self.seed)}|{','.join(chart.vars)}")
-        # (low, width): what random.uniform(low, high) computes
-        spans = [(low, high - low) for low, high in _sample_box(chart).values()]
-        for _ in range(count if count is not None else self.points):
-            yield tuple([low + width * rng.random() for low, width in spans])
+        """The chart's first `count` (default `points`) sample points, each
+        a tuple of floats: the rows of `_draw` on the chart's stream."""
+        rows = _draw(self._stream(chart), chart,
+                     count if count is not None else self.points)
+        return map(tuple, rows.tolist())
 
     def valid_points(self, chart: Chart, exprs: Sequence[ScalarExpr]) -> SampleTable:
         """Up to `points` sample points where every expression evaluates,
@@ -1358,36 +1400,44 @@ class Sampler:
         ceil(MIN_VALID_SHARE x `points`) kept raise InsufficientSamples.
         The chart's head block is evaluated first, with its memoised
         columns.  Only while points are missing does the scan read on past
-        the head, in blocks of as many draws as are missing, so none is read
-        past the last one kept; each block is evaluated at once
+        the head: the stream continues from the head's state, in blocks of
+        as many draws as are missing, so none is read past the last one
+        kept, and no draw is made twice; each block is evaluated at once
         (evaluate_block)."""
         head = _head_block(self, chart)
         vals, ok = evaluate_block(exprs, head)
-        points = list(itertools.compress(head.points, ok))
-        values = [vals[ok]]
-        rest = itertools.islice(self.draw(chart, 10 * self.points), self.points, None)
-        while len(points) < self.points:
-            refill = list(itertools.islice(rest, self.points - len(points)))
-            if not refill:
-                break
-            vals, ok = evaluate_block(exprs, _Block(chart, refill))
-            points.extend(itertools.compress(refill, ok))
-            values.append(vals[ok])
+        points, values = [head.points[ok]], [vals[ok]]
+        missing = self.points - len(values[0])
+        if missing:
+            rng = random.Random()
+            rng.setstate(head.state)
+            left = 9 * self.points  # the draws past the head, 10x in all
+            while missing and left:
+                block = _Block(chart, _draw(rng, chart, min(missing, left)))
+                left -= block.rows
+                vals, ok = evaluate_block(exprs, block)
+                points.append(block.points[ok])
+                values.append(vals[ok])
+                missing -= len(values[-1])
+        kept = self.points - missing
         floor = math.ceil(MIN_VALID_SHARE * self.points)
-        if len(points) < floor:
+        if kept < floor:
             raise InsufficientSamples(
-                f"only {len(points)} of {self.points} sample points are in the "
+                f"only {kept} of {self.points} sample points are in the "
                 f"domain, below the floor of {floor}")
-        return SampleTable(points, np.concatenate(values))
+        return SampleTable(np.concatenate(points), np.concatenate(values))
 
 
 @functools.lru_cache(maxsize=PLANNED_CHARTS)
 def _head_block(sampler: Sampler, chart: Chart) -> _Block:
-    """The `_Block` of the chart's first `points` draws, whose atom and
-    atom-power columns every check on the chart with an equal sampler
-    shares.  A column a check adds is the one any other check would
-    compute, so threads may share the block too."""
-    return _Block(chart, list(sampler.draw(chart)))
+    """The `_Block` of the chart's first `points` draws, as one array, with
+    the stream's state after them; its atom and atom-power columns every
+    check on the chart with an equal sampler shares.  A column a check adds
+    is the one any other check would compute, and a refill continues from
+    its own copy of the state, so threads may share the block too."""
+    rng = sampler._stream(chart)
+    points = _draw(rng, chart, sampler.points)
+    return _Block(chart, points, rng.getstate())
 
 
 @dataclass(frozen=True)
@@ -1413,14 +1463,16 @@ def first_row(exprs: Sequence[ScalarExpr], chart: Chart, sampler: Sampler,
               ) -> Optional[Tuple[Point, np.ndarray]]:
     """The first (point, values) row of `sampler.valid_points` that fails, in
     draw order; None when every row passes.  `fails` takes the whole
-    (rows x exprs) value array and returns one boolean per row.  Every
-    sampled check in the kernel reads its points through this scan."""
+    (rows x exprs) value array and returns one boolean per row.  The point
+    is the one row of the table turned into a tuple of Python floats, so a
+    witness prints as the point `Sampler.draw` yields.  Every sampled check
+    in the kernel reads its points through this scan."""
     table = sampler.valid_points(chart, exprs)
     failing = fails(table.values)
     i = int(np.argmax(failing))
     if not failing[i]:
         return None
-    return table.points[i], table.values[i]
+    return tuple(table.points[i].tolist()), table.values[i]
 
 
 def _reaches_tol(vals: np.ndarray, tol: float) -> np.ndarray:

@@ -243,6 +243,27 @@ class TestCommandTables:
         # the records of the command before it are kept
         assert "check=jacobi.axiom1 tier=symbolic verdict=pass" in captured.out
 
+    def test_more_commands_than_the_run_line_had_all_run(self, monkeypatch, tmp_path,
+                                                         capsys):
+        # the file's run line has one command, whose argument origins the
+        # session used to zip with the commands, dropping the second
+        problem = replace(parse_problem("chart x1 x2 x3\npi = d/dx1^d/dx2\nrun verify\n"),
+                          commands=(("verify", None), ("nope", None)))
+        monkeypatch.setattr(cli, "parse_problem", lambda text: problem)
+        p = tmp_path / "problem.gvk"
+        p.write_text("")
+        assert main([str(p)]) == 2
+        assert "gvkernel: nope: unknown command 'nope'" in capsys.readouterr().err
+
+    def test_a_command_past_the_run_line_runs(self):
+        problem = replace(parse_problem("chart x1 x2 x3\npi = d/dx1^d/dx2\nrun verify\n"),
+                          commands=(("pair", None), ("gv", None)))
+        report = execute(problem)
+        assert report.exit_status == 0
+        names = [r.name for r in report.records]
+        assert names[-1] == "pair.gv_closed" and names.count("pair.gv_closed") == 2
+        assert "gv" in report.printouts
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvkernel import expr as expr_mod
-from gvkernel.expr import (MIN_VALID_SHARE, Atom, Chart, CheckFailure, DomainError,
-                           ExprError, InsufficientSamples, Sampler, ScalarExpr, _Block,
-                           _head_block, cos_, diff, evaluate, evaluate_block,
+from gvkernel.expr import (MAX_POINTS, MIN_VALID_SHARE, Atom, Chart, CheckFailure,
+                           DomainError, ExprError, InsufficientSamples, Sampler, ScalarExpr,
+                           _Block, _head_block, cos_, diff, evaluate, evaluate_block,
                            exp_, is_zero, ln_, sin_, vanishing_point)
 
 from conftest import rand_scalar
@@ -1065,8 +1065,18 @@ class TestEvaluateBlock:
                 break
         table = sampler.valid_points(CHART, exprs)
         assert len(table) == len(expected) == points
-        assert table.points == [p for p, _ in expected]
+        assert _rows(table.points) == [p for p, _ in expected]
         assert table.values.tolist() == [v for _, v in expected]
+
+    def test_exp_rounds_as_math_exp_with_or_without_an_overflow(self):
+        chart = Chart(("x1",))
+        xs = [-800.0, -1.5, 0.0, 1e-300, 2.5, 709.0, 709.78]
+        # rows that overflow are masked out: math.exp raises from 709.79 on
+        for extra in ([], [710.0], [1e5], [709.79, 1e5, 800.0]):
+            block = _Block(chart, [(x,) for x in xs + extra])
+            values, ok = evaluate_block([exp_(X1)], block)
+            assert ok.tolist() == [True] * len(xs) + [False] * len(extra)
+            assert values[ok, 0].tolist() == [math.exp(x) for x in xs]
 
     def test_exhausted_sampling_raises(self):
         with pytest.raises(InsufficientSamples, match="only 0 of 8 sample points"):
@@ -1118,17 +1128,25 @@ def _sample_fresh(sampler, kind, chart, exprs):
         return _sample(sampler, kind, chart, exprs)
 
 
+def _rows(points):
+    """A (rows x n) point array as the list of tuples of floats
+    `Sampler.draw` yields."""
+    assert isinstance(points, np.ndarray) and points.ndim == 2
+    return list(map(tuple, points.tolist()))
+
+
 def _counting_draws(monkeypatch):
-    """The points Sampler.draw yields from now on, in order."""
+    """The points the sample stream yields from now on, in order: every
+    block `expr._draw` draws, row by row."""
     drawn = []
-    draw = Sampler.draw
+    draw = expr_mod._draw
 
-    def counting_draw(sampler, *args):
-        for point in draw(sampler, *args):
-            drawn.append(point)
-            yield point
+    def counting_draw(rng, chart, count):
+        rows = draw(rng, chart, count)
+        drawn.extend(_rows(rows))
+        return rows
 
-    monkeypatch.setattr(Sampler, "draw", counting_draw)
+    monkeypatch.setattr(expr_mod, "_draw", counting_draw)
     return drawn
 
 
@@ -1137,7 +1155,7 @@ def _sample(sampler, kind, chart, exprs):
     try:
         if kind == "table":
             table = sampler.valid_points(chart, exprs)
-            return table.points, table.values.tobytes()
+            return table.points.tobytes(), table.values.tobytes()
         if kind == "is_zero":
             v = is_zero(exprs, chart, sampler)
             return v.kind, v.witness, None if v.value is None else np.float64(v.value).tobytes()
@@ -1173,7 +1191,7 @@ class TestSamplePlans:
         table = sampler.valid_points(b, [_ln_atom(X2)])
         assert _head_block.cache_info().misses == 4  # evicted: drawn again
         want = _sample_fresh(sampler, "table", b, [_ln_atom(X2)])
-        assert (table.points, table.values.tobytes()) == want
+        assert (table.points.tobytes(), table.values.tobytes()) == want
 
     def test_exhaustion_raises_from_a_plan(self):
         sampler = Sampler(points=8)
@@ -1181,7 +1199,7 @@ class TestSamplePlans:
             with pytest.raises(InsufficientSamples, match="only 0 of 8 sample points"):
                 sampler.valid_points(CHART, [exp_(1000 + X1 ** 2)])
         # after two exhausted checks a satisfiable one still reads the head
-        assert sampler.valid_points(CHART, [X1]).points == list(sampler.draw(CHART))
+        assert _rows(sampler.valid_points(CHART, [X1]).points) == list(sampler.draw(CHART))
 
     @staticmethod
     def _block_sizes(monkeypatch):
@@ -1210,7 +1228,7 @@ class TestSamplePlans:
         sizes = self._block_sizes(monkeypatch)
         sampler = Sampler(seed=2, points=points)
         table = sampler.valid_points(CHART, [THIN])
-        assert table.points == [list(sampler.draw(CHART, 9))[8]]
+        assert _rows(table.points) == [list(sampler.draw(CHART, 9))[8]]
         assert sizes == blocks
 
     def test_two_checks_on_a_chart_draw_its_head_once(self, monkeypatch):
@@ -1224,21 +1242,21 @@ class TestSamplePlans:
     def test_equal_samplers_draw_a_head_once_in_total(self, monkeypatch):
         drawn = _counting_draws(monkeypatch)
         for sampler in (Sampler(seed=3, points=8), Sampler(seed=3, points=8)):
-            assert sampler.valid_points(CHART, [X1]).points == drawn[:8]
+            assert _rows(sampler.valid_points(CHART, [X1]).points) == drawn[:8]
         assert len(drawn) == 8
         # another value draws its own head
-        assert Sampler(seed=3, points=9).valid_points(CHART, [X1]).points == drawn[8:]
+        assert _rows(Sampler(seed=3, points=9).valid_points(CHART, [X1]).points) == drawn[8:]
         assert len(drawn) == 17
 
     def test_copies_are_equal_values_that_share_the_head(self, monkeypatch):
         sampler = Sampler(seed=4, points=8, tol=1e-6)
-        want = sampler.valid_points(CHART, [X1 ** -1]).points
+        want = _rows(sampler.valid_points(CHART, [X1 ** -1]).points)
         drawn = _counting_draws(monkeypatch)
         for other in (copy.copy(sampler), copy.deepcopy(sampler),
                       pickle.loads(pickle.dumps(sampler)), dataclasses.replace(sampler)):
             assert other == sampler and hash(other) == hash(sampler)
             assert repr(other) == repr(sampler) == "Sampler(seed=4, points=8, tol=1e-06)"
-            assert other.valid_points(CHART, [X1 ** -1]).points == want
+            assert _rows(other.valid_points(CHART, [X1 ** -1]).points) == want
         assert drawn == []
         assert [f.name for f in dataclasses.fields(Sampler)] == ["seed", "points", "tol"]
         assert dataclasses.replace(sampler, points=9) != sampler
@@ -1268,7 +1286,7 @@ class TestSamplePlans:
                 except Exception as e:  # a race shows up as an error, too
                     errors.append(repr(e))
                     continue
-                if (table.points != want[chart].points
+                if (table.points.tobytes() != want[chart].points.tobytes()
                         or table.values.tobytes() != want[chart].values.tobytes()):
                     errors.append(f"table differs on {chart.vars}")
 
@@ -1287,6 +1305,79 @@ class TestSamplePlans:
         finally:
             sys.setswitchinterval(old)
         assert errors == []
+
+
+def _reference_stream(seed, chart, count):
+    """The chart's first `count` sample points as `random.Random` gives
+    them: the generator keyed by the seed and the chart's variables, and
+    random.uniform over [0.5, 2] for a positive variable, [-1, 1] for any
+    other, one coordinate after another, row after row."""
+    rng = random.Random(f"{int(seed)}|{','.join(chart.vars)}")
+    box = [(0.5, 2.0) if v in chart.positive else (-1.0, 1.0) for v in chart.vars]
+    return np.array([[rng.uniform(lo, hi) for lo, hi in box] for _ in range(count)])
+
+
+# 1, 4 and 12 variables, each with positive ones
+STREAM_CHARTS = (Chart(("t",), positive=frozenset({"t"})),
+                 Chart(("x1", "t", "x2", "s"), positive=frozenset({"t", "s"})),
+                 Chart(tuple(f"v{i}" for i in range(12)),
+                       positive=frozenset({"v0", "v5", "v11"})))
+
+
+class TestSampleStream:
+    @pytest.mark.parametrize("chart", STREAM_CHARTS, ids=["n1", "n4", "n12"])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 20261020, True])
+    def test_each_block_is_the_reference_stream_byte_for_byte(self, chart, seed):
+        want = _reference_stream(seed, chart, MAX_POINTS)
+        sampler = Sampler(seed=seed)
+        for count in (1, 2, 3, 7, 64, 255, 256, 257, 1000, MAX_POINTS - 1, MAX_POINTS):
+            got = expr_mod._draw(sampler._stream(chart), chart, count)
+            assert got.dtype == np.float64 and got.shape == (count, chart.n)
+            assert got.tobytes() == want[:count].tobytes(), count
+        drawn = list(sampler.draw(chart, 257))
+        assert drawn == _rows(want[:257])
+        assert all(type(x) is float for p in drawn for x in p)
+
+    @pytest.mark.parametrize("points", [1, 8, 64])
+    def test_head_and_refills_read_the_stream_once_in_order(self, monkeypatch, points):
+        # every draw is discarded, so the scan reads all 10x `points`
+        drawn = _counting_draws(monkeypatch)
+        with pytest.raises(InsufficientSamples):
+            Sampler(points=points).valid_points(CHART, [exp_(1000 + X1 ** 2)])
+        assert len(drawn) == 10 * points
+        assert np.array(drawn).tobytes() == _reference_stream(0, CHART, 10 * points).tobytes()
+
+    @pytest.mark.parametrize("seed, points", [(0, 16), (3, 64), (20261020, 256)])
+    def test_kept_rows_are_the_reference_rows_in_the_domain(self, monkeypatch, seed, points):
+        # ln(x1) discards the draws with x1 <= 0, about half of them, so the
+        # head is refilled, and the refills continue where the head ends
+        drawn = _counting_draws(monkeypatch)
+        table = Sampler(seed=seed, points=points).valid_points(CHART, [_ln_atom(X1)])
+        stream = _reference_stream(seed, CHART, 10 * points)
+        assert points < len(drawn) <= 10 * points
+        assert np.array(drawn).tobytes() == stream[:len(drawn)].tobytes()
+        assert table.points.tobytes() == stream[stream[:, 0] > 0][:points].tobytes()
+        x1 = table.points[:, 0].tolist()
+        assert table.values[:, 0].tolist() == [math.log(x) for x in x1]
+
+    def test_the_head_keeps_its_points_as_one_array_and_the_state_after_them(self):
+        sampler = Sampler(seed=5, points=32)
+        head = _head_block(sampler, CHART)
+        assert isinstance(head.points, np.ndarray) and head.points.shape == (32, 3)
+        assert head.points.tobytes() == _reference_stream(5, CHART, 32).tobytes()
+        rng = random.Random(f"5|{','.join(CHART.vars)}")
+        for _ in range(32 * 3):
+            rng.random()
+        assert head.state == rng.getstate()
+
+    def test_witnesses_are_tuples_of_python_floats(self):
+        sampler = Sampler(seed=1, points=16, tol=1e-3)
+        verdict = is_zero([X1 ** -1], CHART, sampler)
+        point = vanishing_point([ScalarExpr.const(Fraction(1, 10 ** 6))], CHART, sampler)
+        for witness in (verdict.witness, point):
+            assert type(witness) is tuple and len(witness) == 3
+            assert all(type(x) is float for x in witness)
+        assert point == next(sampler.draw(CHART))
 
 
 T = ScalarExpr.var("t")
