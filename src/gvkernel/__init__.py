@@ -17,12 +17,12 @@ from .dsl import DslError, ProblemFile, parse_form, parse_multivector, \
     parse_problem, parse_scalar
 from .duality import (NoCompanion, StarCompanion, VolumeContext, VolumeError,
                       phi, phi_inv, psi, star, volume_context)
-from .expr import (Chart, CheckFailure, DomainError, ExprError, InsufficientSamples,
-                   KernelError, Point, Sampler, ScalarExpr, ZeroVerdict, cos_, diff,
-                   evaluate, exp_, first_row, is_zero, ln_, sin_,
+from .expr import (Chart, CheckFailure, CheckResult, DomainError, ExprError,
+                   InsufficientSamples, KernelError, Point, Sampler, ScalarExpr, cos_,
+                   diff, evaluate, exp_, first_row, is_zero, ln_, sin_,
                    vanishing_point)
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
-from .jacobi import (AxiomViolation, CheckResult, CodimOutOfRange,
+from .jacobi import (AxiomViolation, CodimOutOfRange,
                      DefiningPair, InvariantFailure, JacobiError,
                      JacobiStructure, NotCodimOne, NotContact, NotLCS,
                      NotRegular, ParityObstruction, Poissonization,
@@ -33,8 +33,8 @@ from .jacobi import (AxiomViolation, CheckResult, CodimOutOfRange,
 
 __all__ = [
     # expr
-    "Chart", "CheckFailure", "DomainError", "ExprError", "InsufficientSamples",
-    "KernelError", "Point", "Sampler", "ScalarExpr", "ZeroVerdict", "cos_", "diff",
+    "Chart", "CheckFailure", "CheckResult", "DomainError", "ExprError",
+    "InsufficientSamples", "KernelError", "Point", "Sampler", "ScalarExpr", "cos_", "diff",
     "evaluate", "exp_", "first_row", "is_zero", "ln_", "sin_",
     "vanishing_point",
     # alg
@@ -48,7 +48,7 @@ __all__ = [
     "NoCompanion", "StarCompanion", "VolumeContext", "VolumeError", "phi",
     "phi_inv", "psi", "star", "volume_context",
     # jacobi
-    "AxiomViolation", "CheckResult", "CodimOutOfRange", "DefiningPair",
+    "AxiomViolation", "CodimOutOfRange", "DefiningPair",
     "InvariantFailure", "JacobiError", "JacobiStructure", "NotCodimOne",
     "NotContact", "NotLCS", "NotRegular", "ParityObstruction",
     "Poissonization", "RescaleVanishes", "check_poissonization_bridge",

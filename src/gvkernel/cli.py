@@ -27,9 +27,9 @@ from .alg import DiffForm
 from .dsl import (ARGUMENTS, DslError, ProblemFile, check_command, parse_problem,
                   parse_setting)
 from .duality import volume_context
-from .expr import SETTINGS, CheckFailure, KernelError, Sampler
+from .expr import SETTINGS, CheckFailure, CheckResult, KernelError, Sampler
 from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
-from .jacobi import CheckResult, DefiningPair, JacobiStructure, Poissonization
+from .jacobi import DefiningPair, JacobiStructure, Poissonization
 
 
 @dataclass
@@ -131,10 +131,10 @@ class _Session:
 
     # commands ----------------------------------------------------------------
     def run(self) -> Report:
-        commands, origins = self.problem.commands, self.problem.arg_origins
-        if len(origins) != len(commands):  # not the file's run line: no positions
-            origins = [(1, 0)] * len(commands)
-        for (name, text), origin in zip(commands, origins):
+        for command in self.problem.commands:
+            name, text = command
+            # a command built in code is a plain pair: its errors name no position
+            origin = getattr(command, "origin", (0, 0))
             try:
                 # a command built in code obeys the rule a file's `run` line does
                 check_command(name, text is not None)

@@ -24,7 +24,7 @@ omega + Omega.  A missing vol defaults to the flat top form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
@@ -301,7 +301,21 @@ def check_command(name: str, has_argument: bool, line: int = 0, col: int = 0,
         raise DslError(f"{name} takes no argument", line, arg_col)
 
 
-@dataclass
+class Command(tuple):
+    """A command of a `run` line, equal to its (name, argument text or None)
+    pair.  `origin` is the (line, column offset) of the argument text in
+    the file; a command built in code is a plain pair and has none."""
+
+    def __new__(cls, name: str, text: Optional[str], origin: Tuple[int, int]):
+        command = super().__new__(cls, (name, text))
+        command.origin = origin
+        return command
+
+    def __getnewargs__(self):
+        return (*self, self.origin)
+
+
+@dataclass(frozen=True)
 class ProblemFile:
     chart: Chart
     vol: Optional[DiffForm]
@@ -312,11 +326,7 @@ class ProblemFile:
     omega1: Optional[DiffForm] = None
     omega2: Optional[DiffForm] = None
     sampler: Sampler = Sampler()
-    commands: Tuple[Tuple[str, Optional[str]], ...] = ()
-    # (line, column offset) of each command's argument text in the file, in
-    # the order of `commands`; empty for a problem not read from a file.  A
-    # session reads them only while they are as many as `commands`.
-    arg_origins: Tuple[Tuple[int, int], ...] = field(default=(), compare=False)
+    commands: Tuple[Tuple[str, Optional[str]], ...] = ()  # Commands when parsed
 
     def canonical_text(self) -> str:
         lines = [f"chart {' '.join(self.chart.vars)}"]
@@ -362,12 +372,10 @@ def _lstrip(text: str, col0: int) -> Tuple[str, int]:
     return rest, col0 + len(text) - len(rest)
 
 
-def _split_commands(rest: str, line_no: int, col0: int
-                    ) -> List[Tuple[str, Optional[str], Tuple[int, int]]]:
+def _split_commands(rest: str, line_no: int, col0: int) -> List[Command]:
     """The commands of a `run` line whose command text `rest` starts at
-    column offset `col0`: (name, argument text or None, (line, column
-    offset) of the argument)."""
-    out: List[Tuple[str, Optional[str], Tuple[int, int]]] = []
+    column offset `col0`."""
+    out: List[Command] = []
     i = 0
     n = len(rest)
     while i < n:
@@ -399,7 +407,7 @@ def _split_commands(rest: str, line_no: int, col0: int
                                line_no, col0 + start)
             arg = rest[start:i]
             i += 1
-        out.append((name, arg, (line_no, col0 + start)))
+        out.append(Command(name, arg, (line_no, col0 + start)))
     return out
 
 
@@ -410,7 +418,7 @@ def parse_problem(text: str) -> ProblemFile:
     vol_text = None
     decls = {}
     settings = {}
-    commands: List[Tuple[str, Optional[str], Tuple[int, int]]] = []
+    commands: List[Command] = []
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line, lead = _lstrip(raw_line.split("#", 1)[0].rstrip(), 0)
@@ -482,26 +490,27 @@ def parse_problem(text: str) -> ProblemFile:
         _, line_no, col0 = decls[word]
         raise DslError(message, line_no, col0 + 1)
 
-    pf = ProblemFile(chart, vol, style, sampler=Sampler(**settings),
-                     commands=tuple(c[:2] for c in commands),
-                     arg_origins=tuple(c[2] for c in commands))
     if style == "pi":
-        pf.pi = parse_multivector(chart, *decls["pi"])
-        pf.E = (parse_multivector(chart, *decls["E"]) if "E" in decls
-                else MultiVector.zero(chart, 1))
-        if pf.pi.terms and pf.pi.grade != 2:
-            refuse("pi", f"pi must have grade 2, got {pf.pi.grade}")
-        if pf.E.terms and pf.E.grade != 1:
-            refuse("E", f"E must have grade 1, got {pf.E.grade}")
+        pi = parse_multivector(chart, *decls["pi"])
+        E = (parse_multivector(chart, *decls["E"]) if "E" in decls
+             else MultiVector.zero(chart, 1))
+        if pi.terms and pi.grade != 2:
+            refuse("pi", f"pi must have grade 2, got {pi.grade}")
+        if E.terms and E.grade != 1:
+            refuse("E", f"E must have grade 1, got {E.grade}")
+        tensors = {"pi": pi, "E": E}
     elif style == "theta":
-        pf.theta = parse_form(chart, *decls["theta"])
-        if pf.theta.grade != 1:
+        theta = parse_form(chart, *decls["theta"])
+        if theta.grade != 1:
             refuse("theta", "theta must be a 1-form")
+        tensors = {"theta": theta}
     else:
-        pf.omega1 = parse_form(chart, *decls["omega"])
-        pf.omega2 = parse_form(chart, *decls["Omega"])
-        if pf.omega1.terms and pf.omega1.grade != 1:
+        omega1 = parse_form(chart, *decls["omega"])
+        omega2 = parse_form(chart, *decls["Omega"])
+        if omega1.terms and omega1.grade != 1:
             refuse("omega", "omega must be a 1-form")
-        if pf.omega2.terms and pf.omega2.grade != 2:
+        if omega2.terms and omega2.grade != 2:
             refuse("Omega", "Omega must be a 2-form")
-    return pf
+        tensors = {"omega1": omega1, "omega2": omega2}
+    return ProblemFile(chart, vol, style, sampler=Sampler(**settings),
+                       commands=tuple(commands), **tensors)

@@ -97,10 +97,9 @@ def psi(ctx: VolumeContext, u: MultiVector) -> MultiVector:
 
 @dataclass(frozen=True)
 class StarCompanion:
-    """A chosen *U with vol(U ^ *U) = 1, plus the certificate product."""
+    """A chosen *U with vol(U ^ *U) = 1."""
 
     companion: MultiVector
-    certificate: ScalarExpr
     complement_mask: int
 
 
@@ -156,7 +155,7 @@ def star(ctx: VolumeContext, u: MultiVector, sampler: Sampler,
         # reciprocal construction normally cancels exactly; fall back to the
         # numeric contract |certificate - 1| <= tol at every sample point
         verdict = is_zero([certificate - ScalarExpr.one()], ctx.chart, sampler)
-        if not verdict.is_zero:
+        if not verdict.passed:
             raise NoCompanion(
                 f"certificate != 1 near {verdict.witness}: {certificate}")
-    return StarCompanion(companion, certificate, jmask)
+    return StarCompanion(companion, jmask)

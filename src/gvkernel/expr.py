@@ -1441,21 +1441,15 @@ def _head_block(sampler: Sampler, chart: Chart) -> _Block:
 
 
 @dataclass(frozen=True)
-class ZeroVerdict:
-    kind: str  # "symbolic" | "numeric" | "nonzero"
+class CheckResult:
+    """One decided check.  A failing zero test also holds the residual at
+    its witness as `value`, which the reports do not print."""
+    name: str
+    tier: str          # "symbolic" | "numeric"
+    passed: bool
     witness: Optional[Point] = None
+    detail: str = ""
     value: Optional[float] = None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind != "nonzero"
-
-    @property
-    def tier(self) -> str:
-        return "symbolic" if self.kind == "symbolic" else "numeric"
-
-
-SYMBOLIC_ZERO = ZeroVerdict("symbolic")
 
 
 def first_row(exprs: Sequence[ScalarExpr], chart: Chart, sampler: Sampler,
@@ -1481,19 +1475,21 @@ def _reaches_tol(vals: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(vals) >= tol
 
 
-def is_zero(exprs: Sequence[ScalarExpr], chart: Chart, sampler: Sampler) -> ZeroVerdict:
-    """Joint three-way zero test: exact normal form first, sampling as
-    fallback.  The witness is the first point where a value reaches tol."""
+def is_zero(exprs: Sequence[ScalarExpr], chart: Chart, sampler: Sampler,
+            name: str = "", detail: str = "") -> CheckResult:
+    """The record `name` of the joint zero test: tier symbolic exactly when
+    every expression is zero in normal form, else decided by sampling.  The
+    witness is the first point where a value reaches tol."""
     if all(e.is_zero_form for e in exprs):
-        return SYMBOLIC_ZERO
+        return CheckResult(name, "symbolic", True, detail=detail)
     tol = sampler.tol
     row = first_row(exprs, chart, sampler,
                     lambda vals: _reaches_tol(vals, tol).any(axis=1))
     if row is None:
-        return ZeroVerdict("numeric")
+        return CheckResult(name, "numeric", True, detail=detail)
     vals = row[1]
-    return ZeroVerdict("nonzero", witness=row[0],
-                       value=float(vals[np.argmax(_reaches_tol(vals, tol))]))
+    return CheckResult(name, "numeric", False, row[0], detail,
+                       float(vals[np.argmax(_reaches_tol(vals, tol))]))
 
 
 def vanishing_point(exprs: Sequence[ScalarExpr], chart: Chart,

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -52,8 +52,8 @@ from .alg import (AlgebraError, DiffForm, GradedElement, MultiVector,
 from .calculus import exterior_derivative, schouten
 from .duality import (StarCompanion, VolumeContext, phi, phi_inv, psi, star,
                       volume_context)
-from .expr import (MAX_DIM, Chart, CheckFailure, ExprError, Sampler, ScalarExpr,
-                   ZeroVerdict, first_row, is_zero, vanishing_point)
+from .expr import (MAX_DIM, Chart, CheckFailure, CheckResult, ExprError, Sampler,
+                   ScalarExpr, first_row, is_zero, vanishing_point)
 
 
 class JacobiError(CheckFailure):
@@ -101,34 +101,22 @@ class InvariantFailure(JacobiError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    tier: str          # "symbolic" | "numeric"
-    passed: bool
-    witness: Optional[tuple] = None
-    detail: str = ""
-
-
-def _record(name: str, verdict: ZeroVerdict, detail: str = "") -> CheckResult:
-    return CheckResult(name, verdict.tier, verdict.is_zero, verdict.witness, detail)
-
-
 # --- element-level sampling helpers -----------------------------------------
 
-def element_zero(el: GradedElement, sampler: Sampler) -> ZeroVerdict:
-    """Zero test for a whole graded element (all coefficients jointly)."""
-    return is_zero(_coefficients(el), el.chart, sampler)
+def element_zero(el: GradedElement, sampler: Sampler, name: str = "",
+                 detail: str = "") -> CheckResult:
+    """The record `name` of is_zero on all coefficients of el jointly."""
+    return is_zero(_coefficients(el), el.chart, sampler, name, detail)
 
 
 def _require_zero(el: GradedElement, sampler: Sampler, error: type, message: str,
                   name: str = "", detail: str = "") -> CheckResult:
     """The passing record `name` of el = 0, or `error(message, witness)`
     raised with a sample point where el does not vanish."""
-    verdict = element_zero(el, sampler)
-    if not verdict.is_zero:
+    verdict = element_zero(el, sampler, name, detail)
+    if not verdict.passed:
         raise error(message, verdict.witness)
-    return _record(name, verdict, detail)
+    return verdict
 
 
 def _require_nonvanishing(el: GradedElement, sampler: Sampler, error: type,
@@ -204,7 +192,7 @@ def verify_jacobi(ctx: VolumeContext, pi: MultiVector, E: MultiVector,
         witness = vanishing_point(_coefficients(top), chart, sampler)
         if witness is None:
             kind = "contact"
-        elif not element_zero(top, sampler).is_zero:
+        elif not element_zero(top, sampler).passed:
             raise NotRegular(f"pi^{m}^E changes rank across sample points", witness)
         else:
             # a top that is only below tol at the sample points needs the
@@ -446,28 +434,28 @@ def check_poissonization_bridge(j: JacobiStructure, ctx: VolumeContext,
     checks: List[CheckResult] = []
     lam_m1 = power(pz.lam, m + 1)
     top = wedge(lift_to(ext, j.P), MultiVector.basis(ext, [t_idx]))
-    v = element_zero(lam_m1 - top.scale(ScalarExpr.const(m + 1) * t_inv ** m), sampler)
-    checks.append(_record("bridge.power", v,
-                          "Lambda^(m+1) = (m+1) t^-m pi^m ^ E ^ dt"))
-    top_v = element_zero(wedge(lam_m1, pz.lam), sampler)
-    checks.append(_record("bridge.power_top", top_v, "Lambda^(m+2) = 0"))
+    checks.append(element_zero(lam_m1 - top.scale(ScalarExpr.const(m + 1) * t_inv ** m),
+                               sampler, "bridge.power",
+                               "Lambda^(m+1) = (m+1) t^-m pi^m ^ E ^ dt"))
+    top_v = element_zero(wedge(lam_m1, pz.lam), sampler, "bridge.power_top",
+                         "Lambda^(m+2) = 0")
+    checks.append(top_v)
 
     comp_ext = star(ctx_ext, lam_m1, sampler,
                     force_complement=dp.companion_used.complement_mask)
     b_form = _beta(ctx_ext, lam_m1, comp_ext, j.q)  # the lift has codimension q too
     a_form = phi(ctx_ext, lam_m1).scale(Fraction(1, math.factorial(m + 1)))
-    v = element_zero(exterior_derivative(a_form) - wedge(b_form, a_form), sampler)
-    checks.append(_record("bridge.pair", v, "dA = B ^ A on the Poissonization"))
+    checks.append(element_zero(exterior_derivative(a_form) - wedge(b_form, a_form),
+                               sampler, "bridge.pair", "dA = B ^ A on the Poissonization"))
 
     gauge = DiffForm.basis(ext, [t_idx], ScalarExpr.const(-m) * t_inv)
-    v = element_zero(b_form - (lift_to(ext, dp.beta) + gauge), sampler)
     # the printed detail predates the sign rule in _beta; golden reports pin it
-    checks.append(_record("bridge.prop53", v,
-                          "B = (-1)^(q+1) pr*(beta) - m t^-1 dt"))
+    checks.append(element_zero(b_form - (lift_to(ext, dp.beta) + gauge), sampler,
+                               "bridge.prop53", "B = (-1)^(q+1) pr*(beta) - m t^-1 dt"))
 
     # rank Lambda-sharp = 2m + 2 exactly when Lambda^(m+1) vanishes nowhere
     # and Lambda^(m+2) = 0
-    witness = top_v.witness if not top_v.is_zero else \
+    witness = top_v.witness if not top_v.passed else \
         vanishing_point(_coefficients(lam_m1), ext, sampler)
     checks.append(CheckResult("bridge.rank", "numeric", witness is None, witness,
                               f"rank Lambda-sharp = {2 * m + 2}"))
@@ -513,4 +501,4 @@ def unimodularity(ctx: VolumeContext, u: MultiVector,
                   sampler: Sampler) -> Tuple[MultiVector, CheckResult]:
     """psi(U), the certificate, and its check psi(U) = 0."""
     value = psi(ctx, u)
-    return value, _record("unimodular.psi", element_zero(value, sampler), f"psi = {value}")
+    return value, element_zero(value, sampler, "unimodular.psi", f"psi = {value}")

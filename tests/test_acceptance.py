@@ -248,7 +248,7 @@ def test_criterion_7_bridge_literal_equality():
         paper_beta = lift_to(ext, dp.beta).scale(-1)
         sign = 1 if j.q % 2 == 0 else -1
         resid = br.B - paper_beta.scale(sign)
-        if not element_zero(resid, S).is_zero:
+        if not element_zero(resid, S).passed:
             failures.append(name)
     print(f"[criterion  7] FAIL (bare pullback equality) on: "
           f"{', '.join(failures)} -- expected, see README sign notes")
@@ -286,7 +286,7 @@ def test_criterion_9_transformation_law_corrected_sign():
     for f, dp, u, v in _transformation_cases():
         a2 = dp.alpha.scale(v)
         b2 = dp.beta + d(DiffForm.scalar(f.chart, ln_(v))) + dp.alpha.scale(u * v)
-        assert element_zero(d(a2) - wedge(b2, a2), S).is_zero
+        assert element_zero(d(a2) - wedge(b2, a2), S).passed
         count += 1
     report(9, count == 50,
            f"(v alpha, beta + d ln v + u v alpha) stays a defining pair for "
@@ -303,7 +303,7 @@ def test_criterion_9_transformation_law_literal_sign():
     for f, dp, u, v in _transformation_cases():
         a2 = dp.alpha.scale(v)
         b2 = dp.beta - d(DiffForm.scalar(f.chart, ln_(v))) + dp.alpha.scale(u * v)
-        if not element_zero(d(a2) - wedge(b2, a2), S).is_zero:
+        if not element_zero(d(a2) - wedge(b2, a2), S).passed:
             bad += 1
     print(f"[criterion  9] FAIL (literal -d log v sign) on {bad}/50 draws "
           f"-- expected, see README sign notes")

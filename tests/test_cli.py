@@ -264,6 +264,18 @@ class TestCommandTables:
         assert names[-1] == "pair.gv_closed" and names.count("pair.gv_closed") == 2
         assert "gv" in report.printouts
 
+    @pytest.mark.parametrize("run_line", ["run verify rescale(1 + x1^2)\n", ""],
+                             ids=["run-line-replaced", "no-run-line"])
+    def test_a_command_built_in_code_names_no_file_position(self, run_line):
+        # its argument is on no line of the file; the session used to place
+        # its error at the replaced command's argument (line 3, col 11) or,
+        # with no run line, at line 1, col 1
+        problem = replace(parse_problem(f"chart x1 x2 x3\npi = d/dx1^d/dx2\n{run_line}"),
+                          commands=(("rescale", "bogus"), ("verify", None)))
+        report = execute(problem)
+        assert report.exit_status == 2
+        assert report.input_error.startswith("rescale: unknown identifier 'bogus'")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)

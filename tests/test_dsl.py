@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -215,7 +217,13 @@ class TestProblemFiles:
         assert pf.commands[1] == ("rescale", "exp(c)")
         assert pf.commands[2] == ("unimodular", "d/da^d/db")
         # (line, column offset) of each argument text, for its errors
-        assert pf.arg_origins[1:] == ((3, 19), (3, 38))
+        assert [c.origin for c in pf.commands[1:]] == [(3, 19), (3, 38)]
+
+    def test_a_copied_problem_keeps_its_command_origins(self):
+        pf = parse_problem("chart a b c\npi = d/da^d/db\nrun verify rescale(exp(c))\n")
+        for copied in (copy.deepcopy(pf), pickle.loads(pickle.dumps(pf))):
+            assert copied == pf
+            assert [c.origin for c in copied.commands] == [(3, 10), (3, 19)]
 
     @pytest.mark.parametrize("text, message", [
         ("chart x1 x2 x3\npi = bogus*d/dx1^d/dx2\n",

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from gvkernel import expr as expr_mod
 from gvkernel.expr import (MAX_POINTS, MIN_VALID_SHARE, Atom, Chart, CheckFailure,
-                           DomainError, ExprError, InsufficientSamples, Sampler, ScalarExpr,
+                           CheckResult, DomainError, ExprError, InsufficientSamples, Sampler, ScalarExpr,
                            _Block, _head_block, cos_, diff, evaluate, evaluate_block,
                            exp_, is_zero, ln_, sin_, vanishing_point)
 
@@ -1158,7 +1158,8 @@ def _sample(sampler, kind, chart, exprs):
             return table.points.tobytes(), table.values.tobytes()
         if kind == "is_zero":
             v = is_zero(exprs, chart, sampler)
-            return v.kind, v.witness, None if v.value is None else np.float64(v.value).tobytes()
+            return ((v.tier, v.passed), v.witness,
+                    None if v.value is None else np.float64(v.value).tobytes())
         return vanishing_point(exprs, chart, sampler)
     except (ExprError, InsufficientSamples) as e:
         return type(e).__name__, str(e)
@@ -1235,7 +1236,8 @@ class TestSamplePlans:
         sampler = Sampler(seed=3, points=8)
         head = list(sampler.draw(CHART))
         drawn = _counting_draws(monkeypatch)
-        assert is_zero([X1], CHART, sampler).kind == "nonzero"
+        v = is_zero([X1], CHART, sampler)
+        assert (v.tier, v.passed) == ("numeric", False)
         assert vanishing_point([X2 ** 2 + 1], CHART, sampler) is None
         assert drawn == head
 
@@ -1618,18 +1620,35 @@ class TestLnPositivity:
 
 class TestIsZero:
     def test_symbolic_zero(self, sampler):
-        assert is_zero([ScalarExpr.zero()], CHART, sampler).kind == "symbolic"
-        assert is_zero([X1 ** 2 - X1 * X1], CHART, sampler).kind == "symbolic"
+        for exprs in ([ScalarExpr.zero()], [X1 ** 2 - X1 * X1]):
+            v = is_zero(exprs, CHART, sampler)
+            assert (v.tier, v.passed) == ("symbolic", True)
 
     def test_numeric_zero_for_transcendental_identity(self, sampler):
         v = is_zero([sin_(X1) ** 2 + cos_(X1) ** 2 - 1], CHART, sampler)
-        assert v.kind == "numeric" and v.is_zero
+        assert (v.tier, v.passed) == ("numeric", True)
 
     def test_nonzero_with_witness(self, sampler):
         v = is_zero([X1], CHART, sampler)
-        assert v.kind == "nonzero"
+        assert (v.tier, v.passed) == ("numeric", False)
         assert v.witness is not None and len(v.witness) == 3
         assert abs(evaluate(X1, CHART.env(v.witness)) - v.value) < 1e-15
+
+    def test_failing_record_holds_the_residual_at_its_witness(self, sampler):
+        # the first expression stays below tol, so the residual is the second's
+        exprs = [ScalarExpr.const(Fraction(1, 10 ** 12)), X1 + X2]
+        v = is_zero(exprs, CHART, sampler, "sum", "x1 + x2 = 0")
+        assert (v.name, v.tier, v.passed, v.detail) == ("sum", "numeric", False, "x1 + x2 = 0")
+        vals, ok = evaluate_block(exprs, _Block(CHART, [v.witness]))
+        assert ok[0]
+        assert abs(v.value) >= sampler.tol and abs(vals[0, 0]) < sampler.tol
+        assert v.value == vals[0, 1]
+
+    @pytest.mark.parametrize("exprs", [[], [ScalarExpr.zero(), X1 - X1]],
+                             ids=["empty", "zero-forms"])
+    def test_normal_form_record_carries_the_callers_name(self, sampler, exprs):
+        v = is_zero(exprs, CHART, sampler, "check.name", "the detail")
+        assert v == CheckResult("check.name", "symbolic", True, None, "the detail", None)
 
     def test_polynomial_zero_iff_symbolic(self, sampler):
         # exact arithmetic: a nonzero polynomial never reports symbolic zero
@@ -1637,12 +1656,12 @@ class TestIsZero:
         for _ in range(30):
             e = rand_scalar(rng, CHART, 3, 3)
             v = is_zero([e], CHART, sampler)
-            assert (v.kind == "symbolic") == e.is_zero_form
+            assert (v.tier == "symbolic") == e.is_zero_form
 
     def test_domain_error_points_resampled(self, sampler):
         # x1^-1 blows up near 0 but valid points remain plentiful
         v = is_zero([X1 ** -1], CHART, sampler)
-        assert v.kind == "nonzero"
+        assert (v.tier, v.passed) == ("numeric", False)
 
     def test_positive_vars_sampled_in_band(self):
         chart = Chart(("t",), positive=frozenset({"t"}))
