@@ -40,9 +40,16 @@ divides a numerator exactly when it divides each cofactor group, the terms
 that share the part of their monomial outside those atoms (`_divided`):
 each group is tested and divided on its own, in the polynomial's atoms
 alone, after the one shift that clears the whole numerator's negative
-exponents.  Every normal form is a fixed point of cancellation, so a sum
-tries again only the groups its summands added terms to, and each later
-pass only the groups that divided terms landed in.
+exponents.  A polynomial in one atom whose exponent spreads, which is
+every divisor `recip` makes over one atom, is divided on that atom's
+integer exponents instead (`_divided_in_one_atom`, `_power_div`), each
+group a sparse dict from exponent to coefficient.  The exact quotient is
+unique, and both divisions spend one step of their shared budget per
+quotient term, so the two return the same terms and fail alike; divisors
+in two or more atoms keep `_exact_div`.  Every normal form is a fixed
+point of cancellation, so a sum tries again only the groups its summands
+added terms to, and each later pass only the groups that divided terms
+landed in.
 Atoms are interned (hash-consed), so equal atoms are one object and compare
 by identity.  An atom's key identifies it: a variable's name is an ASCII
 identifier (`ScalarExpr.var`), with no `(`, `*`, `^`, `/` or space in
@@ -414,12 +421,16 @@ class _Divisor(NamedTuple):
     """A wrapped polynomial as a divisor: its terms, its leading term under
     `_lead_key` (monomial and coefficient), and each atom of its terms
     mapped to its spread (max minus min exponent), which is positive:
-    `recip` leaves no monomial common to a wrapped polynomial's terms."""
+    `recip` leaves no monomial common to a wrapped polynomial's terms.  A
+    polynomial in one atom whose exponent spreads also keeps its terms as
+    (exponent, coefficient) pairs, highest exponent first (`powers`, None
+    for every other divisor)."""
 
     terms: dict
     lead: Monomial
     lead_coeff: int
     spreads: dict
+    powers: Optional[tuple]
 
 
 def _divisor(atom: Atom) -> _Divisor:
@@ -430,7 +441,11 @@ def _divisor(atom: Atom) -> _Divisor:
         terms = dict(atom.arg._terms)
         lead = max(terms, key=_lead_key)
         spreads = {a: _spread(terms, a) for a in {a for m in terms for a, _ in m}}
-        div = _Divisor(terms, lead, terms[lead], spreads)
+        powers = None
+        if len(spreads) == 1 and all(spreads.values()):
+            powers = tuple(sorted(((m[0][1] if m else 0, c) for m, c in terms.items()),
+                                  reverse=True))
+        div = _Divisor(terms, lead, terms[lead], spreads, powers)
         object.__setattr__(atom, "divisor", div)
     return div
 
@@ -509,7 +524,10 @@ def _divided(num: dict, den: _Divisor) -> Optional[dict]:
     `_may_divide` before any is divided.  All groups are cleared by the one
     shift that clears the whole numerator, as the division of the whole
     would be.  The divisions share one budget of steps, and the first that
-    fails ends the whole."""
+    fails ends the whole.  A divisor in one atom whose exponent spreads is
+    divided on integer exponents instead (`_divided_in_one_atom`)."""
+    if den.powers is not None:
+        return _divided_in_one_atom(num, den)
     if not _may_divide(num, den):  # then some group fails it too
         return None
     atoms = den.spreads
@@ -545,6 +563,85 @@ def _divided(num: dict, den: _Divisor) -> Optional[dict]:
     return out
 
 
+def _power_div(rem: dict, powers: tuple, low: int, steps: int):
+    """`_exact_div` for a divisor in one atom, on the atom's exponents: the
+    polynomial `rem` maps each exponent to its coefficient, and `powers`
+    holds the divisor's (exponent, coefficient) pairs, highest first.
+
+    Returns the quotient's (exponent, coefficient) pairs, highest first,
+    and the steps left, or None.  The leading term is the highest exponent
+    left, and each costs one step, as in `_exact_div`.  A quotient exponent
+    below `low` is a failure, where `_exact_div`, on the numerator shifted
+    to clear `low`, meets an exponent that would go negative.  `rem` is
+    consumed."""
+    (top, lead_coeff), *rest = powers
+    quo = []
+    while rem:
+        steps -= 1
+        if steps < 0:
+            return None
+        e = max(rem)
+        q = e - top
+        if q < low:
+            return None
+        c, r = divmod(rem.pop(e), lead_coeff)
+        if r:
+            return None
+        quo.append((q, c))
+        for f, cden in rest:
+            k = q + f
+            c2 = rem.get(k, 0) - c * cden
+            if c2:
+                rem[k] = c2
+            elif k in rem:
+                del rem[k]
+    return quo, steps
+
+
+def _divided_in_one_atom(num: dict, den: _Divisor) -> Optional[dict]:
+    """`_divided` by a divisor in one atom x whose exponent spreads.  One
+    pass over the numerator reads each term's exponent of x and its
+    cofactor, the rest of its monomial, and groups the exponents by
+    cofactor in sparse dicts (an exponent may be as large as the input
+    writes it).  A group that spreads less than the divisor is no multiple
+    of it, and then nothing is divided.  Each group is divided by
+    `_power_div`, with the numerator's lowest exponent of x (at most 0) as
+    the least quotient exponent, and the divisions share one budget of
+    steps.  The quotient is unique, so its terms are those `_exact_div`
+    finds, in the same order, and each costs it one step too."""
+    (x, spread), = den.spreads.items()
+    groups: dict = {}
+    low = 0
+    for m, c in num.items():
+        for i, (a, e) in enumerate(m):
+            if a is x:
+                cofactor = m[:i] + m[i + 1:]
+                break
+        else:
+            e, cofactor = 0, m
+        groups.setdefault(cofactor, {})[e] = c
+        if e < low:
+            low = e
+    for group in groups.values():
+        if max(group) - min(group) < spread:
+            return None
+    steps = _DIVISION_STEPS
+    out: dict = {}
+    key = x.key
+    for cofactor, group in groups.items():
+        divided = _power_div(group, den.powers, low, steps)
+        if divided is None:
+            return None
+        quo, steps = divided
+        at = 0
+        while at < len(cofactor) and cofactor[at][0].key < key:
+            at += 1
+        head, tail = cofactor[:at], cofactor[at:]
+        for q, c in quo:
+            out[(*head, (x, q), *tail) if q else cofactor] = c
+    return out
+
+
 def _is_recip(p: Tuple[Atom, int]) -> bool:
     return p[0].kind == "poly" and p[1] < 0
 
@@ -552,10 +649,18 @@ def _is_recip(p: Tuple[Atom, int]) -> bool:
 def _reciprocals(m: Monomial) -> Monomial:
     """The wrapped-poly reciprocals of a monomial: its denominator group.
     Wrapped polynomials sort last in a monomial (their keys start with 2),
-    so one that does not end in a wrapped polynomial holds none."""
+    so they are its trailing pairs, read as one slice; they are filtered
+    only when one of them has a positive exponent."""
     if not m or m[-1][0].kind != "poly":
         return _EMPTY_MONO
-    return tuple(filter(_is_recip, m))
+    i = len(m) - 1
+    while i and m[i - 1][0].kind == "poly":
+        i -= 1
+    tail = m[i:]
+    for _, e in tail:
+        if e > 0:
+            return tuple(filter(_is_recip, tail))
+    return tail
 
 
 def _cancel_denominators(terms: dict, touched=None) -> Tuple[dict, set]:

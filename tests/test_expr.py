@@ -9,6 +9,7 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -591,11 +592,21 @@ def _reference_cancelled(items):
 _WRAPPED = tuple(r._terms[0][0][0][0] for r in (*_RECIPROCALS[:3], _full_pow(
     _merged(_full_mul(ScalarExpr.const(3), _X1SQ), _full_mul(ScalarExpr.const(-2), X2)), -1)))
 _PLAIN_ATOMS = tuple(m[0][0] for x in (X1, X2, X3, exp_(X1)) for m, _ in x._terms)
+# the wrapped atoms of polynomials in x1 alone, of the shapes contact forms
+# make: (2 + x1^2)^3 and (3 + x1^2)^5 multiplied out (degrees 6 and 10, no odd
+# powers), and 1 + x1 + x1^3
+_ONE_ATOM = tuple(_full_pow(p, -1)._terms[0][0][0][0] for p in (
+    _full_pow(_POLYS[1], 3), _full_pow(_fold([ScalarExpr.const(3), _X1SQ]), 5),
+    _fold([ScalarExpr.one(), X1, _full_pow(X1, 3)])))
+assert [str(a) for a in _ONE_ATOM] == [
+    "(8 + 12*x1^2 + 6*x1^4 + x1^6)",
+    "(243 + 405*x1^2 + 270*x1^4 + 90*x1^6 + 15*x1^8 + x1^10)", "(1 + x1 + x1^3)"]
 # wrapped polynomials with a monomial shared by all their terms, built
 # directly, since `recip` makes none: -x1 + x1*x2 (x1 at one exponent in both
-# terms) and the single term x1
-_SHARED = (Atom("poly", arg=X1 * X2 - X1), Atom("poly", arg=X1))
-assert [str(a) for a in _SHARED] == ["(-x1 + x1*x2)", "(x1)"]
+# terms), the single term x1, and x1 + x1^3, in x1 alone and spreading
+_SHARED = (Atom("poly", arg=X1 * X2 - X1), Atom("poly", arg=X1),
+           Atom("poly", arg=X1 + X1 ** 3))
+assert [str(a) for a in _SHARED] == ["(-x1 + x1*x2)", "(x1)", "(x1 + x1^3)"]
 
 
 def _monomial(exps):
@@ -760,8 +771,8 @@ class TestCancellation:
         assert _reference_exact_div(num, div.terms) is None
 
     @settings(max_examples=300, deadline=None)
-    @given(_LAURENT, st.sampled_from(_WRAPPED + _SHARED), st.integers(0, 2), _EXPONENTS,
-           st.booleans())
+    @given(_LAURENT, st.sampled_from(_WRAPPED + _ONE_ATOM + _SHARED), st.integers(0, 2),
+           _EXPONENTS, st.booleans())
     def test_grouped_division_is_the_ungrouped_one(self, q, atom, j, exps, spoil):
         # q * p^j over Laurent monomials in x1, x2, x3 and exp(x1): the
         # divisors' atoms are x1 (and x2), so most terms carry a cofactor
@@ -778,7 +789,7 @@ class TestCancellation:
         div = expr_mod._divisor(atom)
         want = _reference_divided(num, div.terms) if num else {}
         assert expr_mod._divided(num, div) == want
-        if j and not spoil and atom in _WRAPPED:
+        if j and not spoil and atom in _WRAPPED + _ONE_ATOM:
             # a shared monomial is not divided out of a numerator shifted
             # below it: x1^-1 * (-x1 + x1*x2) clears to x2 - 1
             assert want is not None
@@ -791,13 +802,81 @@ class TestCancellation:
         num[_monomial((0, 0, 1, 0))] = 1
         assert expr_mod._may_divide(num, div)
         calls = []
-        exact_div = expr_mod._exact_div
-        monkeypatch.setattr(expr_mod, "_exact_div", lambda *a: calls.append(a) or exact_div(*a))
+        power_div = expr_mod._power_div
+        monkeypatch.setattr(expr_mod, "_power_div", lambda *a: calls.append(a) or power_div(*a))
         assert expr_mod._divided(num, div) is None
         assert calls == []
         del num[_monomial((0, 0, 1, 0))]
         assert expr_mod._divided(num, div) == {_monomial((0, 1, 0, 0)): 1}
         assert len(calls) == 1
+
+    def test_only_a_divisor_in_one_spreading_atom_divides_on_exponents(self, monkeypatch):
+        # each divisor divides itself to 1; the polynomials in x1 alone take
+        # the division on integer exponents, and every other one, in two
+        # atoms or spreading nowhere, the division of monomials
+        assert expr_mod._divisor(_WRAPPED[0]).powers == ((2, 1), (0, 1))
+        assert expr_mod._divisor(_ONE_ATOM[2]).powers == ((3, 1), (1, 1), (0, 1))
+        calls = []
+        for name in ("_power_div", "_exact_div"):
+            monkeypatch.setattr(expr_mod, name, lambda *a, name=name, fn=getattr(
+                expr_mod, name): calls.append(name) or fn(*a))
+        for atom in _WRAPPED + _ONE_ATOM + _SHARED:
+            div = expr_mod._divisor(atom)
+            one_atom = atom in (_WRAPPED[:2] + _ONE_ATOM + _SHARED[2:])
+            assert (div.powers is not None) == one_atom
+            calls.clear()
+            assert expr_mod._divided(dict(div.terms), div) == {(): 1}
+            assert calls == ["_power_div" if one_atom else "_exact_div"]
+
+    def test_a_one_atom_quotient_stays_at_the_numerators_lowest_exponent(self):
+        # 1 + x1^2 is x1^-1 * (x1 + x1^3), but x1^-1 is below the lowest
+        # exponent of x1 in the numerator (at most 0, where it is cleared to):
+        # no division, as in the ungrouped one.  It divides where every
+        # cofactor group starts at x1^1 or above
+        div = expr_mod._divisor(_SHARED[2])
+        assert div.powers == ((3, 1), (1, 1))
+        for exps_list, divides in (([(0, 0, 0, 0), (2, 0, 0, 0)], False),
+                                   ([(1, 0, 0, 0), (3, 0, 0, 0)], True),
+                                   ([(1, 1, 0, 0), (3, 1, 0, 0), (2, 0, 1, 0),
+                                     (4, 0, 1, 0)], True),
+                                   ([(0, 1, 0, 0), (2, 1, 0, 0), (1, 0, 1, 0),
+                                     (3, 0, 1, 0)], False),
+                                   ([(1, 1, 0, 0), (3, 1, 0, 0), (-1, 0, 1, 0),
+                                     (1, 0, 1, 0)], False)):
+            num = {_monomial(e): 1 for e in exps_list}
+            want = _reference_divided(num, div.terms)
+            assert (want is not None) == divides
+            assert expr_mod._divided(num, div) == want
+
+    @pytest.mark.parametrize("atom", (_WRAPPED[0],) + _ONE_ATOM)
+    def test_both_divisions_run_out_at_one_budget(self, monkeypatch, atom):
+        # x2*(1 + x1) and x3*(1 + x1^2 + x1^4) times the divisor: two cofactor
+        # groups whose quotients take 2 and 3 steps from one shared budget,
+        # on integer exponents as in the division of monomials
+        div = expr_mod._divisor(atom)
+        assert div.powers is not None
+        quo = {_monomial(e): 1 for e in ((0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0),
+                                         (2, 0, 1, 0), (4, 0, 1, 0))}
+        num = expr_mod._raw_mul(quo, div.terms)
+        for budget in range(8):
+            monkeypatch.setattr(expr_mod, "_DIVISION_STEPS", budget)
+            got = expr_mod._divided(num, div)
+            assert got == expr_mod._divided(num, div._replace(powers=None))
+            assert got == (quo if budget >= 5 else None)
+
+    def test_a_high_exponent_divides_in_little_memory(self):
+        # (1 + x1^1000000)^-1 * x1^1000000 + (1 + x1^1000000)^-1 is 1; the
+        # division holds the exponents it meets, not every one below them
+        tracemalloc.start()
+        try:
+            power = X1 ** 1000000
+            r = (power + 1).recip()
+            got = power * r + r
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.is_one
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_a_divisor_sharing_a_monomial_divides_what_the_ungrouped_one_does(self, k):
