@@ -74,11 +74,14 @@ scales the other operand's terms (a nonzero rational keeps every monomial
 and their order, and whether a division is exact does not depend on it, so
 the scaled terms are still cancelled as far as they go), and two single
 monomials merge into one monomial, which spreads nowhere and so is no
-multiple of any wrapped polynomial.  Such results are stored with
-`_normalized=True`, which means "already a normal form, in normal-form
-order" (it is still reduced).  Zero times anything is zero at once, and
-every other product is cancelled.  A sum is built from all its summands'
-terms at once (`ScalarExpr.sum`), skipping zero summands.
+multiple of any wrapped polynomial.  Zero times anything is zero at once,
+and every other product is cancelled.  A sum is built from all its
+summands' terms at once (`ScalarExpr.sum`), skipping zero summands.  These
+two shortcuts, a sum, a negation and the one-term pieces of `diff` pass
+the constructor `_normalized=True` and the tuple of (monomial, numerator)
+pairs in normal-form order, which it stores with no dict built (it still
+reduces).  That order sorts by `_mono_key`; `_in_order` sorts only two or
+more terms, since no or one term is in order as it is, and many are one.
 
 Numeric verdicts read seeded sample points (`Sampler`, a plain value).  A
 chart's points are one seeded stream, and every block of them is drawn as
@@ -291,11 +294,17 @@ _EMPTY_MONO: Monomial = ()
 
 
 def _mono_key(m: Monomial):
-    return (sum(e for _, e in m), tuple((a.key, e) for a, e in m))
+    degree, keys = 0, []
+    for a, e in m:
+        degree += e
+        keys.append((a.key, e))
+    return degree, tuple(keys)
 
 
 def _in_order(terms: Mapping[Monomial, int]) -> tuple:
     """The (monomial, numerator) pairs in normal-form order."""
+    if len(terms) < 2:
+        return tuple(terms.items())
     return tuple(sorted(terms.items(), key=lambda p: _mono_key(p[0])))
 
 
@@ -721,26 +730,26 @@ class ScalarExpr:
 
     __slots__ = ("_terms", "_den", "_hash", "_str", "_diff", "__weakref__")
 
-    def __init__(self, terms: Mapping[Monomial, int], den: int = 1,
-                 _normalized: bool = False):
+    def __init__(self, terms, den: int = 1, _normalized: bool = False):
         """The expression sum(terms) / den, for int numerators and a positive
-        int `den`.  `_normalized=True` says `terms` is already a normal form,
-        in normal-form order: it is stored as it is, but for the
-        reduction."""
+        int `den`: `terms` maps monomials to numerators.  `_normalized=True`
+        says `terms` is already a normal form, the tuple of its (monomial,
+        numerator) pairs in normal-form order: it is stored as it is, but
+        for the reduction."""
         if _normalized:
-            items = tuple(terms.items())
+            items = terms
         else:
             items = _in_order(_cancelled({m: c for m, c in terms.items() if c}))
         if den != 1:
-            g = math.gcd(den, *(c for _, c in items))
+            g = math.gcd(den, *[c for _, c in items])
             if g != 1:
-                items = tuple((m, c // g) for m, c in items)
+                items = tuple([(m, c // g) for m, c in items])
                 den //= g
-        object.__setattr__(self, "_terms", items)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_str", None)
-        object.__setattr__(self, "_diff", None)  # {var: derivative}, see diff
+        self._terms = items
+        self._den = den
+        self._hash = None
+        self._str = None
+        self._diff = None  # {var: derivative}, see diff
 
     # construction helpers
     @staticmethod
@@ -809,7 +818,7 @@ class ScalarExpr:
             touched.discard(_EMPTY_MONO)
             if touched:
                 out = _cancelled(out, touched)
-        return ScalarExpr(dict(_in_order(out)), den, _normalized=True)
+        return ScalarExpr(_in_order(out), den, _normalized=True)
 
     def __add__(self, other) -> "ScalarExpr":
         return ScalarExpr.sum((self, other))
@@ -817,7 +826,8 @@ class ScalarExpr:
     __radd__ = __add__
 
     def __neg__(self) -> "ScalarExpr":
-        return ScalarExpr({m: -c for m, c in self._terms}, self._den, _normalized=True)
+        return ScalarExpr(tuple([(m, -c) for m, c in self._terms]), self._den,
+                          _normalized=True)
 
     def __sub__(self, other) -> "ScalarExpr":
         return self + (-_coerce(other))
@@ -846,7 +856,7 @@ class ScalarExpr:
         den = self._den * other._den
         if len(a) == 1 and len(b) == 1:
             (ma, ca), (mb, cb) = a[0], b[0]
-            return ScalarExpr({_mono_mul(ma, mb): ca * cb}, den, _normalized=True)
+            return ScalarExpr(((_mono_mul(ma, mb), ca * cb),), den, _normalized=True)
         return ScalarExpr(_raw_mul(dict(a), dict(b)), den)
 
     __rmul__ = __mul__
@@ -856,7 +866,7 @@ class ScalarExpr:
         monomials, in order."""
         if p == 1 and q == 1:
             return self
-        return ScalarExpr({m: p * c for m, c in self._terms}, q * self._den,
+        return ScalarExpr(tuple([(m, p * c) for m, c in self._terms]), q * self._den,
                           _normalized=True)
 
     def __pow__(self, k: int) -> "ScalarExpr":
@@ -909,12 +919,12 @@ class ScalarExpr:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self._terms, self._den)))
+            self._hash = hash((self._terms, self._den))
         return self._hash
 
     def __str__(self) -> str:
         if self._str is None:
-            object.__setattr__(self, "_str", _render(self._terms, self._den))
+            self._str = _render(self._terms, self._den)
         return self._str
 
     __repr__ = __str__
@@ -922,7 +932,7 @@ class ScalarExpr:
     def __reduce__(self):
         # rebuild through the constructor: atoms re-intern, the hash and the
         # memo are recomputed in the receiving process
-        return (ScalarExpr, (dict(self._terms), self._den, True))
+        return (ScalarExpr, (self._terms, self._den, True))
 
 
 _ZERO = ScalarExpr({})
@@ -1040,7 +1050,7 @@ def diff(e: ScalarExpr, var: str, chart: Optional[Chart] = None) -> ScalarExpr:
         if e.is_rational_const:  # no memo: constants live long and are shared
             return _ZERO
         memo = _DIFF_MEMOS.setdefault(e, {})
-        object.__setattr__(e, "_diff", memo)
+        e._diff = memo
     hit = memo.get(var)
     if hit is not None:
         return hit
@@ -1052,7 +1062,7 @@ def diff(e: ScalarExpr, var: str, chart: Optional[Chart] = None) -> ScalarExpr:
             if da is None:
                 continue
             lowered = m if a.kind == "exp" else _mono_mul(m, ((a, -1),))
-            parts.append(ScalarExpr({lowered: c * k}, den, _normalized=True) * da)
+            parts.append(ScalarExpr(((lowered, c * k),), den, _normalized=True) * da)
     memo[var] = total = ScalarExpr.sum(parts)
     return total
 
