@@ -30,33 +30,32 @@ normal form depends on how a sum was grouped: with p = 1 + x^2,
 terms over p, because nothing divides (x^2 + 1 + x)/p.
 Cancellation tries a division only where one can succeed: a group whose
 exponents of some atom spread less than the polynomial's is no multiple of
-it (`_may_divide`), and it stops at the first pass that divides nothing.
+it, and it stops at the first pass that divides nothing.
 A wrapped polynomial is primitive (integer coefficients with gcd 1, as
 `recip` makes it), so by Gauss's lemma an integer polynomial that is a
 multiple of it is an integer multiple: division stays in the integers and
-ends at the first leading coefficient it does not divide (`_exact_div`).
+ends at the first leading coefficient it does not divide.
 A wrapped polynomial is a polynomial in its own atoms alone, so it
 divides a numerator exactly when it divides each cofactor group, the terms
-that share the part of their monomial outside those atoms (`_divided`):
-each group is tested and divided on its own, in the polynomial's atoms
-alone, after the one shift that clears the whole numerator's negative
-exponents.  A polynomial in one atom whose exponent spreads, which is
-every divisor `recip` makes over one atom, is divided on that atom's
-integer exponents instead (`_divided_in_one_atom`, `_power_div`), each
-group a sparse dict from exponent to coefficient.  The exact quotient is
-unique, and both divisions spend one step of their shared budget per
-quotient term, so the two return the same terms and fail alike; divisors
-in two or more atoms keep `_exact_div`.  Every normal form is a fixed
-point of cancellation, so a sum tries again only the groups its summands
-added terms to, and each later pass only the groups that divided terms
-landed in.
+that share the part of their monomial outside those atoms (`_divided`).
+Each group is divided on its own by long division on integer exponents,
+none below the whole numerator's lowest (at most 0): on the atom's `int`
+exponents for a polynomial in one atom whose exponent spreads, which is
+every one `recip` makes over one atom (`_divided_in_one_atom`,
+`_power_div`), and on the tuple of its atoms' exponents in key order for
+every other (`_vector_div`).  Python orders tuples lexicographically, a
+monomial order, so the leading term of a product is the product of the
+leading terms.  A division spends one step of its shared budget per
+quotient term.  Every normal form is a fixed point of cancellation, so a
+sum tries again only the groups its summands added terms to, and each
+later pass only the groups that divided terms landed in.
 Atoms are interned (hash-consed), so equal atoms are one object and compare
 by identity.  An atom's key identifies it: a variable's name is an ASCII
 identifier (`ScalarExpr.var`), with no `(`, `*`, `^`, `/` or space in
 it, and a reduced normal form fixes each term's coefficient and the
 denominator, so no two normal forms print alike.  A monomial lists its
-atoms in key order, and a product or quotient of two monomials merges the
-two lists in one pass (`_mono_mul`, `_mono_div`).
+atoms in key order, and a product of two monomials merges the two lists
+in one pass (`_mono_mul`).
 
 A normal form holds wrapped polynomials only at negative exponents, and a
 wrapped polynomial's argument holds none.  Only `recip` creates a positive
@@ -119,6 +118,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, lt, sub
 from typing import (Callable, Iterator, Mapping, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -308,11 +308,6 @@ def _in_order(terms: Mapping[Monomial, int]) -> tuple:
     return tuple(sorted(terms.items(), key=lambda p: _mono_key(p[0])))
 
 
-def _freeze(exps: Mapping[Atom, int]) -> Monomial:
-    return tuple(sorted(((a, e) for a, e in exps.items() if e != 0),
-                        key=lambda p: p[0].key))
-
-
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """The product of two monomials: one merge of the two key orders."""
     if not b:
@@ -337,35 +332,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
             out.append(pa)
             i += 1
     return (*out, *a[i:], *b[j:])
-
-
-def _mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
-    """The quotient a / b, or None where an exponent would go negative: b
-    raises an atom higher than a does (an atom a lacks is at 0).  One merge
-    of the two key orders, as in `_mono_mul`."""
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while j < nb:
-        y, f = b[j]
-        if i == na or y.key < a[i][0].key:
-            if f > 0:
-                return None
-            out.append((y, -f))
-            j += 1
-            continue
-        x, e = pa = a[i]
-        if x is y:
-            if e < f:
-                return None
-            if e != f:
-                out.append((x, e - f))
-            i += 1
-            j += 1
-        else:
-            out.append(pa)
-            i += 1
-    return (*out, *a[i:])
 
 
 # --- raw term-dict arithmetic (monomial -> int numerator) ------------------
@@ -418,28 +384,18 @@ def _least(monos) -> Monomial:
 
 # --- exact division (for cancelling wrapped-poly reciprocals) ------------
 
-def _lead_key(m: Monomial):
-    """Graded lex order, the last atom of a frozen monomial most significant.
-
-    Unlike the print order `_mono_key`, it is a monomial order: the leading
-    term of a product is the product of the leading terms."""
-    return (sum(e for _, e in m), tuple((a.key, e) for a, e in reversed(m)))
-
-
 class _Divisor(NamedTuple):
-    """A wrapped polynomial as a divisor: its terms, its leading term under
-    `_lead_key` (monomial and coefficient), and each atom of its terms
-    mapped to its spread (max minus min exponent), which is positive:
-    `recip` leaves no monomial common to a wrapped polynomial's terms.  A
-    polynomial in one atom whose exponent spreads also keeps its terms as
-    (exponent, coefficient) pairs, highest exponent first (`powers`, None
-    for every other divisor)."""
+    """A wrapped polynomial as a divisor.  `powers` holds its terms as
+    (exponents, coefficient) pairs, highest first.  For a polynomial in one
+    atom whose exponent spreads, which is every divisor `recip` makes over
+    one atom, the exponents are that atom's, an `int`; for every other
+    divisor they are a tuple over its atoms in key order, ordered as Python
+    orders tuples (lex order, a monomial order).  `spreads` maps each atom
+    of its terms, in key order, to its spread (max minus min exponent, an
+    absent atom at 0)."""
 
-    terms: dict
-    lead: Monomial
-    lead_coeff: int
     spreads: dict
-    powers: Optional[tuple]
+    powers: tuple
 
 
 def _divisor(atom: Atom) -> _Divisor:
@@ -447,142 +403,87 @@ def _divisor(atom: Atom) -> _Divisor:
     atom."""
     div = atom.divisor
     if div is None:
-        terms = dict(atom.arg._terms)
-        lead = max(terms, key=_lead_key)
-        spreads = {a: _spread(terms, a) for a in {a for m in terms for a, _ in m}}
-        powers = None
-        if len(spreads) == 1 and all(spreads.values()):
-            powers = tuple(sorted(((m[0][1] if m else 0, c) for m, c in terms.items()),
-                                  reverse=True))
-        div = _Divisor(terms, lead, terms[lead], spreads, powers)
+        terms = atom.arg._terms
+        atoms = sorted({a for m, _ in terms for a, _ in m}, key=lambda a: a.key)
+        powers = sorted(((tuple(dict(m).get(a, 0) for a in atoms), c) for m, c in terms),
+                        reverse=True)
+        spreads = {a: max(column) - min(column)
+                   for a, column in zip(atoms, zip(*(e for e, _ in powers)))}
+        if len(atoms) == 1 and spreads[atoms[0]]:
+            powers = [(e, c) for (e,), c in powers]
+        div = _Divisor(spreads, tuple(powers))
         object.__setattr__(atom, "divisor", div)
     return div
-
-
-def _spread(monos, atom: Atom) -> int:
-    """Max minus min exponent of `atom` over the monomials (absent is 0)."""
-    exps = [e for m in monos for a, e in m if a is atom]
-    if len(exps) < len(monos):  # a monomial without the atom
-        exps.append(0)
-    return max(exps) - min(exps)
-
-
-def _may_divide(num, div: _Divisor) -> bool:
-    """False when `num` is no multiple of the divisor: over Laurent
-    polynomials the spread of each atom's exponents adds under
-    multiplication, so a multiple spreads at least as far as the divisor in
-    every atom.  A single term spreads nowhere."""
-    return all(_spread(num, a) >= s for a, s in div.spreads.items())
 
 
 _DIVISION_STEPS = 10_000
 
 
-def _exact_div(num: Mapping[Monomial, int], den: _Divisor, steps: int = _DIVISION_STEPS):
-    """Exact polynomial division num/den over nonnegative-exponent monomials,
-    of an integer numerator by a primitive divisor, in at most `steps`
-    reduction steps.
-
-    Returns the quotient dict and the steps left, or None if the division
-    is not exact or runs out of steps.  With a single divisor and a monomial
-    order, leading-term reduction is complete for exact division.  By
-    Gauss's lemma the quotient of an exact division has integer
-    coefficients, and each remainder is the divisor times the rest of it,
-    so every leading coefficient the reduction meets is an integer multiple
-    of the divisor's: the first that is not ends the division.  Each
-    remainder monomial's `_lead_key` is computed once.
-    """
-    rem = dict(num)
-    keys = {m: _lead_key(m) for m in rem}
-    quo: dict = {}
-    while rem:
-        steps -= 1
-        if steps < 0:
-            return None
-        lead = max(rem, key=keys.__getitem__)
-        t = _mono_div(lead, den.lead)
-        if t is None:
-            return None
-        c, r = divmod(rem[lead], den.lead_coeff)
-        if r:
-            return None
-        quo[t] = quo.get(t, 0) + c
-        for m, cden in den.terms.items():
-            mt = _mono_mul(m, t)
-            c2 = rem.get(mt, 0) - c * cden
-            if c2:
-                rem[mt] = c2
-                if mt not in keys:
-                    keys[mt] = _lead_key(mt)
-            elif mt in rem:
-                del rem[mt]
-    return quo, steps
-
-
 def _divided(num: dict, den: _Divisor) -> Optional[dict]:
     """num/den for a numerator over Laurent monomials, reciprocals included,
-    or None if it is not exact: the numerator's negative exponents are
-    cleared first, so the division sees a polynomial, and restored on the
-    quotient.
+    or None if it is not exact.
 
     The terms are grouped by their cofactor, the part of the monomial
     outside the divisor's atoms.  The divisor is a polynomial in its atoms
-    alone, so it divides the cleared numerator exactly when it divides each
-    group's polynomial in those atoms, and the quotient is the sum of the
-    groups' quotients times their cofactors.  Every group must pass
-    `_may_divide` before any is divided.  All groups are cleared by the one
-    shift that clears the whole numerator, as the division of the whole
-    would be.  The divisions share one budget of steps, and the first that
-    fails ends the whole.  A divisor in one atom whose exponent spreads is
-    divided on integer exponents instead (`_divided_in_one_atom`)."""
-    if den.powers is not None:
+    alone, so it divides the numerator exactly when it divides each group's
+    polynomial in those atoms, and the quotient is the sum of the groups'
+    quotients times their cofactors.  A group that spreads less than the
+    divisor in some atom is no multiple of it, and then nothing is divided.
+    Each group is divided on its exponents of the divisor's atoms, a tuple
+    in key order (`_vector_div`), with each atom's lowest exponent in the
+    numerator (at most 0) as its least quotient exponent, and the divisions
+    share one budget of steps.  A divisor whose `powers` hold `int`
+    exponents is divided by `_divided_in_one_atom` instead."""
+    if isinstance(den.powers[0][0], int):
         return _divided_in_one_atom(num, den)
-    if not _may_divide(num, den):  # then some group fails it too
-        return None
-    atoms = den.spreads
+    spreads = den.spreads
+    n = len(spreads)
+    place = {a: i for i, a in enumerate(spreads)}
+    low = [0] * n
     groups: dict = {}
     for m, c in num.items():
-        inside = tuple(p for p in m if p[0] in atoms)
-        if len(inside) == len(m):
-            groups.setdefault(_EMPTY_MONO, {})[m] = c
-        else:
-            groups.setdefault(tuple(p for p in m if p[0] not in atoms), {})[inside] = c
-    if not all(_may_divide(group, den) for group in groups.values()):
-        return None
-    lows: dict = {}
+        exps, cofactor = [0] * n, []
+        for p in m:
+            i = place.get(p[0])
+            if i is None:
+                cofactor.append(p)
+            else:
+                exps[i] = e = p[1]
+                if e < low[i]:
+                    low[i] = e
+        groups.setdefault(tuple(cofactor), {})[tuple(exps)] = c
     for group in groups.values():
-        for m in group:
-            for a, e in m:
-                if e < lows.get(a, 0):
-                    lows[a] = e
-    back = _freeze(lows) if lows else _EMPTY_MONO
-    clear = tuple((a, -e) for a, e in back)
+        for column, spread in zip(zip(*group), spreads.values()):
+            if max(column) - min(column) < spread:
+                return None
     steps = _DIVISION_STEPS
     out: dict = {}
     for cofactor, group in groups.items():
-        if back:
-            group = {_mono_mul(m, clear): c for m, c in group.items()}
-            cofactor = _mono_mul(back, cofactor)
-        divided = _exact_div(group, den, steps)
+        divided = _vector_div(group, den.powers, low, steps)
         if divided is None:
             return None
         quo, steps = divided
-        for m, c in quo.items():
-            out[_mono_mul(m, cofactor)] = c
+        for q, c in quo:
+            out[_mono_mul(cofactor, tuple((a, e) for a, e in zip(spreads, q) if e))] = c
     return out
 
 
 def _power_div(rem: dict, powers: tuple, low: int, steps: int):
-    """`_exact_div` for a divisor in one atom, on the atom's exponents: the
-    polynomial `rem` maps each exponent to its coefficient, and `powers`
-    holds the divisor's (exponent, coefficient) pairs, highest first.
+    """Exact long division, in at most `steps` steps, of the polynomial
+    `rem` in one atom, which maps each exponent to its coefficient, by the
+    divisor whose (exponent, coefficient) pairs `powers` holds, highest
+    first.
 
     Returns the quotient's (exponent, coefficient) pairs, highest first,
-    and the steps left, or None.  The leading term is the highest exponent
-    left, and each costs one step, as in `_exact_div`.  A quotient exponent
-    below `low` is a failure, where `_exact_div`, on the numerator shifted
-    to clear `low`, meets an exponent that would go negative.  `rem` is
-    consumed."""
+    and the steps left, or None if the division is not exact or runs out of
+    steps.  The leading term is the highest exponent left, and each
+    quotient term costs one step.  A quotient exponent below `low` is a
+    failure: it would go negative in the division of the numerator shifted
+    to clear `low`.  By Gauss's lemma the quotient of an exact division by
+    a primitive divisor has integer coefficients, and each remainder is
+    the divisor times the rest of it, so every leading coefficient the
+    division meets is an integer multiple of the divisor's: the first that
+    is not ends it.  `rem` is consumed."""
     (top, lead_coeff), *rest = powers
     quo = []
     while rem:
@@ -607,6 +508,35 @@ def _power_div(rem: dict, powers: tuple, low: int, steps: int):
     return quo, steps
 
 
+def _vector_div(rem: dict, powers: tuple, low: list, steps: int):
+    """`_power_div` on exponent tuples, highest first in lex order, which
+    is a monomial order: the leading term of a product is the product of
+    the leading terms.  A quotient exponent below `low` in any atom is a
+    failure.  `rem` is consumed."""
+    (top, lead_coeff), *rest = powers
+    quo = []
+    while rem:
+        steps -= 1
+        if steps < 0:
+            return None
+        e = max(rem)
+        q = tuple(map(sub, e, top))
+        if any(map(lt, q, low)):
+            return None
+        c, r = divmod(rem.pop(e), lead_coeff)
+        if r:
+            return None
+        quo.append((q, c))
+        for f, cden in rest:
+            k = tuple(map(add, q, f))
+            c2 = rem.get(k, 0) - c * cden
+            if c2:
+                rem[k] = c2
+            elif k in rem:
+                del rem[k]
+    return quo, steps
+
+
 def _divided_in_one_atom(num: dict, den: _Divisor) -> Optional[dict]:
     """`_divided` by a divisor in one atom x whose exponent spreads.  One
     pass over the numerator reads each term's exponent of x and its
@@ -616,8 +546,7 @@ def _divided_in_one_atom(num: dict, den: _Divisor) -> Optional[dict]:
     of it, and then nothing is divided.  Each group is divided by
     `_power_div`, with the numerator's lowest exponent of x (at most 0) as
     the least quotient exponent, and the divisions share one budget of
-    steps.  The quotient is unique, so its terms are those `_exact_div`
-    finds, in the same order, and each costs it one step too."""
+    steps."""
     (x, spread), = den.spreads.items()
     groups: dict = {}
     low = 0

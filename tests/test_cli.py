@@ -655,11 +655,11 @@ class TestStagesRunOnce:
         # this run meets 424 groups of terms sharing a wrapped-polynomial
         # reciprocal; most cannot divide, and the spread test skips those
         # without calling the division.  Its divisors are polynomials in x1,
-        # so each division it makes is one on integer exponents
-        calls = self._count(monkeypatch, ("_power_div", "_exact_div"), module=expr)
+        # so each division it makes is one on int exponents, none on tuples
+        calls = self._count(monkeypatch, ("_power_div", "_vector_div"), module=expr)
         assert run_text((GOLDEN / "contact-form-n5.gvk").read_text()).exit_status == 0
         assert 0 < calls["_power_div"] <= 100
-        assert calls["_exact_div"] == 0
+        assert calls["_vector_div"] == 0
 
     @pytest.mark.parametrize("command, error", [("bridge", "ParityObstruction"),
                                                 ("codim1", "NotCodimOne")])
